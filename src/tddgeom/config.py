@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import hexgrid, macro_analytic, ppp_model, rng, specfun
+from . import hexgrid, macro_analytic, ppp_model, specfun
 from .errors import ConfigError
 from .params import (
     CoverageCurve,
@@ -53,6 +53,8 @@ class ExperimentConfig:
     window_radius: float | None = None
     p_small_dbm: float = 26.0
     p_small_star_dbm: float = 20.0
+    series: SeriesControl = SeriesControl()
+    quadrature: QuadratureControl = QuadratureControl()
     gamma_grid_db: tuple = tuple(np.arange(-30.0, 30.5, 1.0))
     x_grid: tuple = tuple(np.round(np.arange(0.02, 0.401, 0.02), 10))
     lambda_grid: tuple = (5.0, 10.0, 20.0, 50.0)
@@ -61,8 +63,6 @@ class ExperimentConfig:
     out: str | None = None
     label: str | None = None
     plot_script: bool = False
-    series: SeriesControl = SeriesControl()
-    quadrature: QuadratureControl = QuadratureControl()
 
     def scenario(self):
         """SmallCellScenario assembled from the point-process fields."""
@@ -76,45 +76,27 @@ class ExperimentConfig:
         )
 
 
-_GROUP_FIELDS = {
-    "propagation": (PropagationParams, ("two_b", "a_db", "k", "p_dl_dbm", "p_star_dbm", "p_noise_dbm")),
-    "mix": (TddMix, ("alpha_d",)),
-    "macro": (MacroNetwork, ("delta", "cell_radius", "rings", "load_eta")),
-    "ppp": (None, ("lam", "window_radius", "p_small_dbm", "p_small_star_dbm")),
-    "series": (SeriesControl, ("rel_tol", "max_terms")),
-    "quadrature": (
-        QuadratureControl,
-        (
-            "inner_abs_tol",
-            "outer_abs_tol",
-            "n_theta",
-            "n_rho",
-            "n_x",
-            "n_serving",
-            "n_ase",
-            "ase_panel_width",
-            "ase_rel_tol",
-            "max_panels",
-            "max_refinements",
-            "refine",
-        ),
-    ),
+# The config tree nests some fields in groups: group name -> (the
+# ExperimentConfig field that holds the group's dataclass, that
+# dataclass).  The "ppp" group holds the SmallCellScenario fields that
+# ExperimentConfig keeps flat, so it has no field of its own.
+_GROUPS = {
+    "propagation": ("prop", PropagationParams),
+    "mix": ("mix", TddMix),
+    "macro": ("macro", MacroNetwork),
+    "ppp": (None, SmallCellScenario),
+    "series": ("series", SeriesControl),
+    "quadrature": ("quadrature", QuadratureControl),
 }
-
-_TOP_FIELDS = (
-    "geometry",
-    "experiment",
-    "direction",
-    "mode",
-    "gamma_grid_db",
-    "x_grid",
-    "lambda_grid",
-    "n_draws",
-    "seed",
-    "out",
-    "label",
-    "plot_script",
-) + tuple(_GROUP_FIELDS)
+_GROUP_OF = {target: name for name, (target, _) in _GROUPS.items() if target}
+_GROUP_FIELDS = {
+    name: tuple(f.name for f in dataclasses.fields(cls) if f.name not in _GROUP_OF)
+    for name, (_, cls) in _GROUPS.items()
+}
+_TOP_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in _GROUP_OF and f.name not in _GROUP_FIELDS["ppp"]
+) + tuple(_GROUPS)
 
 
 def _parse_grid(value, name, errors):
@@ -144,14 +126,12 @@ def _parse_grid(value, name, errors):
     return None
 
 
-def _build_group(name, cls, fields, data, errors):
-    kwargs = {}
+def _build_group(name, cls, data, errors):
+    fields = _GROUP_FIELDS[name]
     unknown = set(data) - set(fields)
     if unknown:
         errors.append(f"{name}: unknown keys {sorted(unknown)}")
-    for key in fields:
-        if key in data:
-            kwargs[key] = data[key]
+    kwargs = {key: data[key] for key in fields if key in data}
     if cls is None:
         return kwargs
     try:
@@ -188,21 +168,15 @@ def config_from_dict(data):
             else:
                 kwargs[key] = value
 
-    for name, target in (("propagation", "prop"), ("mix", "mix"), ("macro", "macro"),
-                         ("series", "series"), ("quadrature", "quadrature")):
-        if name in data:
-            if not isinstance(data[name], dict):
-                errors.append(f"{name}: expected an object")
-                continue
-            cls, fields = _GROUP_FIELDS[name]
-            kwargs[target] = _build_group(name, cls, fields, data[name], errors)
-
-    if "ppp" in data:
-        if not isinstance(data["ppp"], dict):
-            errors.append("ppp: expected an object")
+    for name, (target, cls) in _GROUPS.items():
+        if name not in data:
+            continue
+        if not isinstance(data[name], dict):
+            errors.append(f"{name}: expected an object")
+        elif target is None:
+            kwargs.update(_build_group(name, None, data[name], errors))
         else:
-            _, fields = _GROUP_FIELDS["ppp"]
-            kwargs.update(_build_group("ppp", None, fields, data["ppp"], errors))
+            kwargs[target] = _build_group(name, cls, data[name], errors)
 
     for key in ("gamma_grid_db", "x_grid", "lambda_grid"):
         if key in data:
@@ -290,31 +264,16 @@ def load_config(path):
 def dump_config(cfg):
     """Normalized dict form of a config: every field materialized, in
     schema order, so dump(load(x)) is the canonical form of x."""
-    return {
-        "geometry": cfg.geometry,
-        "experiment": cfg.experiment,
-        "direction": cfg.direction,
-        "mode": cfg.mode,
-        "propagation": dataclasses.asdict(cfg.prop),
-        "mix": dataclasses.asdict(cfg.mix),
-        "macro": dataclasses.asdict(cfg.macro),
-        "ppp": {
-            "lam": cfg.lam,
-            "window_radius": cfg.window_radius,
-            "p_small_dbm": cfg.p_small_dbm,
-            "p_small_star_dbm": cfg.p_small_star_dbm,
-        },
-        "series": dataclasses.asdict(cfg.series),
-        "quadrature": dataclasses.asdict(cfg.quadrature),
-        "gamma_grid_db": list(cfg.gamma_grid_db),
-        "x_grid": list(cfg.x_grid),
-        "lambda_grid": list(cfg.lambda_grid),
-        "n_draws": cfg.n_draws,
-        "seed": cfg.seed,
-        "out": cfg.out,
-        "label": cfg.label,
-        "plot_script": cfg.plot_script,
-    }
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in _GROUP_OF:
+            out[_GROUP_OF[f.name]] = dataclasses.asdict(value)
+        elif f.name in _GROUP_FIELDS["ppp"]:
+            out.setdefault("ppp", {})[f.name] = value
+        else:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _format_value(x):

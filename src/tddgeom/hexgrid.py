@@ -25,6 +25,7 @@ from .params import (
     MobilePolar,
     PropagationParams,
     TddMix,
+    check_direction,
     check_gamma_grid,
 )
 
@@ -188,6 +189,60 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
     return estimate, stderr
 
 
+def _macro_chunk(sites, net, prop, mix, direction, seed, start, n):
+    """Draws start .. start + n - 1 of the macro simulator; see
+    :func:`_macro_chunks`."""
+    ns = sites.size
+    radius = net.cell_radius
+    two_b = prop.two_b
+    vals = np.empty((n, 2 + 3 * ns))
+    for j in range(n):
+        vals[j] = rng.stream(seed, start + j).random(2 + 3 * ns)
+    r = radius * np.sqrt(vals[:, 0])
+    # interferer transmits downlink iff its uniform draw falls below alpha_d
+    is_dl = vals[:, 2 : 2 + ns] < mix.alpha_d
+    rho = radius * np.sqrt(vals[:, 2 + ns : 2 + 2 * ns])
+    phi = 2.0 * math.pi * vals[:, 2 + 2 * ns :]
+    # interference lands on the user (downlink) or on the origin site (uplink)
+    target = (r * np.exp(2j * math.pi * vals[:, 1]))[:, None] if direction == "dl" else 0.0
+    del vals  # the uniforms are spent; free them before the complex arrays
+    mobiles = sites[None, :] + rho * np.exp(1j * phi)
+    del phi
+    cell_term = prop.p_dl_mw * np.abs(sites[None, :] - target) ** (-two_b)
+    mobile_term = prop.p_star_mw * rho ** (2 * prop.b * prop.k) * np.abs(mobiles - target) ** (-two_b)
+    with np.errstate(divide="ignore"):
+        if direction == "dl":
+            useful = prop.p_dl_mw * r ** (-two_b)
+        else:
+            useful = prop.p_star_mw * r ** (-two_b * (1 - prop.k))
+    return r, useful, is_dl, cell_term, mobile_term
+
+
+def _macro_chunks(net, prop, mix, direction, n_draws, seed):
+    """The macro Monte Carlo, in chunks of draws.
+
+    Per draw: the typical user falls uniformly in the serving disk; each
+    interfering site independently transmits downlink with probability
+    alpha_d or hosts one uniform-disk uplink mobile under fractional
+    power control.  Yields, per chunk of n draws, the user radii and the
+    useful powers (shape (n,)), the downlink flags and the mobile terms
+    (shape (n, sites)), and the cell terms (shape (n, sites), or
+    (1, sites) for uplink, where they do not depend on the draw).
+
+    Draw i consumes only stream (seed, i), so any chunking reproduces
+    the same numbers.  A chunk is built from about 4e6 uniforms, and a
+    consumer drops its references to one chunk before asking for the
+    next, so that two are never held at once.
+    """
+    direction = check_direction(direction)
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    sites = lattice_points(net)
+    chunk = max(1, int(4.0e6 / (3 * sites.size)))
+    for start in range(0, n_draws, chunk):
+        yield _macro_chunk(sites, net, prop, mix, direction, seed, start, min(chunk, n_draws - start))
+
+
 def macro_interference_draws(net, prop, mix, direction, n_draws, seed):
     """Per-draw interference decomposition for the macro simulator.
 
@@ -199,113 +254,34 @@ def macro_interference_draws(net, prop, mix, direction, n_draws, seed):
     consumes only stream (seed, i), so any chunking of a larger run
     reproduces these numbers exactly.
     """
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
-    sites = lattice_points(net)
-    ns = sites.size
-    radius = net.cell_radius
-    two_b = prop.two_b
-    bk = prop.b * prop.k
-    p_dl = prop.p_dl_mw
-    p_star = prop.p_star_mw
-
-    useful = np.empty(n_draws)
-    from_dl_sites = np.empty(n_draws)
-    from_ul_sites = np.empty(n_draws)
-    i_total = np.empty(n_draws)
-    r_user = np.empty(n_draws)
-
-    for i in range(n_draws):
-        gen = rng.stream(seed, i)
-        vals = gen.random(2 + 3 * ns)
-        r = radius * math.sqrt(vals[0])
-        # interferer transmits downlink iff its uniform draw falls below alpha_d
-        is_dl = vals[2 : 2 + ns] < mix.alpha_d
-        rho = radius * np.sqrt(vals[2 + ns : 2 + 2 * ns])
-        phi = 2.0 * math.pi * vals[2 + 2 * ns :]
-        mobiles = sites + rho * np.exp(1j * phi)
-
-        # interference lands on the user (downlink) or on the origin site (uplink)
-        target = r * np.exp(2j * math.pi * vals[1]) if direction == "dl" else 0.0
-        cell_kernel = p_dl * np.abs(sites - target) ** (-two_b)
-        mobile_kernel = p_star * rho ** (2 * bk) * np.abs(mobiles - target) ** (-two_b)
-
-        from_dl_sites[i] = float(cell_kernel[is_dl].sum())
-        from_ul_sites[i] = float(mobile_kernel[~is_dl].sum())
-        i_total[i] = float(np.where(is_dl, cell_kernel, mobile_kernel).sum())
-        with np.errstate(divide="ignore"):
-            if direction == "dl":
-                useful[i] = p_dl * np.float64(r) ** (-two_b)
-            else:
-                useful[i] = p_star * np.float64(r) ** (-two_b * (1 - prop.k))
-        r_user[i] = r
-    return {
-        "useful": useful,
-        "from_dl_sites": from_dl_sites,
-        "from_ul_sites": from_ul_sites,
-        "i_total": i_total,
-        "r_user": r_user,
-    }
+    out = {key: [] for key in ("useful", "from_dl_sites", "from_ul_sites", "i_total", "r_user")}
+    for r, useful, is_dl, cell_term, mobile_term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
+        cell_term = np.broadcast_to(cell_term, is_dl.shape)
+        out["useful"].append(useful)
+        out["from_dl_sites"].append([row[on].sum() for row, on in zip(cell_term, is_dl)])
+        out["from_ul_sites"].append([row[~on].sum() for row, on in zip(mobile_term, is_dl)])
+        out["i_total"].append(np.where(is_dl, cell_term, mobile_term).sum(axis=1))
+        out["r_user"].append(r)
+        del r, useful, is_dl, cell_term, mobile_term  # release the chunk before the next is built
+    return {key: np.concatenate(parts) for key, parts in out.items()}
 
 
 def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
     """Empirical SINR CCDF for the hexagonal macro model.
 
-    Per draw: the typical user falls uniformly in the serving disk; each
-    interfering site independently transmits downlink with probability
-    alpha_d or hosts one uniform-disk uplink mobile under fractional
-    power control.  The average-load factor scales the interference sum,
-    matching the analytic model's use of it.  Results are bit-identical
-    for a given (seed, n_draws) under any chunking.
+    The draws are those of :func:`macro_interference_draws`.  The
+    average-load factor scales the interference sum, matching the
+    analytic model's use of it.  Results are bit-identical for a given
+    (seed, n_draws) under any chunking.
     """
     grid = check_gamma_grid(gamma_grid_db)
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
-
-    sites = lattice_points(net)
-    ns = sites.size
-    radius = net.cell_radius
-    two_b = prop.two_b
-    bk = prop.b * prop.k
-    p_dl = prop.p_dl_mw
-    p_star = prop.p_star_mw
-    noise = prop.p_noise_mw
     gamma_lin = 10.0 ** (grid / 10.0)
-
     counts = np.zeros(grid.size, dtype=np.int64)
-    chunk = max(1, int(4.0e6 / (3 * ns)))
-    for start in range(0, n_draws, chunk):
-        cn = min(chunk, n_draws - start)
-        vals = np.empty((cn, 2 + 3 * ns))
-        for j in range(cn):
-            vals[j] = rng.stream(seed, start + j).random(2 + 3 * ns)
-        r = radius * np.sqrt(vals[:, 0])
-        is_dl = vals[:, 2 : 2 + ns] < mix.alpha_d
-        rho = radius * np.sqrt(vals[:, 2 + ns : 2 + 2 * ns])
-        phi = 2.0 * math.pi * vals[:, 2 + 2 * ns :]
-        mobiles = sites[None, :] + rho * np.exp(1j * phi)
-
-        if direction == "dl":
-            z0 = (r * np.exp(2j * math.pi * vals[:, 1]))[:, None]
-            cell_term = p_dl * np.abs(sites[None, :] - z0) ** (-two_b)
-            mobile_term = p_star * rho ** (2 * bk) * np.abs(mobiles - z0) ** (-two_b)
-            interference = np.where(is_dl, cell_term, mobile_term).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                useful = p_dl * r ** (-two_b)
-        else:
-            cell_term = p_dl * np.abs(sites[None, :]) ** (-two_b)
-            mobile_term = p_star * rho ** (2 * bk) * np.abs(mobiles) ** (-two_b)
-            interference = np.where(is_dl, cell_term, mobile_term).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                useful = p_star * r ** (-two_b * (1 - prop.k))
-
-        sinr = useful / (net.load_eta * interference + noise)
+    for _, useful, is_dl, cell_term, mobile_term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
+        interference = np.where(is_dl, cell_term, mobile_term).sum(axis=1)
+        sinr = useful / (net.load_eta * interference + prop.p_noise_mw)
         counts += (sinr[:, None] > gamma_lin[None, :]).sum(axis=0)
-
+        del useful, is_dl, cell_term, mobile_term  # release the chunk before the next is built
     value = counts / n_draws
     half = 1.96 * np.sqrt(np.maximum(value * (1.0 - value), 0.0) / n_draws)
     return CoverageCurve(grid, value, half)

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError
-from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix
+from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix, check_direction
 from .specfun import SeriesControl, ShadowingSpec, omega, shadowing_mean_factor, sum_series
 
 __all__ = [
@@ -129,13 +129,16 @@ def isr_dl_dl(x, b, ctrl=None):
 
 
 @lru_cache(maxsize=None)
-def _beta_h_cached(h, b, k, r_over_delta, rel_tol, max_terms):
+def _beta_h_cached(h, b, k, r_over_delta, rel_tol):
     bk = b * k
     xr2 = r_over_delta * r_over_delta
     # inner terms grow until the index overtakes roughly 2h
     # r_over_delta before the geometric decay sets in, so the term
-    # budget has to scale with the order
-    ctrl = SeriesControl(rel_tol=rel_tol, max_terms=max(max_terms, 6 * h + 120))
+    # budget has to scale with the order; on b in [1.1, 2.5], k in
+    # {0, 0.4, 1}, R/delta = 1/sqrt(3) and h <= 300 an inner series used
+    # at most 31% of it.  The budget only decides where a series gives
+    # up, never the value it converges to, so it is no part of the key.
+    ctrl = SeriesControl(rel_tol=rel_tol, max_terms=6 * h + 120)
     total = 0.0
     for n in range(h + 1):
 
@@ -164,7 +167,14 @@ def _beta_h_cached(h, b, k, r_over_delta, rel_tol, max_terms):
                 )
                 i += 1
 
-        total += sum_series(inner(), ctrl)
+        try:
+            total += sum_series(inner(), ctrl)
+        except OverflowError:
+            total = math.inf
+            break
+    if not math.isfinite(total):
+        # the coefficients grow like (1 - r_over_delta)^{-2h}
+        raise TruncationError(f"beta_h coefficient {h} exceeds the double-precision range", terms=h)
     return total
 
 
@@ -188,7 +198,14 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
     disk-radius ratio; results are cached, so sweeping x costs one
     evaluation per index.  The coefficients grow like
     (1 - r_over_delta)^{-2h}, which bounds the convergence region of the
-    full series in x.
+    full series in x.  Only ``ctrl.rel_tol`` is used: each inner series
+    has its own term budget, 6h + 120.
+
+    Raises
+    ------
+    TruncationError
+        If the coefficient exceeds the double-precision range (from
+        h = 401 on at b = 1.75, k = 0.4, r_over_delta = 1/sqrt(3)).
     """
     if h < 0:
         raise ValueError(f"series index must be non-negative, got {h}")
@@ -198,8 +215,7 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
         raise ValueError(f"power-control fraction must lie in [0, 1], got {k}")
     if not 0 < r_over_delta <= 1 / math.sqrt(3.0) * (1 + 1e-12):
         raise ValueError(f"r_over_delta must lie in (0, 1/sqrt(3)], got {r_over_delta}")
-    ctrl = _ctrl_or_default(ctrl)
-    return _beta_h_cached(int(h), float(b), float(k), float(r_over_delta), ctrl.rel_tol, ctrl.max_terms)
+    return _beta_h_cached(int(h), float(b), float(k), float(r_over_delta), _ctrl_or_default(ctrl).rel_tol)
 
 
 def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
@@ -228,15 +244,20 @@ def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
     Raises
     ------
     TruncationError
-        If the series does not converge; this is guaranteed for
-        x >= 1 - r_over_delta, where interfering mobiles can come
-        arbitrarily close to the typical user and the mean diverges.
+        If the series does not converge.  For x >= 1 - r_over_delta,
+        where interfering mobiles can come arbitrarily close to the
+        typical user and the mean diverges, it is raised at once.
     """
     ctrl = _ctrl_or_default(ctrl)
     if x == 0:
         return 0.0
     if not 0 < x < 1:
         raise ValueError(f"normalized radius must be in [0, 1), got {x}")
+    if x >= 1.0 - r_over_delta:
+        raise TruncationError(
+            f"the mobile-to-mobile series diverges at x = {x} >= 1 - R/delta = {1.0 - r_over_delta}",
+            terms=0,
+        )
 
     def terms():
         h = 0
@@ -635,8 +656,7 @@ def _pattern_averaged_coverage(y, maps):
     return float(np.sum(maps.weights * (x_gamma / x_edge) ** 2))
 
 
-def coverage_macro(gamma_db, direction, net, prop, mix, user_dist="uniform-disk",
-                   params=None, ctrl=None):
+def coverage_macro(gamma_db, direction, net, prop, mix, params=None, ctrl=None):
     """Probability that the SINR of a uniformly placed user exceeds the
     threshold ``gamma_db``.
 
@@ -663,11 +683,7 @@ def coverage_macro(gamma_db, direction, net, prop, mix, user_dist="uniform-disk"
     :func:`inv_u`.  For k = 1 the uplink SINR is radius-free and
     coverage is a step function.
     """
-    if user_dist != "uniform-disk":
-        raise ValueError(f"only 'uniform-disk' user placement is supported, got {user_dist!r}")
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
+    direction = check_direction(direction)
     if params is None:
         params = SinrParams.from_model(net, prop, ctrl)
     gamma = 10.0 ** (gamma_db / 10.0)

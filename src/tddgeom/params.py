@@ -194,6 +194,14 @@ class CoverageCurve:
             raise ValueError("value and ci_halfwidth must match the grid shape")
 
 
+def check_direction(direction):
+    """Validate a link direction, case-insensitively; returns 'dl' or 'ul'."""
+    direction = direction.lower()
+    if direction not in ("dl", "ul"):
+        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
+    return direction
+
+
 def check_gamma_grid(gamma_grid_db):
     """Validate a threshold grid: nonempty, 1-d, strictly increasing."""
     grid = np.asarray(gamma_grid_db, dtype=float)

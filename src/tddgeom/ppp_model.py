@@ -35,6 +35,7 @@ from .params import (
     CoverageCurve,
     PropagationParams,
     TddMix,
+    check_direction,
     check_gamma_grid,
     dbm_to_mw,
 )
@@ -42,10 +43,6 @@ from .params import (
 __all__ = [
     "SmallCellScenario",
     "QuadratureControl",
-    "FadingDraw",
-    "GeometryDraw",
-    "sample_ppp",
-    "displace_cells",
     "mc_sinr_ppp",
     "ppp_interference_draws",
     "mc_coverage_ppp",
@@ -157,206 +154,99 @@ def _gl_signed(n):
 # sampling
 
 
-def sample_ppp(lam, window_radius, seed):
-    """Homogeneous PPP on a disk: Poisson count of mean lam pi W^2,
-    positions uniform, returned as complex coordinates."""
-    if lam <= 0 or window_radius <= 0:
-        raise ValueError("density and window radius must be positive")
-    gen = rng.stream(seed, 0)
-    n = gen.poisson(lam * math.pi * window_radius**2)
-    radii = window_radius * np.sqrt(gen.random(n))
-    angles = 2.0 * math.pi * gen.random(n)
-    return radii * np.exp(1j * angles)
+def _sample(scenario, direction, n_draws, seed, association="rayleigh", serving_r=None):
+    """The typical-link Monte Carlo: per draw, the useful power, the
+    interference from downlink pairs and from uplink pairs, and the
+    serving distance, as four arrays of length n_draws.
 
-
-def displace_cells(users, lam, seed):
-    """Serving cell per user: user + rho e^{i phi} with rho Rayleigh of
-    rate lam pi (the nearest-cell distance law) and phi uniform.  The
-    displaced set is again a PPP of the same intensity."""
-    if lam <= 0:
-        raise ValueError("density must be positive")
-    users = np.asarray(users)
-    gen = rng.stream(seed, 0)
-    rho = np.sqrt(gen.standard_exponential(users.size) / (lam * math.pi))
-    phi = 2.0 * math.pi * gen.random(users.size)
-    return users + rho * np.exp(1j * phi)
-
-
-@dataclass(frozen=True)
-class FadingDraw:
-    """Unit-mean exponential fading coefficients of one Monte Carlo
-    draw: the serving link and one coefficient per interfering link."""
-
-    serving: float
-    interferers: np.ndarray
-
-
-@dataclass(frozen=True)
-class GeometryDraw:
-    """Positions of one Monte Carlo draw, receiver at the origin.
-
-    points are the interfering PPP locations kept outside the exclusion
-    ball of the serving distance; each point's partner (its cell seen
-    from a user, or its user seen from a cell) sits at
-    point + offset_rho e^{i offset_phi}, and is_dl flags which pairs
-    transmit downlink this subframe.
-    """
-
-    serving_distance: float
-    points: np.ndarray
-    offset_rho: np.ndarray
-    offset_phi: np.ndarray
-    is_dl: np.ndarray
-
-    @property
-    def point_distances(self):
-        return np.abs(self.points)
-
-    @property
-    def partner_positions(self):
-        return self.points + self.offset_rho * np.exp(1j * self.offset_phi)
-
-    @property
-    def partner_distances(self):
-        return np.abs(self.partner_positions)
-
-
-def _draw(gen, scenario, serving_r=None):
-    """One draw of the typical-link model.  Consumption order: serving
-    exponential (unless conditioned), Poisson count, positions,
-    direction flags, offsets, serving fade, interferer fades."""
-    lam = scenario.lam
-    w = scenario.window_radius
-    if serving_r is None:
-        serving_r = math.sqrt(gen.standard_exponential() / (lam * math.pi))
-    n = gen.poisson(lam * math.pi * w * w)
-    pos = w * np.sqrt(gen.random(n)) * np.exp(2j * math.pi * gen.random(n))
-    is_dl = gen.random(n) < scenario.mix.alpha_d
-    rho = np.sqrt(gen.standard_exponential(n) / (lam * math.pi))
-    phi = 2.0 * math.pi * gen.random(n)
-    serving_fade = gen.standard_exponential()
-    fades = gen.standard_exponential(n)
-    keep = np.abs(pos) > serving_r
-    geom = GeometryDraw(
-        serving_distance=serving_r,
-        points=pos[keep],
-        offset_rho=rho[keep],
-        offset_phi=phi[keep],
-        is_dl=is_dl[keep],
-    )
-    return geom, FadingDraw(serving=serving_fade, interferers=fades[keep])
-
-
-def _draw_interference(geom, fade, scenario, direction):
-    """Downlink-pair and uplink-pair interference sums of one draw.
-
-    The PPP points are the interfering cells, each with its user at the
-    displaced partner position.  A pair in downlink interferes from the
+    The PPP points are the interfering cells, each with its user at an
+    independent Rayleigh offset.  A pair in downlink interferes from the
     cell; a pair in uplink interferes from its user under fractional
-    power control on the user-to-cell offset.  The same field is seen
-    by the typical user (downlink reception) and the typical cell
-    (uplink reception); only the serving link differs.
+    power control on that offset.  The typical user (downlink reception)
+    and the typical cell (uplink reception) see the same field; only the
+    serving link differs.
+
+    association="rayleigh" is the analyzed model: a Rayleigh serving
+    distance, fixed to serving_r when given, with an exclusion ball of
+    that radius around the receiver.  association="nearest" places every
+    pair explicitly with no exclusion ball: for downlink the receiver
+    attaches to the nearest cell of the process, whose own user then
+    stops interfering (to a cell at its own-user offset when the window
+    holds none); for uplink the typical cell serves its own user at a
+    Rayleigh offset and every pair interferes.
+
+    Draw i consumes only stream (seed, i), in this order: the serving
+    exponential (Rayleigh, unless serving_r is given), the Poisson count,
+    positions, direction flags, offsets, the own-user offset and an
+    unused angle (nearest only), the serving fade, then the fades.
     """
+    direction = check_direction(direction)
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    if association not in ("rayleigh", "nearest"):
+        raise ValueError(f"association must be 'rayleigh' or 'nearest', got {association!r}")
+    lam_pi = scenario.lam * math.pi
+    w = scenario.window_radius
     prop = scenario.prop
     two_b = prop.two_b
     bk = prop.b * prop.k
-    dist_dl = geom.point_distances
-    dist_ul = geom.partner_distances
-    fad = fade.interferers
-    on_dl = geom.is_dl
-    from_dl = scenario.p_small_mw * float(
-        np.sum(fad[on_dl] * dist_dl[on_dl] ** (-two_b))
-    )
-    from_ul = scenario.p_small_star_mw * float(
-        np.sum(fad[~on_dl] * geom.offset_rho[~on_dl] ** (2.0 * bk) * dist_ul[~on_dl] ** (-two_b))
-    )
-    return from_dl, from_ul
+    p_dl, p_ul = scenario.p_small_mw, scenario.p_small_star_mw
+    nearest = association == "nearest"
+    useful = np.empty(n_draws)
+    from_dl = np.empty(n_draws)
+    from_ul = np.empty(n_draws)
+    distance = np.empty(n_draws)
+    for i in range(n_draws):
+        gen = rng.stream(seed, i)
+        r = serving_r
+        if r is None and not nearest:
+            r = math.sqrt(gen.standard_exponential() / lam_pi)
+        n = gen.poisson(lam_pi * w * w)
+        pos = w * np.sqrt(gen.random(n)) * np.exp(2j * math.pi * gen.random(n))
+        is_dl = gen.random(n) < scenario.mix.alpha_d
+        rho = np.sqrt(gen.standard_exponential(n) / lam_pi)
+        phi = 2.0 * math.pi * gen.random(n)
+        if nearest:
+            rho0 = math.sqrt(gen.standard_exponential() / lam_pi)
+            gen.random()  # the own-user angle: no quantity depends on it
+        serving_fade = gen.standard_exponential()
+        fades = gen.standard_exponential(n)
 
-
-def _useful_power(geom, fade, scenario, direction):
-    prop = scenario.prop
-    r = geom.serving_distance
-    if direction == "dl":
-        return scenario.p_small_mw * fade.serving * r ** (-prop.two_b)
-    return scenario.p_small_star_mw * fade.serving * r ** (-prop.two_b * (1.0 - prop.k))
+        cell_dist = np.abs(pos)
+        if not nearest:
+            keep = cell_dist > r
+        else:
+            keep = np.ones(n, dtype=bool)
+            r = rho0
+            if direction == "dl" and n > 0:
+                j = int(np.argmin(cell_dist))
+                r = float(cell_dist[j])
+                keep[j] = False
+        on_dl = keep & is_dl
+        on_ul = keep & ~is_dl
+        user_dist = np.abs(pos[on_ul] + rho[on_ul] * np.exp(1j * phi[on_ul]))
+        from_dl[i] = p_dl * float(np.sum(fades[on_dl] * cell_dist[on_dl] ** (-two_b)))
+        from_ul[i] = p_ul * float(np.sum(fades[on_ul] * rho[on_ul] ** (2.0 * bk) * user_dist ** (-two_b)))
+        if direction == "dl":
+            useful[i] = p_dl * serving_fade * r ** (-two_b)
+        else:
+            useful[i] = p_ul * serving_fade * r ** (-two_b * (1.0 - prop.k))
+        distance[i] = r
+    return useful, from_dl, from_ul, distance
 
 
 def ppp_interference_draws(scenario, direction, n_draws, seed):
     """Per-draw decomposition: useful power, interference from downlink
     pairs, from uplink pairs, their sum (the total used in the SINR),
     and the serving distance.  Draw i consumes only stream (seed, i)."""
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
-    out = {
-        "useful": np.empty(n_draws),
-        "from_dl_pairs": np.empty(n_draws),
-        "from_ul_pairs": np.empty(n_draws),
-        "i_total": np.empty(n_draws),
-        "serving_distance": np.empty(n_draws),
+    useful, from_dl, from_ul, distance = _sample(scenario, direction, n_draws, seed)
+    return {
+        "useful": useful,
+        "from_dl_pairs": from_dl,
+        "from_ul_pairs": from_ul,
+        "i_total": from_dl + from_ul,
+        "serving_distance": distance,
     }
-    for i in range(n_draws):
-        geom, fade = _draw(rng.stream(seed, i), scenario)
-        from_dl, from_ul = _draw_interference(geom, fade, scenario, direction)
-        out["useful"][i] = _useful_power(geom, fade, scenario, direction)
-        out["from_dl_pairs"][i] = from_dl
-        out["from_ul_pairs"][i] = from_ul
-        out["i_total"][i] = from_dl + from_ul
-        out["serving_distance"][i] = geom.serving_distance
-    return out
-
-
-def _nearest_sinr(gen, scenario, direction):
-    """One draw with true nearest-cell association instead of the
-    Rayleigh-serving approximation: every pair is placed explicitly; for
-    downlink the receiver attaches to the nearest cell of the process
-    (that pair then stops interfering, no exclusion ball), for uplink
-    the typical pair keeps its own cell and all other pairs interfere
-    without any exclusion ball."""
-    lam = scenario.lam
-    w = scenario.window_radius
-    prop = scenario.prop
-    two_b = prop.two_b
-    bk = prop.b * prop.k
-    n = gen.poisson(lam * math.pi * w * w)
-    pts = w * np.sqrt(gen.random(n)) * np.exp(2j * math.pi * gen.random(n))
-    is_dl = gen.random(n) < scenario.mix.alpha_d
-    rho = np.sqrt(gen.standard_exponential(n) / (lam * math.pi))
-    phi = 2.0 * math.pi * gen.random(n)
-    rho0 = math.sqrt(gen.standard_exponential() / (lam * math.pi))
-    phi0 = 2.0 * math.pi * gen.random()
-    serving_fade = gen.standard_exponential()
-    fades = gen.standard_exponential(n)
-    partners = pts + rho * np.exp(1j * phi)
-
-    if direction == "dl":
-        # receiver: typical user at the origin, served by the nearest
-        # cell of the process; that cell's own user goes quiet
-        cell_dist = np.abs(pts)
-        mask = np.ones(n, dtype=bool)
-        if n > 0:
-            j = int(np.argmin(cell_dist))
-            serving_r = float(cell_dist[j])
-            mask[j] = False
-        else:
-            serving_r = rho0
-        useful = scenario.p_small_mw * serving_fade * serving_r ** (-two_b)
-        dl_sel = mask & is_dl
-        ul_sel = mask & ~is_dl
-        total = scenario.p_small_mw * float(
-            np.sum(fades[dl_sel] * cell_dist[dl_sel] ** (-two_b))
-        ) + scenario.p_small_star_mw * float(
-            np.sum(fades[ul_sel] * rho[ul_sel] ** (2.0 * bk) * np.abs(partners[ul_sel]) ** (-two_b))
-        )
-    else:
-        # receiver: typical cell at the origin serving its own user
-        useful = scenario.p_small_star_mw * serving_fade * rho0 ** (-two_b * (1.0 - prop.k))
-        total = scenario.p_small_mw * float(
-            np.sum(fades[is_dl] * np.abs(pts[is_dl]) ** (-two_b))
-        ) + scenario.p_small_star_mw * float(
-            np.sum(fades[~is_dl] * rho[~is_dl] ** (2.0 * bk) * np.abs(partners[~is_dl]) ** (-two_b))
-        )
-    return useful / (total + scenario.p_noise_mw)
 
 
 def mc_sinr_ppp(scenario, direction, n_draws, seed, association="rayleigh"):
@@ -369,24 +259,8 @@ def mc_sinr_ppp(scenario, direction, n_draws, seed, association="rayleigh"):
     exclusion ball.  Results are bit-identical for fixed
     (scenario, seed) under any chunking or worker count.
     """
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    if association not in ("rayleigh", "nearest"):
-        raise ValueError(f"association must be 'rayleigh' or 'nearest', got {association!r}")
-    out = np.empty(n_draws)
-    noise = scenario.p_noise_mw
-    for i in range(n_draws):
-        gen = rng.stream(seed, i)
-        if association == "nearest":
-            out[i] = _nearest_sinr(gen, scenario, direction)
-        else:
-            geom, fade = _draw(gen, scenario)
-            from_dl, from_ul = _draw_interference(geom, fade, scenario, direction)
-            out[i] = _useful_power(geom, fade, scenario, direction) / (from_dl + from_ul + noise)
-    return out
+    useful, from_dl, from_ul, _ = _sample(scenario, direction, n_draws, seed, association)
+    return useful / (from_dl + from_ul + scenario.p_noise_mw)
 
 
 def mc_coverage_ppp(scenario, direction, gamma_grid_db, n_draws, seed, association="rayleigh"):
@@ -403,19 +277,10 @@ def mc_coverage_ppp(scenario, direction, gamma_grid_db, n_draws, seed, associati
 def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
     """Monte Carlo estimate of E[exp(-v I) | serving distance = r] in
     the Rayleigh-serving model; returns (estimate, standard error)."""
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
-    total = 0.0
-    total_sq = 0.0
-    for i in range(n_draws):
-        geom, fade = _draw(rng.stream(seed, i), scenario, serving_r=r)
-        from_dl, from_ul = _draw_interference(geom, fade, scenario, direction)
-        val = math.exp(-v * (from_dl + from_ul))
-        total += val
-        total_sq += val * val
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean * mean, 0.0)
+    _, from_dl, from_ul, _ = _sample(scenario, direction, n_draws, seed, serving_r=r)
+    val = np.exp(-v * (from_dl + from_ul))
+    mean = float(val.sum()) / n_draws
+    var = max(float((val * val).sum()) / n_draws - mean * mean, 0.0)
     return mean, math.sqrt(var / n_draws)
 
 
@@ -423,34 +288,19 @@ def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
 # analytic transforms
 
 
-def _mean_kernel_dl(x, v, scenario, n_theta, n_rho):
-    """Rayleigh-offset and angle average of the downlink-reception
-    retention kernel at interfering-cell distances x: downlink pairs
-    interfere from the cell itself, uplink pairs from the user displaced
-    off the cell, under power control on the same offset."""
-    prop = scenario.prop
-    b = prop.b
-    bk = b * prop.k
-    u, w = _gl_unit(n_rho)
-    rho = np.sqrt(-np.log1p(-u) / (scenario.lam * math.pi))
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    ct = np.cos(theta)
-    xc = x[:, None, None]
-    rc = rho[None, :, None]
-    d2 = xc * xc + rc * rc + 2.0 * xc * rc * ct[None, None, :]
-    term_ul = 1.0 / (
-        1.0 + v * scenario.p_small_star_mw * rho[None, :, None] ** (2.0 * bk) * d2 ** (-b)
-    )
-    t_ul = term_ul.mean(axis=2) @ w
-    t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
-    return scenario.mix.alpha_d * t_dl + scenario.mix.alpha_u * t_ul
+def _mean_kernel(x, v, scenario, n_theta, n_rho):
+    """Rayleigh-offset and angle average of the retention kernel at
+    interfering-cell distances x: downlink pairs interfere from the cell
+    itself, uplink pairs from the user displaced off the cell, under
+    power control on the same offset.
 
-
-def _mean_kernel_ul(x, v, scenario, n_theta, n_rho):
-    """Uplink-reception analog at interfering-cell distances x: downlink
-    pairs interfere from the cell itself, uplink pairs from the user
-    displaced off the cell, with the same offset in the power-control
-    factor."""
+    The typical user and the typical cell see the same field, so one
+    kernel serves both receptions: the offset angle is uniform, and the
+    sign of the cross term in the squared distance is immaterial.  With
+    the minus sign the kernel peaks at theta = 0, which no midpoint node
+    hits; with the plus sign it would peak at theta = pi, a node
+    whenever n_theta is odd.
+    """
     prop = scenario.prop
     b = prop.b
     bk = b * prop.k
@@ -466,11 +316,11 @@ def _mean_kernel_ul(x, v, scenario, n_theta, n_rho):
     )
     t_ul = term_ul.mean(axis=2) @ w
     t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
-    return scenario.mix.alpha_u * t_ul + scenario.mix.alpha_d * t_dl
+    return scenario.mix.alpha_d * t_dl + scenario.mix.alpha_u * t_ul
 
 
-def _pgfl_radial(v, r, scenario, kernel_mean, n_x, n_theta, n_rho):
-    """integral over (r, infinity) of (1 - kernel_mean(x)) x dx, split
+def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
+    """integral over (r, infinity) of (1 - _mean_kernel(x)) x dx, split
     at the kernel turnover scale with an algebraic tail map."""
     prop = scenario.prop
     two_b = prop.two_b
@@ -487,25 +337,25 @@ def _pgfl_radial(v, r, scenario, kernel_mean, n_x, n_theta, n_rho):
         nodes, weights = _gl_signed(n_x)
         xm = 0.5 * (x_break + r) + 0.5 * (x_break - r) * nodes
         wm = 0.5 * (x_break - r) * weights
-        total += float(np.sum((1.0 - kernel_mean(xm, v, scenario, n_theta, n_rho)) * xm * wm))
+        total += float(np.sum((1.0 - _mean_kernel(xm, v, scenario, n_theta, n_rho)) * xm * wm))
     s, ws = _gl_unit(n_x)
     xt = x_break * s ** (-1.0 / z)
     jac = (x_break * x_break / z) * s ** (-2.0 / z - 1.0)
-    total += float(np.sum((1.0 - kernel_mean(xt, v, scenario, n_theta, n_rho)) * jac * ws))
+    total += float(np.sum((1.0 - _mean_kernel(xt, v, scenario, n_theta, n_rho)) * jac * ws))
     return total
 
 
-def _laplace(v, r, scenario, quad, kernel_mean):
+def _laplace(v, r, scenario, quad):
     if v < 0 or r < 0:
         raise ValueError("v and r must be non-negative")
     if v == 0:
         return 1.0
     pref = 2.0 * math.pi * scenario.lam
     n_x, n_rho = quad.n_x, quad.n_rho
-    coarse = math.exp(-pref * _pgfl_radial(v, r, scenario, kernel_mean, n_x, quad.n_theta, n_rho))
+    coarse = math.exp(-pref * _pgfl_radial(v, r, scenario, n_x, quad.n_theta, n_rho))
     for _ in range(quad.max_refinements + 1):
         fine = math.exp(
-            -pref * _pgfl_radial(v, r, scenario, kernel_mean, 2 * n_x, quad.n_theta, 2 * n_rho)
+            -pref * _pgfl_radial(v, r, scenario, 2 * n_x, quad.n_theta, 2 * n_rho)
         )
         disc = abs(fine - coarse)
         if disc <= quad.inner_abs_tol:
@@ -527,14 +377,15 @@ def laplace_dl(v, r, scenario, quad=None):
     interfering pairs outside the exclusion ball.  Returns a value in
     (0, 1]; v=0 or vanishing density give exactly 1.
     """
-    return _laplace(v, r, scenario, quad or _DEFAULT_QUAD, _mean_kernel_dl)
+    return _laplace(v, r, scenario, quad or _DEFAULT_QUAD)
 
 
 def laplace_ul(v, r, scenario, quad=None):
     """Laplace transform of the interference received at the typical
-    cell, conditioned on its user's distance r.  Same conventions as
-    laplace_dl with the uplink kernel."""
-    return _laplace(v, r, scenario, quad or _DEFAULT_QUAD, _mean_kernel_ul)
+    cell, conditioned on its user's distance r.  The typical cell sees
+    the same interfering field as the typical user, so this is the same
+    transform as laplace_dl."""
+    return _laplace(v, r, scenario, quad or _DEFAULT_QUAD)
 
 
 def _coverage_analytic(gamma_db, scenario, quad, direction):
@@ -543,11 +394,9 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     if direction == "dl":
         exp_serving = prop.two_b
         p_serv = scenario.p_small_mw
-        kernel_mean = _mean_kernel_dl
     else:
         exp_serving = prop.two_b * (1.0 - prop.k)
         p_serv = scenario.p_small_star_mw
-        kernel_mean = _mean_kernel_ul
     lam_pi = scenario.lam * math.pi
     # extra Rayleigh rate flattens the interference-induced decay of the
     # integrand so a fixed Gauss rule resolves large thresholds; the rate
@@ -557,7 +406,7 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     v_ref = gamma * r_ref**exp_serving / p_serv
     surplus = (
         2.0
-        * _pgfl_radial(v_ref, r_ref, scenario, kernel_mean, quad.n_x, quad.n_theta, quad.n_rho)
+        * _pgfl_radial(v_ref, r_ref, scenario, quad.n_x, quad.n_theta, quad.n_rho)
         / (r_ref * r_ref)
     )
     beta = lam_pi * (1.0 + surplus)
@@ -570,7 +419,7 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
             v = gamma * ri**exp_serving / p_serv
             val = (
                 math.exp(surplus * lam_pi * ri * ri - gamma * scenario.p_noise_mw * ri**exp_serving / p_serv)
-                * _laplace(v, ri, scenario, quad, kernel_mean)
+                * _laplace(v, ri, scenario, quad)
             )
             total += wi * val
         return total / (1.0 + surplus)
@@ -603,7 +452,7 @@ def coverage_ppp_dl(gamma_db, scenario, quad=None):
 
 def coverage_ppp_ul(gamma_db, scenario, quad=None):
     """Uplink coverage probability; identical structure with the uplink
-    kernel and the power-controlled serving exponent 2b(1-k)."""
+    serving power and the power-controlled serving exponent 2b(1-k)."""
     return _coverage_analytic(gamma_db, scenario, quad or _DEFAULT_QUAD, "ul")
 
 
@@ -617,9 +466,7 @@ def ase(scenario, direction, quad=None, coverage_fn=None):
     in dB); used for cross-checks and synthetic profiles.
     """
     quad = quad or _DEFAULT_QUAD
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
-        raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
+    direction = check_direction(direction)
     if coverage_fn is None:
         def coverage_fn(gamma_db):
             return _coverage_analytic(gamma_db, scenario, quad, direction)

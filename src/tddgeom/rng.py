@@ -29,11 +29,3 @@ def stream(seed, index):
     bitgen.advance(index * _BLOCKS_PER_DRAW)
     return np.random.Generator(bitgen)
 
-
-def substream(seed, tag, index=0):
-    """Stream for auxiliary sampling separated from the main draw axis.
-
-    ``tag`` partitions the seed space so that, e.g., point-process
-    sampling and displacement sampling never overlap streams.
-    """
-    return stream((seed ^ (0x9E3779B97F4A7C15 * (tag + 1))) & 0xFFFFFFFFFFFFFFFF, index)

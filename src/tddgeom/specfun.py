@@ -1,7 +1,7 @@
 """Special functions for lattice interference series.
 
-Provides the Euler gamma function, Riemann and Hurwitz zeta functions for
-real argument s > 1, the hexagonal-lattice constant
+Provides the Riemann and Hurwitz zeta functions for real argument
+s > 1, the hexagonal-lattice constant
 
     omega(z) = 3**(-z) * zeta(z) * (zeta(z, 1/3) - zeta(z, 2/3)),
 
@@ -22,7 +22,6 @@ from .errors import TruncationError
 __all__ = [
     "SeriesControl",
     "ShadowingSpec",
-    "gamma",
     "riemann_zeta",
     "hurwitz_zeta",
     "omega",
@@ -108,13 +107,6 @@ def sum_series(terms, ctrl=None):
                 terms=count,
             )
     return total
-
-
-def gamma(x):
-    """Euler gamma function for positive real argument."""
-    if x <= 0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.

@@ -294,16 +294,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
 
 def test_cli_nonconvergence_exits_3(tmp_path, capsys):
     # the cross-interference series diverges past x = 1 - R/delta, and
-    # the run must report that rather than write a file
-    cfg_path = _write(tmp_path / "diverges.json", {
-        "experiment": "isr",
-        "direction": "dl",
-        "mix": {"alpha_d": 0.5},
-        "x_grid": [0.45],
-        "label": "diverges",
-    })
-    assert main(["run", cfg_path, "--out", str(tmp_path)]) == 3
-    assert not (tmp_path / "diverges.csv").exists()
+    # the run must report that rather than write a file, whatever the
+    # term cap
+    for series in ({}, {"max_terms": 600}):
+        cfg_path = _write(tmp_path / "diverges.json", {
+            "experiment": "isr",
+            "direction": "dl",
+            "mix": {"alpha_d": 0.5},
+            "series": series,
+            "x_grid": [0.45],
+            "label": "diverges",
+        })
+        assert main(["run", cfg_path, "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "diverges.csv").exists()
     capsys.readouterr()
 
 

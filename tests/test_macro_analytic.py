@@ -34,7 +34,7 @@ from tddgeom import (
     sinr_ul,
     uplink_inverse_sinr,
 )
-from tddgeom.macro_analytic import _PatternMaps
+from tddgeom.macro_analytic import _beta_h_cached, _PatternMaps
 
 XR = 1.0 / math.sqrt(3.0)
 
@@ -93,6 +93,22 @@ def test_beta_h_frozen_value_and_domain():
         beta_h(0, 1.75, 1.5, XR)
     with pytest.raises(ValueError):
         beta_h(0, 1.75, 0.0, 0.8)
+
+
+def test_beta_h_overflow_is_a_truncation():
+    # the coefficients grow like (1 - R/delta)^{-2h} and leave the
+    # double range near h = 400; that is a truncation, not a crash
+    with pytest.raises(TruncationError):
+        beta_h(420, 1.75, 0.4, XR)
+
+
+def test_beta_h_cache_ignores_max_terms():
+    # max_terms only sets where a series gives up, so a coefficient
+    # converged under one term cap serves every other
+    value = beta_h(5, 1.3, 0.7, XR, SeriesControl(max_terms=600))
+    hits = _beta_h_cached.cache_info().hits
+    assert beta_h(5, 1.3, 0.7, XR) == value
+    assert _beta_h_cached.cache_info().hits == hits + 1
 
 
 def test_a1_closed_form_identity():
@@ -248,8 +264,6 @@ def test_coverage_macro_monotone_and_bounded():
 def test_coverage_macro_validation():
     net = MacroNetwork()
     prop = PropagationParams()
-    with pytest.raises(ValueError):
-        coverage_macro(0.0, "dl", net, prop, TddMix(), user_dist="ring")
     with pytest.raises(ValueError):
         coverage_macro(0.0, "sideways", net, prop, TddMix())
 

@@ -1,4 +1,4 @@
-"""Tests for the small-cell Poisson model: sampling statistics, the
+"""Tests for the small-cell Poisson model: the Monte Carlo sampler, the
 interference Laplace transform against an independent quadrature oracle,
 coverage, and spectral efficiency."""
 
@@ -24,7 +24,6 @@ from tddgeom import (
     mc_sinr_ppp,
     ppp_interference_draws,
 )
-from tddgeom.ppp_model import displace_cells, sample_ppp
 
 
 def _oracle_laplace(v, r, scenario, sign):
@@ -89,37 +88,6 @@ def test_quadrature_control_validation():
         QuadratureControl(max_refinements=-1)
 
 
-def test_sample_ppp_statistics():
-    lam, w = 10.0, 2.0
-    counts = []
-    second_moment = []
-    for rep in range(300):
-        pts = sample_ppp(lam, w, seed=1000 + rep)
-        counts.append(pts.size)
-        if pts.size:
-            second_moment.append(float(np.mean(np.abs(pts) ** 2)))
-    mean_count = float(np.mean(counts))
-    target = lam * math.pi * w * w
-    assert abs(mean_count - target) < 3.0 * math.sqrt(target / 300.0)
-    # uniform on the disk: E|z|^2 = W^2 / 2
-    assert abs(float(np.mean(second_moment)) - w * w / 2.0) < 0.05 * w * w
-    np.testing.assert_array_equal(sample_ppp(lam, w, seed=5), sample_ppp(lam, w, seed=5))
-
-
-def test_displace_cells_statistics():
-    lam = 10.0
-    users = sample_ppp(lam, 3.0, seed=2)
-    cells = displace_cells(users, lam, seed=3)
-    offsets = cells - users
-    rho2 = np.abs(offsets) ** 2
-    n = rho2.size
-    # offsets are Rayleigh with E rho^2 = 1 / (lam pi), isotropic
-    se = float(np.std(rho2, ddof=1)) / math.sqrt(n)
-    assert abs(float(np.mean(rho2)) - 1.0 / (lam * math.pi)) < 3.0 * se
-    assert abs(complex(np.mean(offsets))) < 3.0 / math.sqrt(lam * math.pi * n)
-    np.testing.assert_array_equal(cells, displace_cells(users, lam, seed=3))
-
-
 def test_interference_draws_decomposition_and_pure_mixes():
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
     draws = ppp_interference_draws(sc, "dl", 100, seed=4)
@@ -139,6 +107,16 @@ def test_interference_draws_chunk_invariance():
     long = ppp_interference_draws(sc, "ul", 12, seed=7)
     for key in short:
         np.testing.assert_array_equal(short[key], long[key][:5])
+
+
+def test_mc_sinr_matches_draw_decomposition():
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    for direction in ("dl", "ul"):
+        draws = ppp_interference_draws(sc, direction, 200, seed=6)
+        np.testing.assert_array_equal(
+            mc_sinr_ppp(sc, direction, 200, seed=6),
+            draws["useful"] / (draws["i_total"] + sc.p_noise_mw),
+        )
 
 
 def test_laplace_against_independent_oracle():

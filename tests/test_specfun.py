@@ -1,4 +1,4 @@
-"""Tests for the special-function layer: series summation, gamma,
+"""Tests for the special-function layer: series summation,
 Hurwitz/Riemann zeta, the hexagonal zeta combination, shadowing."""
 
 import itertools
@@ -17,7 +17,7 @@ from tddgeom import (
     sum_series,
 )
 from tddgeom import rng
-from tddgeom.specfun import gamma, riemann_zeta
+from tddgeom.specfun import riemann_zeta
 
 
 def test_series_control_validation():
@@ -64,23 +64,6 @@ def test_sum_series_truncation_error_carries_state():
     assert err.terms == 25
     expected = sum(1.0 / (n + 1.0) for n in range(25))
     assert math.isclose(err.partial, expected, rel_tol=1e-12)
-
-
-def test_gamma_recurrence_and_half_integer():
-    assert math.isclose(gamma(0.5), math.sqrt(math.pi), rel_tol=1e-12)
-    assert math.isclose(gamma(1.0), 1.0, rel_tol=1e-13)
-    assert math.isclose(gamma(5.0), 24.0, rel_tol=1e-12)
-    gen = rng.stream(7, 0)
-    for _ in range(50):
-        x = 0.1 + 4.9 * gen.random()
-        assert math.isclose(gamma(x + 1.0), x * gamma(x), rel_tol=1e-11)
-
-
-def test_gamma_domain():
-    with pytest.raises(ValueError):
-        gamma(0.0)
-    with pytest.raises(ValueError):
-        gamma(-1.3)
 
 
 def test_hurwitz_zeta_against_scipy():
