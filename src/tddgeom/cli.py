@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import sys
 
+from . import acceptance
 from . import config as config_mod
 from .errors import ConfigError, IntegrationError, TruncationError
 
@@ -29,8 +30,9 @@ def _build_parser():
     p_recipe.add_argument("--seed", type=int, default=None, help="override the recipe seed")
     p_recipe.add_argument("--out", default=None, help="output directory")
 
-    p_val = sub.add_parser("validate", help="run the numerical cross-check suite")
-    p_val.add_argument("--quick", action="store_true", help="skip the long Monte Carlo check")
+    quick = ", ".join(f"C{c.number:02d}" for c in acceptance.CRITERIA if c.quick)
+    p_val = sub.add_parser("validate", help="run the twelve acceptance criteria")
+    p_val.add_argument("--quick", action="store_true", help=f"run only criteria {quick}")
     return parser
 
 
@@ -53,7 +55,7 @@ def main(argv=None):
             for path in config_mod.run_recipe(args.name, out_dir=args.out, seed=args.seed):
                 print(path)
             return 0
-        report, passed = config_mod.validate(quick=args.quick)
+        report, passed = acceptance.validate(quick=args.quick)
         print(report)
         return 0 if passed else 4
     except ConfigError as exc:

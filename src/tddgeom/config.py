@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import hexgrid, macro_analytic, ppp_model, specfun
+from . import hexgrid, macro_analytic, ppp_model
 from .errors import ConfigError
 from .params import (
     CoverageCurve,
@@ -447,11 +447,15 @@ def run(cfg, out_dir=None, label=None):
     return csv_path
 
 
+# The reduced quadrature of the PPP recipes (fig7-fig10) and of
+# acceptance criterion 11.
+FAST_QUAD = {"n_theta": 16, "n_rho": 32, "n_x": 24, "n_serving": 24,
+             "inner_abs_tol": 1e-5, "outer_abs_tol": 1e-4, "ase_rel_tol": 1e-3}
+
+
 def _recipe_entries():
     """Built-in experiments named after the figures they mirror; each
     name maps to a list of (label, config dict) pairs."""
-    fast_quad = {"n_theta": 16, "n_rho": 32, "n_x": 24, "n_serving": 24,
-                 "inner_abs_tol": 1e-5, "outer_abs_tol": 1e-4, "ase_rel_tol": 1e-3}
     recipes = {}
     recipes["fig1-isr-dl"] = [(
         "fig1-isr-dl",
@@ -491,7 +495,7 @@ def _recipe_entries():
                  "mode": "both", "mix": {"alpha_d": alpha},
                  "propagation": {"a_db": a_db},
                  "gamma_grid_db": {"start": -20.0, "stop": 20.0, "step": 2.0},
-                 "quadrature": fast_quad},
+                 "quadrature": FAST_QUAD},
             )
             for env, a_db in (("outdoor", 130.0), ("indoor", 160.0))
             for tdd, alpha in (("stdd", 1.0), ("dtdd", 0.5))
@@ -502,7 +506,7 @@ def _recipe_entries():
                 f"{fig}-{env}-{tdd}",
                 {"geometry": "ppp", "experiment": "ase", "direction": direction,
                  "mix": {"alpha_d": alpha}, "propagation": {"a_db": a_db},
-                 "quadrature": fast_quad},
+                 "quadrature": FAST_QUAD},
             )
             for env, a_db in (("outdoor", 130.0), ("indoor", 160.0))
             for tdd, alpha in (("stdd", 1.0), ("dtdd", 0.5))
@@ -525,129 +529,3 @@ def run_recipe(name, out_dir=None, seed=None):
         cfg = config_from_dict(data)
         paths.append(run(cfg, out_dir=out_dir, label=label))
     return paths
-
-
-class _Check:
-    def __init__(self, name, achieved, required, passed, comparison="<="):
-        self.name = name
-        self.achieved = achieved
-        self.required = required
-        self.passed = passed
-        self.comparison = comparison
-
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{self.name}: achieved={self.achieved:.3e} "
-                f"required{self.comparison}{self.required:.3e} -> {status}")
-
-
-def _check_lattice_omega():
-    net = MacroNetwork(rings=500)
-    out = []
-    for two_b, tol in ((3.5, 1e-6), (2.5, 1e-3)):
-        total = hexgrid.lattice_sum(net, two_b)
-        target = 6.0 * specfun.omega(two_b / 2.0)
-        rel = abs(total - target) / target
-        out.append(_Check(f"lattice-omega-2b{two_b}", rel, tol, rel <= tol))
-    return out
-
-def _check_a1_identity():
-    worst = 0.0
-    for b in (1.25, 1.75):
-        for k in (0.0, 0.4, 1.0):
-            for xr in (0.3, 1.0 / math.sqrt(3.0)):
-                lhs = 6.0 * xr ** (2.0 * b * k) * macro_analytic.beta_h(0, b, k, xr)
-                rhs = macro_analytic.a1(b, k, xr)
-                worst = max(worst, abs(lhs - rhs) / rhs)
-    return [_Check("edge-interference-identity", worst, 1e-10, worst <= 1e-10)]
-
-def _check_inverses():
-    net = MacroNetwork()
-    prop = PropagationParams()
-    mix = TddMix(alpha_d=0.5)
-    params = macro_analytic.SinrParams.from_model(net, prop)
-    worst_u = 0.0
-    for x in (0.05, 0.2, 0.4, 0.55):
-        y = macro_analytic.uplink_inverse_sinr(x, net, prop, mix, params)
-        worst_u = max(worst_u, abs(macro_analytic.inv_u(y, prop.b, prop.k, mix, params) - x) / x)
-    worst_d = 0.0
-    worst_series = 0.0
-    for x in (0.05, 0.2, 0.4, 0.5):
-        y = macro_analytic.downlink_inverse_sinr(x, net, prop, mix, params)
-        xb = macro_analytic.inv_d(y, net, prop, mix, params, method="bisection")
-        yb = macro_analytic.downlink_inverse_sinr(xb, net, prop, mix, params)
-        worst_d = max(worst_d, abs(yb - y) / y)
-        xs = macro_analytic.inv_d(y, net, prop, mix, params, method="series")
-        worst_series = max(worst_series, abs(xs - xb) / xb)
-    return [
-        _Check("uplink-inverse-roundtrip", worst_u, 1e-12, worst_u <= 1e-12),
-        _Check("downlink-bisection-roundtrip", worst_d, 1e-10, worst_d <= 1e-10),
-        _Check("downlink-series-vs-bisection", worst_series, 0.05, worst_series <= 0.05),
-    ]
-
-def _check_ppp_anchor():
-    prop = PropagationParams(two_b=4.0, p_noise_dbm=-math.inf)
-    scenario = SmallCellScenario(lam=10.0, prop=prop, mix=TddMix(alpha_d=1.0))
-    worst = 0.0
-    for gamma_db in (0.0, 5.0):
-        gamma = 10.0 ** (gamma_db / 10.0)
-        rg = math.sqrt(gamma)
-        closed = 1.0 / (1.0 + rg * (math.pi / 2.0 - math.atan(1.0 / rg)))
-        mine = ppp_model.coverage_ppp_dl(gamma_db, scenario)
-        worst = max(worst, abs(mine - closed))
-    return [_Check("ppp-closed-form-anchor", worst, 0.01, worst <= 0.01)]
-
-def _check_series_vs_integral():
-    prop = PropagationParams()
-    net = MacroNetwork()
-    ctrl = SeriesControl(max_terms=600)
-    series = macro_analytic.isr_ul_dl(
-        0.4, prop.b, prop.k, net.cell_radius / net.delta, prop.p_star_over_p, ctrl)
-    # positional sums carry a six-fold angular harmonic that the circular
-    # series averages away, so the oracle averages over angles too
-    n_angles = 24
-    per_angle = 1_000_000 // n_angles
-    estimates = np.empty(n_angles)
-    variances = np.empty(n_angles)
-    for i, theta in enumerate(np.arange(n_angles) * (2.0 * math.pi / n_angles)):
-        est, se = hexgrid.bruteforce_isr_ul_dl(
-            MobilePolar(0.4, theta), net, prop, n_samples=per_angle, seed=1000 + i)
-        estimates[i] = est
-        variances[i] = se * se
-    mc = float(estimates.mean())
-    se = math.sqrt(float(variances.sum())) / n_angles
-    sigma = abs(mc - series) / se
-    return [_Check("cross-isr-series-vs-integral", sigma, 3.0, sigma <= 3.0)]
-
-def _check_determinism():
-    net = MacroNetwork()
-    prop = PropagationParams()
-    mix = TddMix(alpha_d=0.5)
-    grid = np.array([-10.0, 0.0])
-    a = hexgrid.mc_coverage_macro(net, prop, mix, "dl", grid, 400, seed=9)
-    b = hexgrid.mc_coverage_macro(net, prop, mix, "dl", grid, 400, seed=9)
-    scenario = SmallCellScenario()
-    c = ppp_model.mc_coverage_ppp(scenario, "ul", grid, 300, seed=9)
-    d = ppp_model.mc_coverage_ppp(scenario, "ul", grid, 300, seed=9)
-    same = (np.array_equal(a.value, b.value) and np.array_equal(c.value, d.value))
-    worst = 0.0 if same else 1.0
-    return [_Check("mc-determinism", worst, 0.0, same, comparison="==")]
-
-
-def validate(quick=False):
-    """Run the numerical cross-check suite; returns (report, all_passed).
-
-    quick=True skips the long Monte Carlo series-vs-integral check.
-    """
-    checks = []
-    checks += _check_lattice_omega()
-    checks += _check_a1_identity()
-    checks += _check_inverses()
-    checks += _check_ppp_anchor()
-    if not quick:
-        checks += _check_series_vs_integral()
-    checks += _check_determinism()
-    lines = [c.line() for c in checks]
-    passed = all(c.passed for c in checks)
-    lines.append("all checks passed" if passed else "validation FAILED")
-    return "\n".join(lines), passed

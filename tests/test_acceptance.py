@@ -1,372 +1,71 @@
 """End-to-end acceptance checks.
 
-Each test prints one verdict line with the achieved numbers next to the
-required bounds, then asserts.  Failing checks fail loudly; nothing is
-rounded toward success.
+The criteria live in ``tddgeom.acceptance``, which ``tddgeom validate``
+runs too.  Each test runs one criterion, prints its verdict line with
+the achieved numbers next to the required bounds, then asserts.
 """
 
-import math
-import time
+import re
 
-import numpy as np
-import pytest
-
-from tddgeom import (
-    MacroNetwork,
-    MobilePolar,
-    PropagationParams,
-    QuadratureControl,
-    SeriesControl,
-    SinrParams,
-    SmallCellScenario,
-    TddMix,
-    a1,
-    ase,
-    beta_h,
-    bruteforce_isr_ul_dl,
-    config_from_dict,
-    coverage_macro,
-    coverage_ppp_dl,
-    coverage_ppp_ul,
-    downlink_inverse_sinr,
-    inv_d,
-    inv_u,
-    isr_ul_dl,
-    lattice_sum,
-    macro_interference_draws,
-    mc_coverage_macro,
-    mc_coverage_ppp,
-    mc_laplace_ppp,
-    mc_sinr_ppp,
-    omega,
-    ppp_interference_draws,
-    run,
-    uplink_inverse_sinr,
-)
-
-LIGHT_QUAD = QuadratureControl(
-    inner_abs_tol=1e-5, outer_abs_tol=1e-4, n_theta=16, n_rho=32,
-    n_x=24, n_serving=24, ase_rel_tol=1e-3,
-)
+from tddgeom import acceptance
 
 
-def _verdict(num, name, detail, passed):
-    line = f"criterion {num:02d} {name}: {detail} -> {'PASS' if passed else 'FAIL'}"
+def _check(number):
+    (criterion,) = [c for c in acceptance.CRITERIA if c.number == number]
+    line, passed = criterion.run()
     print(line)
-    return line
+    assert passed, line
 
 
 def test_criterion_01_lattice_sum_identity():
-    start = time.perf_counter()
-    net = MacroNetwork(rings=500)
-    rels = {}
-    for two_b in (3.5, 2.5):
-        total = lattice_sum(net, two_b)
-        target = 6.0 * omega(two_b / 2.0)
-        rels[two_b] = abs(total - target) / target
-    elapsed = time.perf_counter() - start
-    ok = rels[3.5] <= 1e-6 and rels[2.5] <= 1e-3 and elapsed < 5.0
-    line = _verdict(
-        1, "lattice-sum-identity",
-        f"rel {rels[3.5]:.3e} (2b=3.5, req<=1e-6), {rels[2.5]:.3e} (2b=2.5, req<=1e-3), "
-        f"{elapsed:.1f}s (req<5s)", ok,
-    )
-    assert ok, line
+    _check(1)
 
 
 def test_criterion_02_edge_interference_identity():
-    start = time.perf_counter()
-    worst = 0.0
-    for b in (1.25, 1.75):
-        for k in (0.0, 0.4, 1.0):
-            for xr in (0.3, 1.0 / math.sqrt(3.0)):
-                lhs = 6.0 * xr ** (2.0 * b * k) * beta_h(0, b, k, xr)
-                rhs = a1(b, k, xr)
-                worst = max(worst, abs(lhs - rhs) / rhs)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 1.0
-    line = _verdict(
-        2, "edge-interference-identity",
-        f"worst rel {worst:.3e} (req<=1e-10), {elapsed:.2f}s (req<1s)", ok,
-    )
-    assert ok, line
+    _check(2)
 
 
 def test_criterion_03_series_vs_positional_integral():
-    start = time.perf_counter()
-    prop = PropagationParams()
-    net = MacroNetwork()
-    series = isr_ul_dl(
-        0.4, prop.b, prop.k, net.cell_radius / net.delta, prop.p_star_over_p,
-        SeriesControl(max_terms=600),
-    )
-    # the positional sum carries a six-fold angular harmonic that the
-    # circularized series averages away, so stratify over angles
-    n_angles = 24
-    per_angle = 1_000_000 // n_angles
-    estimates = np.empty(n_angles)
-    variances = np.empty(n_angles)
-    for i, theta in enumerate(np.arange(n_angles) * (2.0 * math.pi / n_angles)):
-        est, se = bruteforce_isr_ul_dl(
-            MobilePolar(0.4, theta), net, prop, n_samples=per_angle, seed=1000 + i)
-        estimates[i] = est
-        variances[i] = se * se
-    mc = float(estimates.mean())
-    se = math.sqrt(float(variances.sum())) / n_angles
-    sigma = abs(mc - series) / se
-    elapsed = time.perf_counter() - start
-    ok = sigma <= 3.0 and elapsed < 30.0
-    line = _verdict(
-        3, "series-vs-integral",
-        f"series {series:.6e} vs mc {mc:.6e}, {sigma:.2f} se (req<=3), "
-        f"{elapsed:.1f}s (req<30s)", ok,
-    )
-    assert ok, line
+    _check(3)
 
 
 def test_criterion_04_inverse_round_trips():
-    net = MacroNetwork()
-    prop = PropagationParams()
-    mix = TddMix(alpha_d=0.5)
-    params = SinrParams.from_model(net, prop)
-    xs = np.arange(0.05, 0.551, 0.05)
-
-    worst_u = 0.0
-    for x in xs:
-        y = uplink_inverse_sinr(x, net, prop, mix, params)
-        worst_u = max(worst_u, abs(inv_u(y, prop.b, prop.k, mix, params) - x) / x)
-
-    worst_d = 0.0
-    worst_series_05 = 0.0
-    worst_series_04 = 0.0
-    for x in xs:
-        y = downlink_inverse_sinr(x, net, prop, mix, params)
-        x_bis = inv_d(y, net, prop, mix, params)
-        resid = abs(downlink_inverse_sinr(x_bis, net, prop, mix, params) - y) / y
-        worst_d = max(worst_d, resid)
-        if x <= 0.5 + 1e-12:
-            dev = abs(inv_d(y, net, prop, mix, params, method="series") - x_bis) / x_bis
-            worst_series_05 = max(worst_series_05, dev)
-            if x <= 0.4 + 1e-12:
-                worst_series_04 = max(worst_series_04, dev)
-
-    # the series inverse misses bisection by up to ~4.4% at mid-cell, so
-    # the recorded tolerance is 5% out to x = 0.5 (2% holds to x = 0.4)
-    ok = worst_u <= 1e-12 and worst_d <= 1e-10 and worst_series_05 <= 0.05 and worst_series_04 <= 0.02
-    line = _verdict(
-        4, "inverse-round-trips",
-        f"uplink {worst_u:.2e} (req<=1e-12), bisection residual {worst_d:.2e} (req<=1e-10), "
-        f"series dev {worst_series_05 * 100:.2f}% x<=0.5 (req<=5%), "
-        f"{worst_series_04 * 100:.2f}% x<=0.4 (req<=2%)", ok,
-    )
-    assert ok, line
+    _check(4)
 
 
 def test_criterion_05_macro_analytic_vs_mc_coverage():
-    start = time.perf_counter()
-    net = MacroNetwork(rings=30)
-    prop = PropagationParams()
-    grid = np.arange(-30.0, 30.1, 5.0)
-    gaps = {}
-    for alpha_d, direction in ((1.0, "dl"), (0.5, "dl"), (0.5, "ul")):
-        mix = TddMix(alpha_d=alpha_d)
-        analytic = np.array([coverage_macro(g, direction, net, prop, mix) for g in grid])
-        curve = mc_coverage_macro(net, prop, mix, direction, grid, 20000, seed=13)
-        gaps[(alpha_d, direction)] = float(np.max(np.abs(analytic - curve.value)))
-    elapsed = time.perf_counter() - start
-    ok = all(v <= 0.03 for v in gaps.values()) and elapsed < 120.0
-    detail = ", ".join(
-        f"({a},{d}) sup gap {v:.4f}" for (a, d), v in gaps.items()
-    )
-    line = _verdict(
-        5, "macro-coverage-match", f"{detail} (req<=0.03 each), {elapsed:.0f}s (req<2min)", ok,
-    )
-    assert ok, line
+    _check(5)
 
 
 def test_criterion_06_uplink_degradation_without_power_control():
-    net = MacroNetwork(rings=4)
-    prop = PropagationParams(two_b=3.5, k=0.0)
-    grid = np.array([-20.0])
-    pure = mc_coverage_macro(net, prop, TddMix(alpha_d=0.0), "ul", grid, 100000, seed=7)
-    mixed = mc_coverage_macro(net, prop, TddMix(alpha_d=0.5), "ul", grid, 100000, seed=7)
-    drop = 100.0 * (pure.value[0] - mixed.value[0])
-    ana = 100.0 * (
-        coverage_macro(-20.0, "ul", net, prop, TddMix(alpha_d=0.0))
-        - coverage_macro(-20.0, "ul", net, prop, TddMix(alpha_d=0.5))
-    )
-    ok = 70.0 <= drop <= 90.0
-    line = _verdict(
-        6, "uplink-mixing-degradation",
-        f"drop {drop:.1f} points at -20 dB (req in [70, 90]; analytic lattice limit {ana:.1f})", ok,
-    )
-    assert ok, line
+    _check(6)
 
 
 def test_criterion_07_fractional_power_control_trends():
-    net = MacroNetwork()
-    prop_by_k = {k: PropagationParams(k=k) for k in (0.0, 0.4, 0.8, 1.0)}
-    mix = TddMix(alpha_d=0.5)
-    grid = np.arange(-20.0, 10.1, 2.5)
-
-    dl = {k: np.array([coverage_macro(g, "dl", net, p, mix) for g in grid])
-          for k, p in prop_by_k.items()}
-    stacked = np.stack(list(dl.values()))
-    worst_spread = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
-
-    ul = {k: np.array([coverage_macro(g, "ul", net, p, mix) for g in grid])
-          for k, p in prop_by_k.items()}
-    ks = sorted(ul)
-    monotone = all(
-        np.all(ul[k_lo] > ul[k_hi])
-        for k_lo, k_hi in zip(ks, ks[1:])
-    )
-    ok = worst_spread <= 0.01 and monotone
-    line = _verdict(
-        7, "power-control-trends",
-        f"downlink spread {worst_spread * 100:.3f} points (req<=1), "
-        f"uplink strictly decreasing in k: {monotone}", ok,
-    )
-    assert ok, line
+    _check(7)
 
 
 def test_criterion_08_ppp_analytic_vs_mc_coverage():
-    start = time.perf_counter()
-    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
-    grid = np.arange(-20.0, 20.1, 5.0)
-    gaps = {}
-    for direction, fn in (("dl", coverage_ppp_dl), ("ul", coverage_ppp_ul)):
-        analytic = np.array([fn(g, sc) for g in grid])
-        curve = mc_coverage_ppp(sc, direction, grid, 100000, seed=17)
-        gaps[direction] = float(np.max(np.abs(analytic - curve.value)))
-    elapsed = time.perf_counter() - start
-    ok = all(v <= 0.05 for v in gaps.values()) and elapsed < 300.0
-    line = _verdict(
-        8, "ppp-coverage-match",
-        f"sup gap dl {gaps['dl']:.4f}, ul {gaps['ul']:.4f} (req<=0.05), "
-        f"{elapsed:.0f}s (req<5min)", ok,
-    )
-    assert ok, line
+    _check(8)
 
 
 def test_criterion_09_closed_form_anchor():
-    sc = SmallCellScenario(
-        lam=10.0,
-        prop=PropagationParams(two_b=4.0, p_noise_dbm=-math.inf),
-        mix=TddMix(alpha_d=1.0),
-    )
-    worst = 0.0
-    for gamma_db in (0.0, 5.0):
-        g = 10.0 ** (gamma_db / 10.0)
-        rg = math.sqrt(g)
-        closed = 1.0 / (1.0 + rg * (math.pi / 2.0 - math.atan(1.0 / rg)))
-        worst = max(worst, abs(coverage_ppp_dl(gamma_db, sc) - closed))
-    ok = worst <= 0.01
-    line = _verdict(
-        9, "closed-form-anchor", f"worst abs diff {worst:.2e} at 0/5 dB (req<=0.01)", ok,
-    )
-    assert ok, line
+    _check(9)
 
 
 def test_criterion_10_small_cell_mixing_gain_by_environment():
-    gamma_db = -10.0
-    gains = {}
-    for env, a_db in (("outdoor", 130.0), ("indoor", 160.0)):
-        prop = PropagationParams(a_db=a_db)
-        static = coverage_ppp_dl(gamma_db, SmallCellScenario(lam=10.0, prop=prop, mix=TddMix(alpha_d=1.0)))
-        dynamic = coverage_ppp_dl(gamma_db, SmallCellScenario(lam=10.0, prop=prop, mix=TddMix(alpha_d=0.5)))
-        gains[env] = 100.0 * (dynamic - static)
-    ok = (10.0 <= gains["outdoor"] <= 20.0) and abs(gains["indoor"]) < 3.0
-    line = _verdict(
-        10, "environment-mixing-gain",
-        f"outdoor gain {gains['outdoor']:.2f} points (req in [10, 20]), "
-        f"indoor gap {gains['indoor']:.2f} points (req<3)", ok,
-    )
-    assert ok, line
+    _check(10)
 
 
 def test_criterion_11_spectral_efficiency_trends():
-    quad = LIGHT_QUAD
-
-    def scenario(lam, alpha_d, window=None):
-        return SmallCellScenario(lam=lam, window_radius=window, mix=TddMix(alpha_d=alpha_d))
-
-    dl_gains = {}
-    for lam in (5.0, 10.0, 50.0):
-        dyn = ase(scenario(lam, 0.5), "dl", quad)
-        sta = ase(scenario(lam, 1.0), "dl", quad)
-        dl_gains[lam] = dyn - sta
-
-    ul_vals = [ase(scenario(lam, 0.5), "ul", quad) for lam in (5.0, 10.0, 20.0, 50.0)]
-    ul_decreasing = all(a > b for a, b in zip(ul_vals, ul_vals[1:]))
-
-    # window wide enough that truncation sits below the sampling error
-    sigmas = {}
-    for direction in ("dl", "ul"):
-        sc = scenario(10.0, 0.5, window=3.0)
-        eff = np.log2(1.0 + mc_sinr_ppp(sc, direction, 20000, seed=21))
-        se = float(eff.std(ddof=1)) / math.sqrt(eff.size)
-        sigmas[direction] = abs(ase(sc, direction, quad) - float(eff.mean())) / se
-
-    ok = (
-        all(v > 0.0 for v in dl_gains.values())
-        and ul_decreasing
-        and all(s <= 3.0 for s in sigmas.values())
-    )
-    gains_text = ", ".join(f"{g:+.3f}@{lam:g}" for lam, g in dl_gains.items())
-    line = _verdict(
-        11, "spectral-efficiency-trends",
-        f"downlink mixing gain {gains_text} bit/s/Hz (req>0), uplink decreasing {ul_decreasing}, "
-        f"mc agreement {sigmas['dl']:.2f}/{sigmas['ul']:.2f} se (req<=3)", ok,
-    )
-    assert ok, line
+    _check(11)
 
 
-def test_criterion_12_determinism(tmp_path):
-    net = MacroNetwork(rings=2)
-    prop = PropagationParams()
-    mix = TddMix(alpha_d=0.5)
-    sc = SmallCellScenario(lam=10.0, mix=mix)
-    grid = np.array([-10.0, 0.0, 10.0])
-    same = True
+def test_criterion_12_determinism():
+    _check(12)
 
-    same &= bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), net, prop, 300, seed=3) == \
-        bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), net, prop, 300, seed=3)
 
-    a = mc_coverage_macro(net, prop, mix, "dl", grid, 300, seed=4)
-    b = mc_coverage_macro(net, prop, mix, "dl", grid, 300, seed=4)
-    same &= np.array_equal(a.value, b.value)
-
-    # per-draw streams make chunked and monolithic runs identical
-    short = macro_interference_draws(net, prop, mix, "ul", 6, seed=5)
-    long = macro_interference_draws(net, prop, mix, "ul", 20, seed=5)
-    same &= all(np.array_equal(short[k], long[k][:6]) for k in short)
-    p_short = ppp_interference_draws(sc, "dl", 6, seed=5)
-    p_long = ppp_interference_draws(sc, "dl", 20, seed=5)
-    same &= all(np.array_equal(p_short[k], p_long[k][:6]) for k in p_short)
-
-    for assoc in ("rayleigh", "nearest"):
-        same &= np.array_equal(
-            mc_sinr_ppp(sc, "ul", 200, seed=6, association=assoc),
-            mc_sinr_ppp(sc, "ul", 200, seed=6, association=assoc),
-        )
-    c = mc_coverage_ppp(sc, "dl", grid, 200, seed=7)
-    d = mc_coverage_ppp(sc, "dl", grid, 200, seed=7)
-    same &= np.array_equal(c.value, d.value)
-    same &= mc_laplace_ppp(1e8, 0.1, sc, "dl", 200, seed=8) == \
-        mc_laplace_ppp(1e8, 0.1, sc, "dl", 200, seed=8)
-
-    data = {
-        "geometry": "ppp", "experiment": "coverage", "mode": "mc",
-        "mix": {"alpha_d": 0.5}, "gamma_grid_db": [-10.0, 0.0, 10.0],
-        "n_draws": 200, "seed": 9, "label": "det",
-    }
-    first = run(config_from_dict(data), out_dir=str(tmp_path / "a"))
-    second = run(config_from_dict(data), out_dir=str(tmp_path / "b"))
-    with open(first, "rb") as fa, open(second, "rb") as fb:
-        same &= fa.read() == fb.read()
-
-    line = _verdict(
-        12, "mc-determinism", f"all repeated runs byte-identical: {bool(same)} (req True)", bool(same),
-    )
-    assert same, line
+def test_every_criterion_has_exactly_one_test():
+    numbers = [int(m.group(1)) for name in globals()
+               if (m := re.match(r"test_criterion_(\d\d)_", name))]
+    assert sorted(numbers) == sorted(c.number for c in acceptance.CRITERIA)

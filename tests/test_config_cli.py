@@ -20,7 +20,9 @@ from tddgeom import (
     mc_sinr_ppp,
     run,
     run_recipe,
+    validate,
 )
+from tddgeom import acceptance
 from tddgeom.cli import main
 
 
@@ -325,3 +327,24 @@ def test_cli_validate_quick(capsys):
     report = capsys.readouterr().out
     assert code == 0
     assert "PASS" in report and "FAIL" not in report
+
+
+@pytest.fixture
+def fake_criteria(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        acceptance.Criterion(1, "fake-pass", True, lambda: ("ok", True)),
+        acceptance.Criterion(2, "fake-fail", False, lambda: ("bad", False)),
+    ))
+
+
+def test_validate_reports_a_failing_criterion(fake_criteria, capsys):
+    report, passed = validate()
+    assert not passed
+    assert "criterion 02 fake-fail: bad -> FAIL" in report.split("\n")
+    assert report.endswith("validation FAILED")
+    assert main(["validate"]) == 4
+    assert "validation FAILED" in capsys.readouterr().out
+
+
+def test_validate_quick_runs_only_quick_criteria(fake_criteria):
+    assert validate(quick=True) == ("criterion 01 fake-pass: ok -> PASS\nall checks passed", True)

@@ -165,6 +165,26 @@ def test_isr_total_breakdown_consistency():
     assert all(v > 0 for v in (bd.dl_to_dl, bd.ul_to_dl, bd.ul_to_ul, bd.dl_to_ul))
 
 
+@pytest.mark.parametrize("k", [0.0, 0.4])
+def test_isr_total_does_not_depend_on_propagation_factor(k):
+    m, net, mix = MobilePolar(0.3, 0.0), MacroNetwork(), TddMix(alpha_d=0.5)
+    outdoor = isr_total(m, net, PropagationParams(a_db=130.0, k=k), mix)
+    assert isr_total(m, net, PropagationParams(a_db=160.0, k=k), mix) == outdoor
+
+
+@pytest.mark.parametrize("k", [0.0, 0.4])
+def test_isr_total_is_unchanged_by_scaling_the_layout(k):
+    # power control sets uplink powers from absolute distances, so with
+    # k > 0 the cross-direction terms (base station against mobile) move
+    # when the layout is scaled
+    prop, mix = PropagationParams(k=k), TddMix(alpha_d=0.5)
+    small = isr_total(MobilePolar(0.3, 0.0), MacroNetwork(delta=1.0, cell_radius=0.5), prop, mix)
+    large = isr_total(MobilePolar(0.6, 0.0), MacroNetwork(delta=2.0, cell_radius=1.0), prop, mix)
+    names = ("dl_to_dl", "ul_to_dl", "ul_to_ul", "dl_to_ul") if k == 0.0 else ("dl_to_dl", "ul_to_ul")
+    for name in names:
+        assert getattr(large, name) == pytest.approx(getattr(small, name), rel=1e-12)
+
+
 def test_isr_total_shadowing_scales_every_component():
     net = MacroNetwork()
     prop = PropagationParams()

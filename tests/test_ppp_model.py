@@ -24,6 +24,7 @@ from tddgeom import (
     mc_sinr_ppp,
     ppp_interference_draws,
 )
+from tddgeom.config import FAST_QUAD
 
 
 def _oracle_laplace(v, r, scenario, sign):
@@ -214,6 +215,17 @@ def test_coverage_anchor_closed_form():
         g = 10.0 ** (gamma_db / 10.0)
         closed = 1.0 / (1.0 + math.sqrt(g) * (math.pi / 2.0 - math.atan(1.0 / math.sqrt(g))))
         assert coverage_ppp_dl(gamma_db, sc) == pytest.approx(closed, abs=1e-5)
+
+
+@pytest.mark.parametrize("alpha_d", [1.0, 0.5])
+def test_coverage_without_noise_or_power_control_ignores_density(alpha_d):
+    # with noise off and k = 0 every distance scales with 1/sqrt(lam)
+    prop = PropagationParams(k=0.0, p_noise_dbm=-math.inf)
+    quad = QuadratureControl(**FAST_QUAD)
+    sparse, dense = (SmallCellScenario(lam=lam, prop=prop, mix=TddMix(alpha_d=alpha_d))
+                     for lam in (5.0, 20.0))
+    for fn in (coverage_ppp_dl, coverage_ppp_ul):
+        assert fn(0.0, dense, quad) == pytest.approx(fn(0.0, sparse, quad), abs=1e-15)
 
 
 def test_coverage_ppp_monotone_and_bounded():
