@@ -347,15 +347,28 @@ CRITERIA = (
 )
 
 
+def verdicts(quick=False):
+    """Run the acceptance criteria one by one, yielding (verdict line,
+    passed) as each finishes, then the closing summary line and whether
+    every criterion passed.
+
+    quick=True runs only the criteria marked quick, at the same bounds
+    as the full run.
+    """
+    passed = True
+    for criterion in CRITERIA:
+        if criterion.quick or not quick:
+            line, ok = criterion.run()
+            passed &= ok
+            yield line, ok
+    yield ("all checks passed" if passed else "validation FAILED"), passed
+
+
 def validate(quick=False):
     """Run the acceptance criteria; returns (report, all_passed).
 
-    The report holds one verdict line per criterion and a closing
-    summary line.  quick=True runs only the criteria marked quick, at
-    the same bounds as the full run.
+    The report holds the lines of :func:`verdicts`: one verdict line per
+    criterion and a closing summary line.
     """
-    results = [c.run() for c in CRITERIA if c.quick or not quick]
-    passed = all(ok for _, ok in results)
-    lines = [line for line, _ in results]
-    lines.append("all checks passed" if passed else "validation FAILED")
-    return "\n".join(lines), passed
+    lines = list(verdicts(quick))
+    return "\n".join(line for line, _ in lines), lines[-1][1]

@@ -55,8 +55,8 @@ def main(argv=None):
             for path in config_mod.run_recipe(args.name, out_dir=args.out, seed=args.seed):
                 print(path)
             return 0
-        report, passed = acceptance.validate(quick=args.quick)
-        print(report)
+        for line, passed in acceptance.verdicts(quick=args.quick):
+            print(line, flush=True)
         return 0 if passed else 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

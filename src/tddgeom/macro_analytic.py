@@ -64,8 +64,6 @@ __all__ = [
     "coverage_macro",
 ]
 
-_DEFAULT_CTRL = SeriesControl()
-
 # the mobile-to-mobile series diverges where the user circle reaches the
 # interferer disks; the SINR map freezes it at this fraction of that radius
 _CROSS_TERM_CLAMP = 0.9
@@ -78,10 +76,6 @@ _RING1_PATTERNS = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(float)
 # doubling them moves downlink coverage by at most 2.5e-5 (alpha_d in
 # {0.2, 0.5, 0.9}, k in {0, 0.4, 1}, -20 to +20 dB)
 _SECTOR_ANGLES = 16
-
-
-def _ctrl_or_default(ctrl):
-    return _DEFAULT_CTRL if ctrl is None else ctrl
 
 
 def isr_dl_dl(x, b, ctrl=None):
@@ -108,7 +102,6 @@ def isr_dl_dl(x, b, ctrl=None):
     TruncationError
         If the series has not converged within ``ctrl.max_terms``.
     """
-    ctrl = _ctrl_or_default(ctrl)
     if x == 0:
         return 0.0
     if not 0 < x < 1:
@@ -128,50 +121,29 @@ def isr_dl_dl(x, b, ctrl=None):
     return 6.0 * x ** (2.0 * b) * sum_series(terms(), ctrl)
 
 
+def _check_r_over_delta(r_over_delta):
+    if not 0 < r_over_delta <= 1 / math.sqrt(3.0) * (1 + 1e-12):
+        raise ValueError(f"r_over_delta must lie in (0, 1/sqrt(3)], got {r_over_delta}")
+
+
 @lru_cache(maxsize=None)
 def _beta_h_cached(h, b, k, r_over_delta, rel_tol):
     bk = b * k
     xr2 = r_over_delta * r_over_delta
-    # inner terms grow until the index overtakes roughly 2h
-    # r_over_delta before the geometric decay sets in, so the term
-    # budget has to scale with the order; on b in [1.1, 2.5], k in
-    # {0, 0.4, 1}, R/delta = 1/sqrt(3) and h <= 300 an inner series used
-    # at most 31% of it.  The budget only decides where a series gives
-    # up, never the value it converges to, so it is no part of the key.
-    ctrl = SeriesControl(rel_tol=rel_tol, max_terms=6 * h + 120)
-    total = 0.0
-    for n in range(h + 1):
 
-        def inner(n=n):
-            t = (
-                math.exp(
-                    2.0 * math.lgamma(b + h + n)
-                    - 2.0 * math.lgamma(b)
-                    - 2.0 * math.lgamma(n + 1)
-                    - math.lgamma(h - n + 1)
-                    - math.lgamma(h + n + 1)
-                )
-                * xr2**n
-                / (n + bk + 1.0)
-                * omega(b + h + n)
-            )
-            i = 0
-            while True:
-                yield t
-                s = b + h + n + i
-                t *= (
-                    s * s / ((i + 1.0) * (h + n + i + 1.0))
-                    * xr2
-                    * (n + i + bk + 1.0) / (n + i + bk + 2.0)
-                    * omega(s + 1.0) / omega(s)
-                )
-                i += 1
+    def terms():
+        t = math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
+        t *= omega(b + h) / (bk + 1.0)
+        m = 0
+        while True:
+            yield t
+            s = b + h + m
+            t *= (s / (m + 1.0)) ** 2 * xr2 * (m + bk + 1.0) / (m + bk + 2.0) * omega(s + 1.0) / omega(s)
+            m += 1
 
-        try:
-            total += sum_series(inner(), ctrl)
-        except OverflowError:
-            total = math.inf
-            break
+    # the budget only decides where the series gives up, never the
+    # value it converges to, so it is no part of the key
+    total = sum_series(terms(), SeriesControl(rel_tol=rel_tol, max_terms=6 * h + 120))
     if not math.isfinite(total):
         # the coefficients grow like (1 - r_over_delta)^{-2h}
         raise TruncationError(f"beta_h coefficient {h} exceeds the double-precision range", terms=h)
@@ -194,18 +166,23 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
 
     Notes
     -----
-    Each coefficient is a finite sum over n <= h of inner series in the
-    disk-radius ratio; results are cached, so sweeping x costs one
-    evaluation per index.  The coefficients grow like
-    (1 - r_over_delta)^{-2h}, which bounds the convergence region of the
-    full series in x.  Only ``ctrl.rel_tol`` is used: each inner series
-    has its own term budget, 6h + 120.
+    Each coefficient is one series, the double sum over both disk
+    positions collapsed by Vandermonde's identity
+    sum_n C(h, n) C(m, n) = C(h+m, h):
+
+        beta_h = sum_{m>=0} [Gamma(b+h+m) / (Gamma(b) h! m!)]^2
+                 (R/delta)^{2m} omega(b+h+m) / (m + bk + 1).
+
+    At h = 0 it is the :func:`a1` series.  Results are cached.  Only
+    ``ctrl.rel_tol`` is used; the term budget is 6h + 120, as the terms
+    peak near m = h (R/delta) / (1 - R/delta).  The coefficients grow
+    like (1 - r_over_delta)^{-2h}, so the series in x needs x < 1 - R/delta.
 
     Raises
     ------
     TruncationError
         If the coefficient exceeds the double-precision range (from
-        h = 401 on at b = 1.75, k = 0.4, r_over_delta = 1/sqrt(3)).
+        h = 412 on at b = 1.75, k = 0.4, r_over_delta = 1/sqrt(3)).
     """
     if h < 0:
         raise ValueError(f"series index must be non-negative, got {h}")
@@ -213,9 +190,9 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
         raise ValueError(f"b must exceed 1, got {b}")
     if not 0 <= k <= 1:
         raise ValueError(f"power-control fraction must lie in [0, 1], got {k}")
-    if not 0 < r_over_delta <= 1 / math.sqrt(3.0) * (1 + 1e-12):
-        raise ValueError(f"r_over_delta must lie in (0, 1/sqrt(3)], got {r_over_delta}")
-    return _beta_h_cached(int(h), float(b), float(k), float(r_over_delta), _ctrl_or_default(ctrl).rel_tol)
+    _check_r_over_delta(r_over_delta)
+    rel_tol = SeriesControl().rel_tol if ctrl is None else ctrl.rel_tol
+    return _beta_h_cached(int(h), float(b), float(k), float(r_over_delta), rel_tol)
 
 
 def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
@@ -248,7 +225,6 @@ def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
         where interfering mobiles can come arbitrarily close to the
         typical user and the mean diverges, it is raised at once.
     """
-    ctrl = _ctrl_or_default(ctrl)
     if x == 0:
         return 0.0
     if not 0 < x < 1:
@@ -273,19 +249,18 @@ def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
 def a1(b, k, r_over_delta, ctrl=None):
     """Mobile-to-cell interference coefficient.
 
-    The uplink ISR caused by interfering mobiles is a1 * x^{2b(1-k)}.
-    Evaluated by its own single series (disk-averaged interferer
-    positions, power-control average over the served user); the test
-    suite checks it against 6 (R/delta)^{2bk} beta_0 computed
-    independently.
+    The uplink ISR caused by interfering mobiles is a1 * x^{2b(1-k)},
+    a1 = 6 (R/delta)^{2bk} beta_0.  Its series is the h = 0 case of
+    :func:`beta_h`, summed here by its own copy, which acceptance
+    criterion 02 checks.  r_over_delta = 0 gives 0.
     """
-    ctrl = _ctrl_or_default(ctrl)
     if b <= 1:
         raise ValueError(f"b must exceed 1, got {b}")
     if not 0 <= k <= 1:
         raise ValueError(f"power-control fraction must lie in [0, 1], got {k}")
     if r_over_delta == 0:
         return 0.0
+    _check_r_over_delta(r_over_delta)
     bk = b * k
     xr2 = r_over_delta * r_over_delta
 

@@ -348,3 +348,16 @@ def test_validate_reports_a_failing_criterion(fake_criteria, capsys):
 
 def test_validate_quick_runs_only_quick_criteria(fake_criteria):
     assert validate(quick=True) == ("criterion 01 fake-pass: ok -> PASS\nall checks passed", True)
+
+
+def test_cli_prints_each_verdict_as_it_finishes(monkeypatch, capsys):
+    def second():
+        assert "criterion 01 fake-pass: ok -> PASS" in capsys.readouterr().out
+        return "ok", True
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        acceptance.Criterion(1, "fake-pass", True, lambda: ("ok", True)),
+        acceptance.Criterion(2, "fake-second", False, second),
+    ))
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["criterion 02 fake-second: ok -> PASS", "all checks passed"]

@@ -1,8 +1,10 @@
 """Tests for the closed-form interference series, SINR maps, and macro
-coverage.  Reference values were frozen from independent evaluations:
-direct lattice summation for the cell-to-cell ratio, high-order
-quadrature for the mobile-driven terms."""
+coverage.  The frozen values below are earlier outputs of this code,
+not independent evaluations; the independent checks (direct lattice
+sums, positional averages, Monte Carlo) are tests of their own, here
+and in the acceptance criteria."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,9 +31,11 @@ from tddgeom import (
     isr_total,
     isr_ul_dl,
     mc_coverage_macro,
+    omega,
     shadowing_mean_factor,
     sinr_dl,
     sinr_ul,
+    sum_series,
     uplink_inverse_sinr,
 )
 from tddgeom.macro_analytic import _beta_h_cached, _PatternMaps
@@ -41,6 +45,9 @@ XR = 1.0 / math.sqrt(3.0)
 # frozen references, cross-validated against brute-force geometry
 ISR_DL_03_B175 = 0.16130359962494345
 BETA0_B175_K0 = 2.371384209289754
+# computed with beta_h as a nested double sum at the default rel_tol
+# 1e-10; it lies 6.9e-10 relative from the converged value
+# 2.550300606349137e-4 (rel_tol 1e-15)
 ISR_UL_DL_REF = 0.0002550300604582132
 A1_B175_K0 = 14.228305255738523
 A2_B175_K04 = 87737.33566432811
@@ -102,6 +109,32 @@ def test_beta_h_overflow_is_a_truncation():
         beta_h(420, 1.75, 0.4, XR)
 
 
+def _beta_h_double_sum(h, b, k, r_over_delta, ctrl):
+    # the mobile-to-mobile coefficient as the double sum over the two
+    # disk positions: n <= h, and an inner series over i with m = n + i
+    bk = b * k
+    xr2 = r_over_delta * r_over_delta
+
+    def inner(n):
+        for i in itertools.count():
+            m = n + i
+            log_t = (2.0 * math.lgamma(b + h + m) - 2.0 * math.lgamma(b) - 2.0 * math.lgamma(n + 1)
+                     - math.lgamma(h - n + 1) - math.lgamma(h + m + 1) - math.lgamma(i + 1))
+            yield math.exp(log_t) * xr2**m * omega(b + h + m) / (m + bk + 1.0)
+
+    return math.fsum(sum_series(inner(n), ctrl) for n in range(h + 1))
+
+
+@pytest.mark.parametrize("b, k, r_over_delta", [(1.1, 0.0, XR), (1.75, 0.4, XR), (2.5, 1.0, 0.3)])
+def test_beta_h_single_series_matches_the_double_sum(b, k, r_over_delta):
+    # Vandermonde's identity sum_n C(h, n) C(m, n) = C(h+m, h) folds
+    # the double sum into the one series that beta_h sums
+    ctrl = SeriesControl(rel_tol=1e-15, max_terms=10_000)
+    for h in (1, 2, 5, 20, 60):
+        reference = _beta_h_double_sum(h, b, k, r_over_delta, ctrl)
+        assert beta_h(h, b, k, r_over_delta, ctrl) == pytest.approx(reference, rel=1e-12), h
+
+
 def test_beta_h_cache_ignores_max_terms():
     # max_terms only sets where a series gives up, so a coefficient
     # converged under one term cap serves every other
@@ -111,18 +144,15 @@ def test_beta_h_cache_ignores_max_terms():
     assert _beta_h_cached.cache_info().hits == hits + 1
 
 
-def test_a1_closed_form_identity():
-    # a1 = 6 (R/delta)^{2bk} beta_0 for all parameter combinations
-    for b in (1.25, 1.75):
-        for k in (0.0, 0.4, 1.0):
-            for xr in (0.3, XR):
-                lhs = a1(b, k, xr)
-                rhs = 6.0 * xr ** (2.0 * b * k) * beta_h(0, b, k, xr)
-                assert lhs == pytest.approx(rhs, rel=1e-10), (b, k, xr)
-
-
 def test_a1_frozen_value():
     assert a1(1.75, 0.0, XR) == pytest.approx(A1_B175_K0, rel=1e-12)
+
+
+def test_a1_rejects_a_radius_outside_the_cell():
+    assert a1(1.75, 0.4, 0.0) == 0.0
+    for r_over_delta in (-0.3, 0.9):
+        with pytest.raises(ValueError):
+            a1(1.75, 0.4, r_over_delta)
 
 
 def test_a2_frozen_value_and_scalings():
@@ -144,6 +174,10 @@ def test_isr_ul_dl_limits_and_divergence():
     # loudly rather than return a number
     with pytest.raises(TruncationError):
         isr_ul_dl(0.5, 1.75, 0.4, XR, 1e-4, SeriesControl(max_terms=400))
+    # just inside 1 - R/delta = 0.4226 the coefficients leave the
+    # double range before the series converges
+    with pytest.raises(TruncationError):
+        isr_ul_dl(0.42, 1.75, 0.4, XR, 1e-4, SeriesControl(max_terms=600))
 
 
 def test_isr_ul_dl_monotone():
