@@ -252,14 +252,15 @@ def a1(b, k, r_over_delta, ctrl=None):
     The uplink ISR caused by interfering mobiles is a1 * x^{2b(1-k)},
     a1 = 6 (R/delta)^{2bk} beta_0.  Its series is the h = 0 case of
     :func:`beta_h`, summed here by its own copy, which acceptance
-    criterion 02 checks.  r_over_delta = 0 gives 0.
+    criterion 02 checks.  At r_over_delta = 0 it takes its limit:
+    6 omega(b) without power control (k = 0), 0 with it.
     """
     if b <= 1:
         raise ValueError(f"b must exceed 1, got {b}")
     if not 0 <= k <= 1:
         raise ValueError(f"power-control fraction must lie in [0, 1], got {k}")
     if r_over_delta == 0:
-        return 0.0
+        return 6.0 * omega(b) if k == 0 else 0.0
     _check_r_over_delta(r_over_delta)
     bk = b * k
     xr2 = r_over_delta * r_over_delta

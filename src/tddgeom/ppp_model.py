@@ -18,9 +18,19 @@ serving distance are mapped through their own CDF onto (0, 1) and
 integrated by Gauss-Legendre; the radial PGFL integral is split at the
 scale where the interference kernel turns over and its tail is mapped
 by s = (x_break/x)^{2b-2}, which makes the integrand asymptotically
-constant.  Every level re-evaluates at doubled order and compares
-against the configured tolerance, refining or raising an integration
-error with the achieved estimate.
+constant.  The offset angle takes the midpoint rule on n_theta nodes,
+folded onto its distinct cosines (theta and 2 pi - theta share one), so
+ceil(n_theta / 2) angles are evaluated.  The retention kernel works on a
+batch of (v, r) pairs at once: a coverage estimate sends all of its
+serving nodes in one call, and the uplink term is built angle-first and
+in place, in chunks capped at _CHUNK elements (about 1 MB) so that a
+large batch adds no memory.  Each level re-evaluates at doubled x,
+offset and serving orders and compares against the configured
+tolerance, refining (each Laplace pair on its own) or raising an
+integration error with the achieved estimate.  n_theta is never
+doubled, so the tolerances bound the x, offset and serving error only:
+at FAST_QUAD the angle rule leaves a true coverage error of 1.5e-3 at
+0 dB against the 1e-4 asked for.
 """
 
 import math
@@ -107,7 +117,9 @@ class QuadratureControl:
     Laplace-transform value, outer_abs_tol the same for a coverage
     value.  With refine=True a failing comparison doubles the orders up
     to max_refinements times before raising; refine=False raises at the
-    first failure.
+    first failure.  The doubled orders are n_x and n_rho (Laplace) and
+    n_serving (coverage); n_theta is never doubled, so the tolerances do
+    not bound the error of the angle rule.
     """
 
     inner_abs_tol: float = 1e-6
@@ -136,6 +148,11 @@ class QuadratureControl:
 
 _DEFAULT_QUAD = QuadratureControl()
 
+# elements (8 bytes each) of the uplink-kernel buffer: about 1 MB, so
+# the in-place passes over it stay in cache and a large batch adds no
+# memory
+_CHUNK = 1 << 17
+
 
 @lru_cache(maxsize=64)
 def _gl_unit(n):
@@ -148,6 +165,20 @@ def _gl_unit(n):
 def _gl_signed(n):
     """Gauss-Legendre nodes and weights on (-1, 1)."""
     return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=64)
+def _theta_fold(n_theta):
+    """The midpoint angle rule folded onto its distinct cosines: the
+    nodes theta and 2 pi - theta share a cosine, so each distinct one
+    carries weight 2 / n_theta, and the node at pi (odd n_theta) keeps
+    1 / n_theta."""
+    half = (n_theta + 1) // 2
+    theta = (np.arange(half) + 0.5) * (2.0 * math.pi / n_theta)
+    weights = np.full(half, 2.0 / n_theta)
+    if n_theta % 2:
+        weights[-1] = 1.0 / n_theta
+    return np.cos(theta), weights
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +321,11 @@ def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
 
 def _mean_kernel(x, v, scenario, n_theta, n_rho):
     """Rayleigh-offset and angle average of the retention kernel at
-    interfering-cell distances x: downlink pairs interfere from the cell
-    itself, uplink pairs from the user displaced off the cell, under
-    power control on the same offset.
+    interfering-cell distances x, each paired with the transform
+    variable v of the same position (x and v are 1-D arrays of one
+    length): downlink pairs interfere from the cell itself, uplink pairs
+    from the user displaced off the cell, under power control on the
+    same offset.
 
     The typical user and the typical cell see the same field, so one
     kernel serves both receptions: the offset angle is uniform, and the
@@ -300,74 +333,111 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     the minus sign the kernel peaks at theta = 0, which no midpoint node
     hits; with the plus sign it would peak at theta = pi, a node
     whenever n_theta is odd.
+
+    The uplink term is built theta-first, one chunk of positions at a
+    time, in one buffer of at most _CHUNK elements; it is skipped when
+    no uplink pair transmits (alpha_u = 0 or zero uplink power), where
+    its retention is exactly 1.
     """
     prop = scenario.prop
     b = prop.b
-    bk = b * prop.k
+    mix = scenario.mix
+    t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
+    p_ul = scenario.p_small_star_mw
+    if mix.alpha_u == 0.0 or p_ul == 0.0:
+        return mix.alpha_d * t_dl + mix.alpha_u
     u, w = _gl_unit(n_rho)
     rho = np.sqrt(-np.log1p(-u) / (scenario.lam * math.pi))
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    ct = np.cos(theta)
-    xc = x[:, None, None]
-    rc = rho[None, :, None]
-    d2 = xc * xc + rc * rc - 2.0 * xc * rc * ct[None, None, :]
-    term_ul = 1.0 / (
-        1.0 + v * scenario.p_small_star_mw * rho[None, :, None] ** (2.0 * bk) * d2 ** (-b)
-    )
-    t_ul = term_ul.mean(axis=2) @ w
-    t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
-    return scenario.mix.alpha_d * t_dl + scenario.mix.alpha_u * t_ul
+    rho2 = rho * rho
+    pc = rho ** (2.0 * b * prop.k)
+    cos_theta, w_theta = _theta_fold(n_theta)
+    n_t = w_theta.size
+    step = max(1, _CHUNK // (n_t * n_rho))
+    buf = np.empty(n_t * min(step, x.size) * n_rho)
+    t_ul = np.empty(x.size)
+    for lo in range(0, x.size, step):
+        xs = x[lo:lo + step, None]
+        m = xs.shape[0]
+        d2 = buf[: n_t * m * n_rho].reshape(n_t, m, n_rho)
+        near = xs * xs + rho2
+        cross = 2.0 * xs * rho
+        for j, c in enumerate(cos_theta):
+            np.multiply(cross, c, out=d2[j])
+            np.subtract(near, d2[j], out=d2[j])
+        # 1 / (1 + v P* rho^{2bk} d2^{-b}), through the logarithm so that
+        # every step runs in place
+        np.log(d2, out=d2)
+        d2 *= -b
+        d2 += np.log(v[lo:lo + step, None] * p_ul * pc)
+        np.exp(d2, out=d2)
+        d2 += 1.0
+        np.reciprocal(d2, out=d2)
+        t_ul[lo:lo + m] = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_rho) @ w
+    return mix.alpha_d * t_dl + mix.alpha_u * t_ul
 
 
 def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
-    """integral over (r, infinity) of (1 - _mean_kernel(x)) x dx, split
-    at the kernel turnover scale with an algebraic tail map."""
+    """Per (v, r) pair of the 1-D arrays v and r: the integral over
+    (r, infinity) of (1 - _mean_kernel(x)) x dx, split at the kernel
+    turnover scale with an algebraic tail map.  All nodes of all pairs
+    go through one kernel call."""
     prop = scenario.prop
     two_b = prop.two_b
     z = two_b - 2.0
-    x_break = max(
-        r,
-        2.0 * scenario.rho_scale,
-        (v * scenario.p_small_mw) ** (1.0 / two_b),
-        (v * scenario.p_small_star_mw * scenario.rho_scale ** (2.0 * prop.b * prop.k))
-        ** (1.0 / two_b),
+    x_break = np.maximum(
+        np.maximum(r, 2.0 * scenario.rho_scale),
+        np.maximum(
+            (v * scenario.p_small_mw) ** (1.0 / two_b),
+            (v * scenario.p_small_star_mw * scenario.rho_scale ** (2.0 * prop.b * prop.k))
+            ** (1.0 / two_b),
+        ),
     )
-    total = 0.0
-    if x_break > r:
-        nodes, weights = _gl_signed(n_x)
-        xm = 0.5 * (x_break + r) + 0.5 * (x_break - r) * nodes
-        wm = 0.5 * (x_break - r) * weights
-        total += float(np.sum((1.0 - _mean_kernel(xm, v, scenario, n_theta, n_rho)) * xm * wm))
+    mid = np.flatnonzero(x_break > r)
+    nodes, weights = _gl_signed(n_x)
+    lo, hi = r[mid, None], x_break[mid, None]
+    xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+    wm = 0.5 * (hi - lo) * weights
     s, ws = _gl_unit(n_x)
-    xt = x_break * s ** (-1.0 / z)
-    jac = (x_break * x_break / z) * s ** (-2.0 / z - 1.0)
-    total += float(np.sum((1.0 - _mean_kernel(xt, v, scenario, n_theta, n_rho)) * jac * ws))
+    xt = x_break[:, None] * s ** (-1.0 / z)
+    jac = (x_break * x_break / z)[:, None] * s ** (-2.0 / z - 1.0)
+    keep = 1.0 - _mean_kernel(
+        np.concatenate((xm.ravel(), xt.ravel())),
+        np.concatenate((np.repeat(v[mid], n_x), np.repeat(v, n_x))),
+        scenario, n_theta, n_rho,
+    ).reshape(-1, n_x)
+    total = (keep[mid.size:] * jac * ws).sum(axis=1)
+    total[mid] += (keep[: mid.size] * xm * wm).sum(axis=1)
     return total
 
 
 def _laplace(v, r, scenario, quad):
-    if v < 0 or r < 0:
+    """Laplace transforms at the pairs of the 1-D arrays v and r.  Each
+    pair is refined on its own: only the pairs whose doubling check
+    fails go on to the next order."""
+    if np.any(v < 0) or np.any(r < 0):
         raise ValueError("v and r must be non-negative")
-    if v == 0:
-        return 1.0
+    out = np.ones(v.size)
+    todo = np.flatnonzero(v != 0)
     pref = 2.0 * math.pi * scenario.lam
     n_x, n_rho = quad.n_x, quad.n_rho
-    coarse = math.exp(-pref * _pgfl_radial(v, r, scenario, n_x, quad.n_theta, n_rho))
+    coarse = np.exp(-pref * _pgfl_radial(v[todo], r[todo], scenario, n_x, quad.n_theta, n_rho))
     for _ in range(quad.max_refinements + 1):
-        fine = math.exp(
-            -pref * _pgfl_radial(v, r, scenario, 2 * n_x, quad.n_theta, 2 * n_rho)
+        fine = np.exp(
+            -pref * _pgfl_radial(v[todo], r[todo], scenario, 2 * n_x, quad.n_theta, 2 * n_rho)
         )
-        disc = abs(fine - coarse)
-        if disc <= quad.inner_abs_tol:
-            return fine
+        disc = np.abs(fine - coarse)
+        done = disc <= quad.inner_abs_tol
+        out[todo[done]] = fine[done]
+        todo, coarse, disc = todo[~done], fine[~done], disc[~done]
+        if todo.size == 0:
+            return out
         if not quad.refine:
             break
-        coarse = fine
         n_x, n_rho = 2 * n_x, 2 * n_rho
     raise IntegrationError(
-        f"Laplace transform not converged to {quad.inner_abs_tol} at v={v}, r={r}",
-        achieved=fine,
-        discrepancy=disc,
+        f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[todo[0]]}, r={r[todo[0]]}",
+        achieved=float(coarse[0]),
+        discrepancy=float(disc[0]),
     )
 
 
@@ -377,7 +447,8 @@ def laplace_dl(v, r, scenario, quad=None):
     interfering pairs outside the exclusion ball.  Returns a value in
     (0, 1]; v=0 or vanishing density give exactly 1.
     """
-    return _laplace(v, r, scenario, quad or _DEFAULT_QUAD)
+    values = _laplace(np.array([v], float), np.array([r], float), scenario, quad or _DEFAULT_QUAD)
+    return float(values[0])
 
 
 def laplace_ul(v, r, scenario, quad=None):
@@ -385,7 +456,7 @@ def laplace_ul(v, r, scenario, quad=None):
     cell, conditioned on its user's distance r.  The typical cell sees
     the same interfering field as the typical user, so this is the same
     transform as laplace_dl."""
-    return _laplace(v, r, scenario, quad or _DEFAULT_QUAD)
+    return laplace_dl(v, r, scenario, quad)
 
 
 def _coverage_analytic(gamma_db, scenario, quad, direction):
@@ -404,25 +475,21 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     # where the exclusion ball makes it grow quadratically
     r_ref = 3.0 / math.sqrt(lam_pi)
     v_ref = gamma * r_ref**exp_serving / p_serv
-    surplus = (
-        2.0
-        * _pgfl_radial(v_ref, r_ref, scenario, quad.n_x, quad.n_theta, quad.n_rho)
-        / (r_ref * r_ref)
+    pgfl_ref = _pgfl_radial(
+        np.array([v_ref]), np.array([r_ref]), scenario, quad.n_x, quad.n_theta, quad.n_rho
     )
+    surplus = 2.0 * float(pgfl_ref[0]) / (r_ref * r_ref)
     beta = lam_pi * (1.0 + surplus)
 
     def estimate(n_serving):
         t, w = _gl_unit(n_serving)
         r = np.sqrt(-np.log1p(-t) / beta)
-        total = 0.0
-        for ti, wi, ri in zip(t, w, r):
-            v = gamma * ri**exp_serving / p_serv
-            val = (
-                math.exp(surplus * lam_pi * ri * ri - gamma * scenario.p_noise_mw * ri**exp_serving / p_serv)
-                * _laplace(v, ri, scenario, quad)
-            )
-            total += wi * val
-        return total / (1.0 + surplus)
+        v = gamma * r**exp_serving / p_serv
+        val = (
+            np.exp(surplus * lam_pi * r * r - gamma * scenario.p_noise_mw * r**exp_serving / p_serv)
+            * _laplace(v, r, scenario, quad)
+        )
+        return float(w @ val) / (1.0 + surplus)
 
     n = quad.n_serving
     coarse = estimate(n)

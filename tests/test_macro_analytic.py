@@ -150,6 +150,9 @@ def test_a1_frozen_value():
 
 def test_a1_rejects_a_radius_outside_the_cell():
     assert a1(1.75, 0.4, 0.0) == 0.0
+    # without power control the limit at the cell centre is 6 omega(b)
+    assert a1(1.75, 0.0, 0.0) == 6.0 * omega(1.75)
+    assert a1(1.75, 0.0, 1e-9) == pytest.approx(6.0 * omega(1.75), rel=1e-12)
     for r_over_delta in (-0.3, 0.9):
         with pytest.raises(ValueError):
             a1(1.75, 0.4, r_over_delta)
@@ -165,7 +168,7 @@ def test_a2_frozen_value_and_scalings():
 
 def test_isr_ul_dl_frozen_value():
     val = isr_ul_dl(0.4, 1.75, 0.4, XR, 1e-4, SeriesControl(max_terms=400))
-    assert val == pytest.approx(ISR_UL_DL_REF, rel=1e-12)
+    assert val == pytest.approx(ISR_UL_DL_REF, rel=1e-11, abs=0)
 
 
 def test_isr_ul_dl_limits_and_divergence():

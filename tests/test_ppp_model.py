@@ -24,6 +24,7 @@ from tddgeom import (
     mc_sinr_ppp,
     ppp_interference_draws,
 )
+from tddgeom import ppp_model
 from tddgeom.config import FAST_QUAD
 
 
@@ -130,6 +131,91 @@ def test_laplace_against_independent_oracle():
     ours = laplace_ul(v, r, sc)
     ref = _oracle_laplace(v, r, sc, sign=-1)
     assert abs(ours - ref) < 2e-5, (ours, ref)
+
+
+def _broadcast_kernel(x, v, scenario, n_theta, n_rho):
+    """The retention kernel as one broadcast over (x, rho, theta) on the
+    full midpoint angle grid, with d2 ** (-b): the reference for the
+    folded, chunked kernel.  v holds one transform variable per x."""
+    prop = scenario.prop
+    b = prop.b
+    u, w = ppp_model._gl_unit(n_rho)
+    rho = np.sqrt(-np.log1p(-u) / (scenario.lam * math.pi))
+    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    xc = x[:, None, None]
+    rc = rho[None, :, None]
+    d2 = xc * xc + rc * rc - 2.0 * xc * rc * np.cos(theta)[None, None, :]
+    term_ul = 1.0 / (
+        1.0 + v[:, None, None] * scenario.p_small_star_mw * rc ** (2.0 * b * prop.k) * d2 ** (-b)
+    )
+    t_ul = term_ul.mean(axis=2) @ w
+    t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
+    return scenario.mix.alpha_d * t_dl + scenario.mix.alpha_u * t_ul
+
+
+@pytest.mark.parametrize("n_theta", [16, 15])
+@pytest.mark.parametrize("k", [0.0, 0.4])
+@pytest.mark.parametrize("alpha_d", [0.0, 0.5, 1.0])
+def test_kernel_matches_the_broadcast_reference(n_theta, k, alpha_d):
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=k), mix=TddMix(alpha_d=alpha_d))
+    # 1200 positions span several chunks of the kernel's buffer
+    x = np.geomspace(0.005, 40.0, 1200)
+    v = 10.0 ** np.random.default_rng(3).uniform(7.0, 11.0, x.size)
+    ref = _broadcast_kernel(x, v, sc, n_theta, 32)
+    ours = ppp_model._mean_kernel(x, v, sc, n_theta, 32)
+    assert np.max(np.abs(ours - ref) / ref) <= 1e-13
+
+
+def test_silent_uplink_pairs_retain_exactly():
+    x = np.geomspace(0.01, 10.0, 50)
+    v = np.full(x.size, 1e9)
+    with np.errstate(all="raise"):
+        for alpha_d in (0.5, 0.0):
+            sc = SmallCellScenario(lam=10.0, p_small_star_dbm=-math.inf, mix=TddMix(alpha_d=alpha_d))
+            t_dl = 1.0 / (1.0 + v * sc.p_small_mw * x ** (-sc.prop.two_b))
+            np.testing.assert_array_equal(
+                ppp_model._mean_kernel(x, v, sc, 16, 32), alpha_d * t_dl + (1.0 - alpha_d)
+            )
+        # at alpha_d = 0 nothing transmits: the interference is exactly zero
+        assert laplace_dl(1e9, 0.1, sc) == 1.0
+        assert laplace_ul(1e9, 0.1, sc) == 1.0
+
+
+def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
+    # record, per transform variable, the x orders it is evaluated at
+    orders = {}
+    real = ppp_model._pgfl_radial
+
+    def spy(v, r, scenario, n_x, n_theta, n_rho):
+        for vi in v:
+            orders.setdefault(float(vi), []).append(n_x)
+        return real(v, r, scenario, n_x, n_theta, n_rho)
+
+    monkeypatch.setattr(ppp_model, "_pgfl_radial", spy)
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    # at this tolerance (1e8, 0.3) needs one more doubling, the others none
+    quad = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-6})
+    v = np.array([1e9, 1e8, 0.0, 1e10])
+    r = np.array([0.02, 0.3, 0.1, 0.1])
+    batch = ppp_model._laplace(v, r, sc, quad)
+    batch_orders = dict(orders)
+    assert batch_orders[1e8] == [24, 48, 96]
+    assert batch_orders[1e9] == batch_orders[1e10] == [24, 48]
+    assert 0.0 not in batch_orders and batch[2] == 1.0
+    for vi, ri, bi in zip(v, r, batch):
+        orders.clear()
+        one = laplace_dl(vi, ri, sc, quad)
+        assert abs(bi - one) <= 1e-15 * one
+        assert orders.get(float(vi), []) == batch_orders.get(float(vi), [])
+    # no refinement allowed, or none left: the error names the failing pair
+    for stop in ({"refine": False}, {"max_refinements": 0}):
+        strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-6, **stop})
+        with pytest.raises(IntegrationError) as scalar:
+            laplace_dl(1e8, 0.3, sc, strict)
+        with pytest.raises(IntegrationError, match="v=100000000.0, r=0.3") as batched:
+            ppp_model._laplace(v, r, sc, strict)
+        assert batched.value.achieved == scalar.value.achieved
+        assert batched.value.discrepancy == scalar.value.discrepancy > 1e-6
 
 
 def test_laplace_basic_properties():
