@@ -122,20 +122,20 @@ def _inverse_round_trips():
     worst_series_04 = 0.0
     for x in xs:
         y = downlink_inverse_sinr(x, net, prop, mix, params)
-        x_bis = inv_d(y, net, prop, mix, params)
-        resid = abs(downlink_inverse_sinr(x_bis, net, prop, mix, params) - y) / y
+        x_exact = inv_d(y, net, prop, mix, params)
+        resid = abs(downlink_inverse_sinr(x_exact, net, prop, mix, params) - y) / y
         worst_d = max(worst_d, resid)
         if x <= 0.5 + 1e-12:
-            dev = abs(inv_d(y, net, prop, mix, params, method="series") - x_bis) / x_bis
+            dev = abs(inv_d(y, net, prop, mix, params, method="series") - x_exact) / x_exact
             worst_series_05 = max(worst_series_05, dev)
             if x <= 0.4 + 1e-12:
                 worst_series_04 = max(worst_series_04, dev)
 
-    # the series inverse misses bisection by up to ~4.4% at mid-cell, so
+    # the series inverse misses the exact root by up to ~4.4% at mid-cell, so
     # the recorded tolerance is 5% out to x = 0.5 (2% holds to x = 0.4)
     ok = worst_u <= 1e-12 and worst_d <= 1e-10 and worst_series_05 <= 0.05 and worst_series_04 <= 0.02
     return (
-        f"uplink {worst_u:.2e} (req<=1e-12), bisection residual {worst_d:.2e} (req<=1e-10), "
+        f"uplink {worst_u:.2e} (req<=1e-12), Brent residual {worst_d:.2e} (req<=1e-10), "
         f"series dev {worst_series_05 * 100:.2f}% x<=0.5 (req<=5%), "
         f"{worst_series_04 * 100:.2f}% x<=0.4 (req<=2%)", ok,
     )

@@ -367,14 +367,7 @@ def _isr_rows(cfg):
 def _ase_rows(cfg):
     rows = []
     for lam in cfg.lambda_grid:
-        scenario = SmallCellScenario(
-            lam=float(lam),
-            window_radius=cfg.window_radius,
-            p_small_dbm=cfg.p_small_dbm,
-            p_small_star_dbm=cfg.p_small_star_dbm,
-            prop=cfg.prop,
-            mix=cfg.mix,
-        )
+        scenario = dataclasses.replace(cfg, lam=float(lam)).scenario()
         if cfg.mode in ("analytic", "both"):
             value = ppp_model.ase(scenario, cfg.direction, cfg.quadrature)
         if cfg.mode in ("mc", "both"):

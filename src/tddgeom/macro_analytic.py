@@ -460,13 +460,13 @@ def _series_coefficients(net, prop, mix, params, ctrl):
     return f, c1f / f
 
 
-def inv_d(y, net, prop, mix, params=None, ctrl=None, method="bisection"):
+def inv_d(y, net, prop, mix, params=None, ctrl=None, method="exact"):
     """Radius x at which the downlink map takes the value y.
 
-    method="bisection" solves d(x) = y on (0, x_edge] to machine
-    precision in x and is the reference.  method="series" inverts the
-    two-term truncation d ~ f x^{2b} (1 + c1 x^2): with
-    V = (y/f)^{1/(2b)},
+    method="exact" solves d(x) = y on (0, x_edge] by Brent's method
+    (scipy.optimize.brentq) to 1e-15 x_edge and is the reference.
+    method="series" inverts the two-term truncation
+    d ~ f x^{2b} (1 + c1 x^2): with V = (y/f)^{1/(2b)},
 
         x = V / sqrt(1/2 + sqrt(1/4 + (c1/b) V^2)),
 
@@ -483,24 +483,22 @@ def inv_d(y, net, prop, mix, params=None, ctrl=None, method="bisection"):
             raise ValueError("zero interference and noise: map is identically zero")
         v = (y / f) ** (1.0 / (2.0 * prop.b))
         return v / math.sqrt(0.5 + math.sqrt(0.25 + (c1 / prop.b) * v * v))
-    if method != "bisection":
-        raise ValueError(f"method must be 'bisection' or 'series', got {method!r}")
+    if method != "exact":
+        raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
     x_hi = net.x_edge
     d_hi = downlink_inverse_sinr(x_hi, net, prop, mix, params, ctrl)
     if y > d_hi:
         raise ValueError(f"value {y} exceeds the map's maximum {d_hi} at the cell edge")
     if y == d_hi:
         return x_hi
-    lo, hi = 0.0, x_hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if downlink_inverse_sinr(mid, net, prop, mix, params, ctrl) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * x_hi:
-            break
-    return 0.5 * (lo + hi)
+    # imported here: scipy.optimize costs about 46 MB and 0.4 s to load,
+    # which the paths that never invert this map should not pay
+    from scipy.optimize import brentq
+
+    return brentq(
+        lambda x: downlink_inverse_sinr(x, net, prop, mix, params, ctrl) - y,
+        0.0, x_hi, xtol=1e-15 * x_hi, rtol=4.0 * np.finfo(float).eps,
+    )
 
 
 def _taylor_coefficients(coefficient, x_max, ctrl):
@@ -652,8 +650,8 @@ def coverage_macro(gamma_db, direction, net, prop, mix, params=None, ctrl=None):
     bracketed Newton iteration finds it to 1e-10 x_edge.
 
     Downlink with alpha_d in {0, 1}: a single pattern, and x_gamma is
-    the bisection inverse of the angle-averaged map
-    :func:`downlink_inverse_sinr`.
+    where the angle-averaged map :func:`downlink_inverse_sinr` crosses
+    1/gamma, found by Brent's method (:func:`inv_d`).
 
     Uplink: mean-field, x_gamma from the closed-form inverse
     :func:`inv_u`.  For k = 1 the uplink SINR is radius-free and
@@ -671,7 +669,7 @@ def coverage_macro(gamma_db, direction, net, prop, mix, params=None, ctrl=None):
             return _pattern_averaged_coverage(y, _pattern_maps(net, prop, mix, params, ctrl))
         if downlink_inverse_sinr(x_edge, net, prop, mix, params, ctrl) <= y:
             return 1.0
-        x_gamma = inv_d(y, net, prop, mix, params, ctrl, method="bisection")
+        x_gamma = inv_d(y, net, prop, mix, params, ctrl)
         return (x_gamma / x_edge) ** 2
     if prop.k == 1:
         return 1.0 if uplink_inverse_sinr(x_edge, net, prop, mix, params, ctrl) <= y else 0.0

@@ -20,7 +20,9 @@ scale where the interference kernel turns over and its tail is mapped
 by s = (x_break/x)^{2b-2}, which makes the integrand asymptotically
 constant.  The offset angle takes the midpoint rule on n_theta nodes,
 folded onto its distinct cosines (theta and 2 pi - theta share one), so
-ceil(n_theta / 2) angles are evaluated.  The retention kernel works on a
+ceil(n_theta / 2) angles are evaluated.  The kernel returns the
+interfered fraction itself, not one minus the retention, so the far
+tail of the PGFL keeps its relative accuracy.  It works on a
 batch of (v, r) pairs at once: a coverage estimate sends all of its
 serving nodes in one call, and the uplink term is built angle-first and
 in place, in chunks capped at _CHUNK elements (about 1 MB) so that a
@@ -115,11 +117,12 @@ class QuadratureControl:
 
     inner_abs_tol bounds the accepted doubling discrepancy of one
     Laplace-transform value, outer_abs_tol the same for a coverage
-    value.  With refine=True a failing comparison doubles the orders up
-    to max_refinements times before raising; refine=False raises at the
-    first failure.  The doubled orders are n_x and n_rho (Laplace) and
-    n_serving (coverage); n_theta is never doubled, so the tolerances do
-    not bound the error of the angle rule.
+    value.  A failing comparison doubles the orders up to
+    max_refinements times before raising; max_refinements=0 raises at
+    the first failure.  The doubled orders are n_x and n_rho (Laplace)
+    and n_serving (coverage); n_theta is never doubled, so the
+    tolerances do not bound the error of the angle rule.  ase_rel_tol
+    ends the spectral-efficiency panels (see :func:`ase`).
     """
 
     inner_abs_tol: float = 1e-6
@@ -128,18 +131,14 @@ class QuadratureControl:
     n_rho: int = 64
     n_x: int = 48
     n_serving: int = 48
-    n_ase: int = 16
-    ase_panel_width: float = 2.0
     ase_rel_tol: float = 1e-4
-    max_panels: int = 40
     max_refinements: int = 2
-    refine: bool = True
 
     def __post_init__(self):
-        for name in ("inner_abs_tol", "outer_abs_tol", "ase_panel_width", "ase_rel_tol"):
+        for name in ("inner_abs_tol", "outer_abs_tol", "ase_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("n_theta", "n_rho", "n_x", "n_serving", "n_ase", "max_panels"):
+        for name in ("n_theta", "n_rho", "n_x", "n_serving"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
         if self.max_refinements < 0:
@@ -152,6 +151,12 @@ _DEFAULT_QUAD = QuadratureControl()
 # the in-place passes over it stay in cache and a large batch adds no
 # memory
 _CHUNK = 1 << 17
+
+# the spectral-efficiency integral: Gauss nodes per panel, panel width
+# in g = ln(1 + gamma), and the most panels before giving up
+_ASE_NODES = 16
+_ASE_PANEL_WIDTH = 2.0
+_ASE_MAX_PANELS = 40
 
 
 @lru_cache(maxsize=64)
@@ -320,12 +325,15 @@ def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
 
 
 def _mean_kernel(x, v, scenario, n_theta, n_rho):
-    """Rayleigh-offset and angle average of the retention kernel at
+    """Rayleigh-offset and angle average of the interfered fraction
+    1 - E[exp(-v h P d^{-2b})] = v P d^{-2b} / (1 + v P d^{-2b}) at
     interfering-cell distances x, each paired with the transform
     variable v of the same position (x and v are 1-D arrays of one
     length): downlink pairs interfere from the cell itself, uplink pairs
     from the user displaced off the cell, under power control on the
-    same offset.
+    same offset.  The fraction is formed directly, never as one minus
+    the retention: far out it is about 1e-10, and the subtraction would
+    leave only its leading digits.
 
     The typical user and the typical cell see the same field, so one
     kernel serves both receptions: the offset angle is uniform, and the
@@ -337,15 +345,16 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     The uplink term is built theta-first, one chunk of positions at a
     time, in one buffer of at most _CHUNK elements; it is skipped when
     no uplink pair transmits (alpha_u = 0 or zero uplink power), where
-    its retention is exactly 1.
+    its fraction is exactly 0.
     """
     prop = scenario.prop
     b = prop.b
     mix = scenario.mix
-    t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
+    a_dl = v * scenario.p_small_mw * x ** (-2.0 * b)
+    f_dl = a_dl / (1.0 + a_dl)
     p_ul = scenario.p_small_star_mw
     if mix.alpha_u == 0.0 or p_ul == 0.0:
-        return mix.alpha_d * t_dl + mix.alpha_u
+        return mix.alpha_d * f_dl
     u, w = _gl_unit(n_rho)
     rho = np.sqrt(-np.log1p(-u) / (scenario.lam * math.pi))
     rho2 = rho * rho
@@ -354,7 +363,7 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     n_t = w_theta.size
     step = max(1, _CHUNK // (n_t * n_rho))
     buf = np.empty(n_t * min(step, x.size) * n_rho)
-    t_ul = np.empty(x.size)
+    f_ul = np.empty(x.size)
     for lo in range(0, x.size, step):
         xs = x[lo:lo + step, None]
         m = xs.shape[0]
@@ -364,21 +373,21 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
         for j, c in enumerate(cos_theta):
             np.multiply(cross, c, out=d2[j])
             np.subtract(near, d2[j], out=d2[j])
-        # 1 / (1 + v P* rho^{2bk} d2^{-b}), through the logarithm so that
-        # every step runs in place
+        # 1 / (1 + d2^b / (v P* rho^{2bk})), through the logarithm so
+        # that every step runs in place
         np.log(d2, out=d2)
-        d2 *= -b
-        d2 += np.log(v[lo:lo + step, None] * p_ul * pc)
+        d2 *= b
+        d2 -= np.log(v[lo:lo + step, None] * p_ul * pc)
         np.exp(d2, out=d2)
         d2 += 1.0
         np.reciprocal(d2, out=d2)
-        t_ul[lo:lo + m] = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_rho) @ w
-    return mix.alpha_d * t_dl + mix.alpha_u * t_ul
+        f_ul[lo:lo + m] = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_rho) @ w
+    return mix.alpha_d * f_dl + mix.alpha_u * f_ul
 
 
 def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
     """Per (v, r) pair of the 1-D arrays v and r: the integral over
-    (r, infinity) of (1 - _mean_kernel(x)) x dx, split at the kernel
+    (r, infinity) of _mean_kernel(x) x dx, split at the kernel
     turnover scale with an algebraic tail map.  All nodes of all pairs
     go through one kernel call."""
     prop = scenario.prop
@@ -400,13 +409,13 @@ def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
     s, ws = _gl_unit(n_x)
     xt = x_break[:, None] * s ** (-1.0 / z)
     jac = (x_break * x_break / z)[:, None] * s ** (-2.0 / z - 1.0)
-    keep = 1.0 - _mean_kernel(
+    frac = _mean_kernel(
         np.concatenate((xm.ravel(), xt.ravel())),
         np.concatenate((np.repeat(v[mid], n_x), np.repeat(v, n_x))),
         scenario, n_theta, n_rho,
     ).reshape(-1, n_x)
-    total = (keep[mid.size:] * jac * ws).sum(axis=1)
-    total[mid] += (keep[: mid.size] * xm * wm).sum(axis=1)
+    total = (frac[mid.size:] * jac * ws).sum(axis=1)
+    total[mid] += (frac[: mid.size] * xm * wm).sum(axis=1)
     return total
 
 
@@ -431,8 +440,6 @@ def _laplace(v, r, scenario, quad):
         todo, coarse, disc = todo[~done], fine[~done], disc[~done]
         if todo.size == 0:
             return out
-        if not quad.refine:
-            break
         n_x, n_rho = 2 * n_x, 2 * n_rho
     raise IntegrationError(
         f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[todo[0]]}, r={r[todo[0]]}",
@@ -468,10 +475,12 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     else:
         exp_serving = prop.two_b * (1.0 - prop.k)
         p_serv = scenario.p_small_star_mw
+    if p_serv == 0.0:
+        return 0.0  # a silent serving link: the SINR is 0
     lam_pi = scenario.lam * math.pi
     # extra Rayleigh rate flattens the interference-induced decay of the
     # integrand so a fixed Gauss rule resolves large thresholds; the rate
-    # is measured from the retention integral at a tail reference radius,
+    # is measured from the PGFL integral at a tail reference radius,
     # where the exclusion ball makes it grow quadratically
     r_ref = 3.0 / math.sqrt(lam_pi)
     v_ref = gamma * r_ref**exp_serving / p_serv
@@ -498,8 +507,6 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
         disc = abs(fine - coarse)
         if disc <= quad.outer_abs_tol:
             return min(fine, 1.0)
-        if not quad.refine:
-            break
         coarse = fine
         n *= 2
     raise IntegrationError(
@@ -538,10 +545,10 @@ def ase(scenario, direction, quad=None, coverage_fn=None):
         def coverage_fn(gamma_db):
             return _coverage_analytic(gamma_db, scenario, quad, direction)
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad.n_ase)
-    width = quad.ase_panel_width
+    nodes, weights = _gl_signed(_ASE_NODES)
+    width = _ASE_PANEL_WIDTH
     total = 0.0
-    for panel in range(quad.max_panels):
+    for panel in range(_ASE_MAX_PANELS):
         lo = panel * width
         g = lo + 0.5 * width * (nodes + 1.0)
         w = 0.5 * width * weights
@@ -551,6 +558,6 @@ def ase(scenario, direction, quad=None, coverage_fn=None):
         if panel >= 1 and contrib <= quad.ase_rel_tol * total:
             return total / math.log(2.0)
     raise IntegrationError(
-        f"spectral-efficiency integral still growing after {quad.max_panels} panels",
+        f"spectral-efficiency integral still growing after {_ASE_MAX_PANELS} panels",
         achieved=total / math.log(2.0),
     )

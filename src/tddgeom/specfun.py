@@ -1,7 +1,7 @@
 """Special functions for lattice interference series.
 
-Provides the Riemann and Hurwitz zeta functions for real argument
-s > 1, the hexagonal-lattice constant
+Provides the Hurwitz zeta function for real argument s > 1 (the
+Riemann zeta function is zeta(s, 1)), the hexagonal-lattice constant
 
     omega(z) = 3**(-z) * zeta(z) * (zeta(z, 1/3) - zeta(z, 2/3)),
 
@@ -22,7 +22,6 @@ from .errors import TruncationError
 __all__ = [
     "SeriesControl",
     "ShadowingSpec",
-    "riemann_zeta",
     "hurwitz_zeta",
     "omega",
     "shadowing_mean_factor",
@@ -109,7 +108,9 @@ def sum_series(terms, ctrl=None):
     return total
 
 
-# Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
+# direct terms of the Euler-Maclaurin sum, and the Bernoulli numbers
+# B_2, B_4, ..., B_16 of its tail
+_N_LEAD = 16
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -122,39 +123,7 @@ _BERNOULLI = (
 )
 
 
-def _hurwitz_em(s, q, n_lead):
-    """Euler-Maclaurin evaluation of zeta(s, q) with n_lead leading terms.
-
-    Returns (value, error_bound) where the bound is the magnitude of the
-    last correction term actually used.
-
-    zeta(s, q) = sum_{n<N} (n+q)^-s + (N+q)^(1-s)/(s-1) + (N+q)^-s / 2
-                 + sum_j B_2j/(2j)! * (s)_(2j-1) * (N+q)^(-s-2j+1)
-    """
-    base = n_lead + q
-    lead = 0.0
-    # summed smallest-first for accuracy
-    for n in range(n_lead - 1, -1, -1):
-        lead += (n + q) ** (-s)
-    value = lead + base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
-    poch = s  # (s)_1
-    power = base ** (-s - 1.0)
-    fact = 2.0  # (2j)!
-    last = 0.0
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        term = b2j / fact * poch * power
-        if abs(term) > abs(last) and j > 1:
-            # asymptotic tail started growing; stop at the smallest term
-            break
-        value += term
-        last = term
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= base * base
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return value, abs(last)
-
-
-def hurwitz_zeta(s, q, rel_tol=1e-13):
+def hurwitz_zeta(s, q):
     """Hurwitz zeta function zeta(s, q) = sum_{n>=0} (n+q)**-s.
 
     Parameters
@@ -163,32 +132,38 @@ def hurwitz_zeta(s, q, rel_tol=1e-13):
         Exponent, must exceed 1 (the series diverges otherwise).
     q : float
         Offset, must be positive; the classical domain here is (0, 1].
-    rel_tol : float
-        Target relative accuracy of the Euler-Maclaurin tail bound.
 
     Notes
     -----
-    Computed as a direct sum of the N leading terms plus an
-    Euler-Maclaurin correction; N is doubled until the correction bound
-    falls below ``rel_tol`` times the value.
+    Euler-Maclaurin with N = 16 direct terms and eight corrections:
+
+        zeta(s, q) = sum_{n<N} (n+q)^-s + (N+q)^(1-s)/(s-1) + (N+q)^-s / 2
+                     + sum_{j<=8} B_2j/(2j)! * (s)_(2j-1) * (N+q)^(-s-2j+1).
+
+    For 1 < s <= 55 and 0 < q <= 1, the range omega uses, the first
+    omitted correction is below 1e-21 of the value, and the tests hold
+    the result to scipy.special.zeta within 2e-15.  scipy is not used
+    at run time: loading scipy.special would add about 24 MB and 0.25 s
+    to every process that needs omega.
     """
     if s <= 1:
         raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")
     if q <= 0:
         raise ValueError(f"hurwitz_zeta requires q > 0, got q={q}")
-    n_lead = 16
-    while True:
-        value, bound = _hurwitz_em(s, q, n_lead)
-        if bound <= rel_tol * abs(value) or n_lead >= 4096:
-            return value
-        n_lead *= 2
-
-
-def riemann_zeta(s):
-    """Riemann zeta function for real s > 1."""
-    if s <= 1:
-        raise ValueError(f"riemann_zeta requires s > 1, got s={s}")
-    return hurwitz_zeta(s, 1.0)
+    base = _N_LEAD + q
+    lead = 0.0
+    for n in range(_N_LEAD - 1, -1, -1):  # smallest terms first
+        lead += (n + q) ** (-s)
+    value = lead + base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
+    poch = s  # (s)_(2j-1)
+    power = base ** (-s - 1.0)
+    fact = 2.0  # (2j)!
+    for j, b2j in enumerate(_BERNOULLI, start=1):
+        value += b2j / fact * poch * power
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= base * base
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +183,7 @@ def omega(z):
         raise ValueError(f"omega requires z > 1 (lattice sum diverges), got z={z}")
     if z >= 55:
         return 1.0
-    return 3.0 ** (-z) * riemann_zeta(z) * (hurwitz_zeta(z, 1.0 / 3.0) - hurwitz_zeta(z, 2.0 / 3.0))
+    return 3.0 ** (-z) * hurwitz_zeta(z, 1.0) * (hurwitz_zeta(z, 1.0 / 3.0) - hurwitz_zeta(z, 2.0 / 3.0))
 
 
 def shadowing_mean_factor(spec):

@@ -273,7 +273,7 @@ def test_inv_u_round_trip():
         inv_u(1.0, prop.b, 1.0, mix, params)
 
 
-def test_inv_d_bisection_round_trip():
+def test_inv_d_exact_round_trip():
     net = MacroNetwork()
     prop = PropagationParams()
     mix = TddMix(alpha_d=0.5)
@@ -283,8 +283,11 @@ def test_inv_d_bisection_round_trip():
         back = inv_d(y, net, prop, mix, params)
         assert back == pytest.approx(x, rel=1e-10)
     edge = downlink_inverse_sinr(net.x_edge, net, prop, mix, params)
+    assert inv_d(edge, net, prop, mix, params) == net.x_edge
     with pytest.raises(ValueError):
         inv_d(2.0 * edge, net, prop, mix, params)
+    with pytest.raises(ValueError):
+        inv_d(0.5 * edge, net, prop, mix, params, method="bisection")
 
 
 def test_inv_d_series_accuracy_degrades_gracefully():

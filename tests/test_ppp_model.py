@@ -134,9 +134,10 @@ def test_laplace_against_independent_oracle():
 
 
 def _broadcast_kernel(x, v, scenario, n_theta, n_rho):
-    """The retention kernel as one broadcast over (x, rho, theta) on the
-    full midpoint angle grid, with d2 ** (-b): the reference for the
-    folded, chunked kernel.  v holds one transform variable per x."""
+    """The interfered fraction a / (1 + a), a = v P d^{-2b}, as one
+    broadcast over (x, rho, theta) on the full midpoint angle grid, with
+    d2 ** (-b): the reference for the folded, chunked kernel.  v holds
+    one transform variable per x."""
     prop = scenario.prop
     b = prop.b
     u, w = ppp_model._gl_unit(n_rho)
@@ -145,12 +146,10 @@ def _broadcast_kernel(x, v, scenario, n_theta, n_rho):
     xc = x[:, None, None]
     rc = rho[None, :, None]
     d2 = xc * xc + rc * rc - 2.0 * xc * rc * np.cos(theta)[None, None, :]
-    term_ul = 1.0 / (
-        1.0 + v[:, None, None] * scenario.p_small_star_mw * rc ** (2.0 * b * prop.k) * d2 ** (-b)
-    )
-    t_ul = term_ul.mean(axis=2) @ w
-    t_dl = 1.0 / (1.0 + v * scenario.p_small_mw * x ** (-2.0 * b))
-    return scenario.mix.alpha_d * t_dl + scenario.mix.alpha_u * t_ul
+    a_ul = v[:, None, None] * scenario.p_small_star_mw * rc ** (2.0 * b * prop.k) * d2 ** (-b)
+    f_ul = (a_ul / (1.0 + a_ul)).mean(axis=2) @ w
+    a_dl = v * scenario.p_small_mw * x ** (-2.0 * b)
+    return scenario.mix.alpha_d * a_dl / (1.0 + a_dl) + scenario.mix.alpha_u * f_ul
 
 
 @pytest.mark.parametrize("n_theta", [16, 15])
@@ -166,15 +165,32 @@ def test_kernel_matches_the_broadcast_reference(n_theta, k, alpha_d):
     assert np.max(np.abs(ours - ref) / ref) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha_d", [0.0, 0.5])
+def test_kernel_keeps_its_relative_accuracy_in_the_far_tail(alpha_d):
+    # the tail nodes of the PGFL at (v, r) = (1e10, 0.2) and n_x = 96,
+    # where the interfered fraction falls to about 1e-10: one minus the
+    # retention would keep only its leading six digits there
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=alpha_d))
+    two_b = sc.prop.two_b
+    x_break = (1e10 * sc.p_small_mw) ** (1.0 / two_b)  # the turnover scale, beyond r
+    s, _ = ppp_model._gl_unit(96)
+    x = x_break * s ** (-1.0 / (two_b - 2.0))
+    v = np.full(x.size, 1e10)
+    ref = _broadcast_kernel(x, v, sc, 16, 32)
+    assert ref.min() < 1e-9
+    ours = ppp_model._mean_kernel(x, v, sc, 16, 32)
+    assert np.max(np.abs(ours - ref) / ref) <= 1e-13
+
+
 def test_silent_uplink_pairs_retain_exactly():
     x = np.geomspace(0.01, 10.0, 50)
     v = np.full(x.size, 1e9)
     with np.errstate(all="raise"):
         for alpha_d in (0.5, 0.0):
             sc = SmallCellScenario(lam=10.0, p_small_star_dbm=-math.inf, mix=TddMix(alpha_d=alpha_d))
-            t_dl = 1.0 / (1.0 + v * sc.p_small_mw * x ** (-sc.prop.two_b))
+            a_dl = v * sc.p_small_mw * x ** (-sc.prop.two_b)
             np.testing.assert_array_equal(
-                ppp_model._mean_kernel(x, v, sc, 16, 32), alpha_d * t_dl + (1.0 - alpha_d)
+                ppp_model._mean_kernel(x, v, sc, 16, 32), alpha_d * (a_dl / (1.0 + a_dl))
             )
         # at alpha_d = 0 nothing transmits: the interference is exactly zero
         assert laplace_dl(1e9, 0.1, sc) == 1.0
@@ -207,15 +223,14 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
         one = laplace_dl(vi, ri, sc, quad)
         assert abs(bi - one) <= 1e-15 * one
         assert orders.get(float(vi), []) == batch_orders.get(float(vi), [])
-    # no refinement allowed, or none left: the error names the failing pair
-    for stop in ({"refine": False}, {"max_refinements": 0}):
-        strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-6, **stop})
-        with pytest.raises(IntegrationError) as scalar:
-            laplace_dl(1e8, 0.3, sc, strict)
-        with pytest.raises(IntegrationError, match="v=100000000.0, r=0.3") as batched:
-            ppp_model._laplace(v, r, sc, strict)
-        assert batched.value.achieved == scalar.value.achieved
-        assert batched.value.discrepancy == scalar.value.discrepancy > 1e-6
+    # no refinement allowed: the error names the failing pair
+    strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-6, "max_refinements": 0})
+    with pytest.raises(IntegrationError) as scalar:
+        laplace_dl(1e8, 0.3, sc, strict)
+    with pytest.raises(IntegrationError, match="v=100000000.0, r=0.3") as batched:
+        ppp_model._laplace(v, r, sc, strict)
+    assert batched.value.achieved == scalar.value.achieved
+    assert batched.value.discrepancy == scalar.value.discrepancy > 1e-6
 
 
 def test_laplace_basic_properties():
@@ -326,12 +341,24 @@ def test_coverage_ppp_monotone_and_bounded():
 
 def test_laplace_nonconvergence_is_loud():
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
-    strict = QuadratureControl(inner_abs_tol=1e-300, refine=False)
+    strict = QuadratureControl(inner_abs_tol=1e-300, max_refinements=0)
     with pytest.raises(IntegrationError) as excinfo:
         laplace_dl(1e9, 0.1, sc, quad=strict)
     err = excinfo.value
     assert err.achieved is not None and 0.0 < err.achieved < 1.0
     assert err.discrepancy is not None and err.discrepancy > 0.0
+
+
+@pytest.mark.parametrize("direction, silent", [("dl", "p_small_dbm"), ("ul", "p_small_star_dbm")])
+def test_silent_serving_link_has_zero_coverage(direction, silent):
+    # zero serving power: the SINR is 0 on every route
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5), **{silent: -math.inf})
+    analytic = {"dl": coverage_ppp_dl, "ul": coverage_ppp_ul}[direction]
+    assert analytic(0.0, sc) == 0.0
+    assert analytic(-30.0, sc, QuadratureControl(**FAST_QUAD)) == 0.0
+    curve = mc_coverage_ppp(sc, direction, [-30.0, 0.0], 200, seed=5)
+    np.testing.assert_array_equal(curve.value, 0.0)
+    assert ase(sc, direction, QuadratureControl(**FAST_QUAD)) == 0.0
 
 
 def test_ase_synthetic_profiles():
