@@ -409,19 +409,22 @@ def run(cfg, out_dir=None, label=None):
 
     Returns the CSV path.  The output directory resolves in order:
     explicit argument, config field, TDDGEOM_OUT, current directory.
+    The sidecar records the wall time of the computation (a monotonic
+    clock), and for a Monte Carlo coverage or ASE run the number of
+    draws and the draws per second.
     """
     out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
     os.makedirs(out, exist_ok=True)
     name = label or cfg.label or f"{cfg.geometry}-{cfg.experiment}-{cfg.direction}"
 
-    start = time.time()
+    start = time.perf_counter()
     if cfg.experiment == "coverage":
         header, rows = _coverage_rows(cfg)
     elif cfg.experiment == "isr":
         header, rows = _isr_rows(cfg)
     else:
         header, rows = _ase_rows(cfg)
-    wall = time.time() - start
+    wall = time.perf_counter() - start
 
     csv_path = os.path.join(out, f"{name}.csv")
     _write_csv(csv_path, header, rows)
@@ -431,6 +434,11 @@ def run(cfg, out_dir=None, label=None):
         "version": _version_string(),
         "wall_time_s": round(wall, 3),
     }
+    if cfg.mode == "mc" and cfg.experiment != "isr":
+        # the Monte Carlo runs one sampler per density of an ASE sweep
+        draws = cfg.n_draws * (len(cfg.lambda_grid) if cfg.experiment == "ase" else 1)
+        meta["mc_draws"] = draws
+        meta["mc_draws_per_s"] = round(draws / wall, 1)
     with open(os.path.join(out, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -124,6 +124,24 @@ def _disk_average_quadrature(sites, z0, net, prop, n_radial=16, n_angular=24):
     return float(np.sum(kern.mean(axis=2) * w[None, :]))
 
 
+# elements (draws x sites) per Monte Carlo chunk: about 2 MB per array,
+# so the temporaries of one chunk stay small
+_CHUNK = 1 << 18
+
+
+def _dist2_polar(abs_w, half_arg_w, rho, u):
+    """|w + rho e^{2 pi i u}|^2, for w given by |w| and arg(w) / 2.
+
+    Written as (|w| - rho)^2 + 4 |w| rho cos^2(pi u - arg(w) / 2), so
+    one cosine per element replaces the complex exponential, and a
+    point near -w loses no more digits than the complex difference
+    would."""
+    c = np.cos(math.pi * u - half_arg_w)
+    c *= c
+    c *= 4.0 * abs_w * rho
+    return c + (abs_w - rho) ** 2
+
+
 def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correction=True):
     """Uplink-to-downlink ISR: Monte Carlo average over interfering
     mobile positions, one uniform-disk mobile per site.
@@ -139,6 +157,9 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
     the kept rings uses the mean power-control factor
     E[rho**(two_b k)] = R**(two_b k) / (b k + 1).  Pass ``mc_rings=None``
     to sample every kept ring instead.
+
+    The samples are one stream, (seed, 0), read as (rho, phi) uniforms
+    per site and sample in order, in chunks of about _CHUNK elements.
 
     Returns
     -------
@@ -161,17 +182,22 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
     bk = prop.b * prop.k
 
     gen = rng.stream(seed, 0)
-    near_sites = sites[near]
-    chunk = max(1, int(2.0e6 / max(near_sites.size, 1)))
+    # each mobile's offset from the receiver, before its own displacement
+    offset = sites[near] - z0
+    abs_w = np.abs(offset)
+    half_arg_w = 0.5 * np.angle(offset)
+    chunk = max(1, _CHUNK // max(offset.size, 1))
+    u = np.empty((min(chunk, n_samples), offset.size, 2))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_samples:
         cn = min(chunk, n_samples - done)
-        u = gen.random((cn, near_sites.size, 2))
-        rho = radius * np.sqrt(u[..., 0])
-        pos = near_sites[None, :] + rho * np.exp(2j * math.pi * u[..., 1])
-        per_draw = np.sum(rho ** (2.0 * bk) * np.abs(pos - z0) ** (-prop.two_b), axis=1)
+        uc = u[:cn]
+        gen.random(out=uc)
+        rho2 = radius * radius * uc[..., 0]
+        d2 = _dist2_polar(abs_w, half_arg_w, np.sqrt(rho2), uc[..., 1])
+        per_draw = np.sum(rho2**bk * d2 ** (-prop.b), axis=1)
         total += float(per_draw.sum())
         total_sq += float((per_draw**2).sum())
         done += cn
@@ -189,33 +215,58 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
     return estimate, stderr
 
 
-def _macro_chunk(sites, net, prop, mix, direction, seed, start, n):
+def _macro_chunk(sites, net, prop, mix, direction, streams, start, n):
     """Draws start .. start + n - 1 of the macro simulator; see
     :func:`_macro_chunks`."""
     ns = sites.size
     radius = net.cell_radius
-    two_b = prop.two_b
+    b = prop.b
     vals = np.empty((n, 2 + 3 * ns))
     for j in range(n):
-        vals[j] = rng.stream(seed, start + j).random(2 + 3 * ns)
+        streams.at(start + j).random(out=vals[j])
     r = radius * np.sqrt(vals[:, 0])
     # interferer transmits downlink iff its uniform draw falls below alpha_d
     is_dl = vals[:, 2 : 2 + ns] < mix.alpha_d
-    rho = radius * np.sqrt(vals[:, 2 + ns : 2 + 2 * ns])
-    phi = 2.0 * math.pi * vals[:, 2 + 2 * ns :]
-    # interference lands on the user (downlink) or on the origin site (uplink)
-    target = (r * np.exp(2j * math.pi * vals[:, 1]))[:, None] if direction == "dl" else 0.0
-    del vals  # the uniforms are spent; free them before the complex arrays
-    mobiles = sites[None, :] + rho * np.exp(1j * phi)
-    del phi
-    cell_term = prop.p_dl_mw * np.abs(sites[None, :] - target) ** (-two_b)
-    mobile_term = prop.p_star_mw * rho ** (2 * prop.b * prop.k) * np.abs(mobiles - target) ** (-two_b)
-    with np.errstate(divide="ignore"):
-        if direction == "dl":
-            useful = prop.p_dl_mw * r ** (-two_b)
-        else:
-            useful = prop.p_star_mw * r ** (-two_b * (1 - prop.k))
-    return r, useful, is_dl, cell_term, mobile_term
+    # the uplink sites, as flat (draw, site) indices, and their mobiles'
+    # radius and angle uniforms in the flattened row-major vals
+    ul = np.flatnonzero(~is_dl)
+    row = np.repeat(np.arange(n), ns - np.count_nonzero(is_dl, axis=1))
+    site = ul - row * ns
+    at = ul + row * (2 + 2 * ns) + 2 + ns
+    flat = vals.reshape(-1)
+    rho2 = radius * radius * flat[at]
+    u_phi = flat[at + ns]
+    amp = prop.p_star_mw * rho2 ** (b * prop.k)
+    if direction == "dl":
+        # interference lands on the user: a downlink site's from the
+        # cell, an uplink site's from its mobile
+        psi = 2.0 * math.pi * vals[:, 1]
+        dx = sites.real - (r * np.cos(psi))[:, None]
+        dy = sites.imag - (r * np.sin(psi))[:, None]
+        term = dx * dx
+        term += dy * dy
+        rho = np.sqrt(rho2)
+        # the mobile angle less pi: cosine and sine are cheaper on (-pi, pi)
+        phi = 2.0 * math.pi * (u_phi - 0.5)
+        mx = dx.reshape(-1)[ul] - rho * np.cos(phi)
+        my = dy.reshape(-1)[ul] - rho * np.sin(phi)
+        d2 = mx * mx
+        d2 += my * my
+        with np.errstate(divide="ignore"):
+            useful = prop.p_dl_mw * r ** (-prop.two_b)
+    else:
+        # interference lands on the origin site: a downlink site's term
+        # is the same in every draw
+        abs_s = np.abs(sites)
+        term = np.empty((n, ns))
+        term[:] = abs_s * abs_s
+        d2 = _dist2_polar(abs_s[site], 0.5 * np.angle(sites)[site], np.sqrt(rho2), u_phi)
+        with np.errstate(divide="ignore"):
+            useful = prop.p_star_mw * r ** (-prop.two_b * (1 - prop.k))
+    np.power(term, -b, out=term)
+    term *= prop.p_dl_mw
+    term.reshape(-1)[ul] = amp * d2 ** (-b)
+    return r, useful, is_dl, term
 
 
 def _macro_chunks(net, prop, mix, direction, n_draws, seed):
@@ -225,44 +276,46 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed):
     interfering site independently transmits downlink with probability
     alpha_d or hosts one uniform-disk uplink mobile under fractional
     power control.  Yields, per chunk of n draws, the user radii and the
-    useful powers (shape (n,)), the downlink flags and the mobile terms
-    (shape (n, sites)), and the cell terms (shape (n, sites), or
-    (1, sites) for uplink, where they do not depend on the draw).
+    useful powers (shape (n,)), the downlink flags, and each site's
+    interference term at the receiver (shape (n, sites)): the cell's
+    for a downlink site, its mobile's for an uplink site.
 
-    Draw i consumes only stream (seed, i), so any chunking reproduces
-    the same numbers.  A chunk is built from about 4e6 uniforms, and a
-    consumer drops its references to one chunk before asking for the
-    next, so that two are never held at once.
+    Draw i reads only stream (seed, i), as 2 + 3 * sites uniforms: the
+    user radius and angle, then per site the direction flag, the mobile
+    radius and the mobile angle.  A row is filled in place from one
+    re-positioned Philox, so any chunking reproduces the same numbers.
+    A chunk holds about _CHUNK site terms, and a consumer drops its
+    references to one chunk before asking for the next, so that two are
+    never held at once.
     """
     direction = check_direction(direction)
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     sites = lattice_points(net)
-    chunk = max(1, int(4.0e6 / (3 * sites.size)))
+    streams = rng.Streams(seed)
+    chunk = max(1, _CHUNK // sites.size)
     for start in range(0, n_draws, chunk):
-        yield _macro_chunk(sites, net, prop, mix, direction, seed, start, min(chunk, n_draws - start))
+        yield _macro_chunk(sites, net, prop, mix, direction, streams, start, min(chunk, n_draws - start))
 
 
 def macro_interference_draws(net, prop, mix, direction, n_draws, seed):
     """Per-draw interference decomposition for the macro simulator.
 
     Returns a dict of arrays of length ``n_draws``: the useful received
-    power, the downlink-site and uplink-site interference sums (computed
-    separately by boolean masking), a fused total computed site-by-site
-    in one where-pass, and the user radius.  The fused total and the sum
-    of the two parts agree up to summation-order rounding.  Draw i
+    power, the downlink-site and uplink-site interference sums, their
+    total summed site by site, and the user radius.  The total and the
+    sum of the two parts agree up to summation-order rounding.  Draw i
     consumes only stream (seed, i), so any chunking of a larger run
     reproduces these numbers exactly.
     """
     out = {key: [] for key in ("useful", "from_dl_sites", "from_ul_sites", "i_total", "r_user")}
-    for r, useful, is_dl, cell_term, mobile_term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
-        cell_term = np.broadcast_to(cell_term, is_dl.shape)
+    for r, useful, is_dl, term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
         out["useful"].append(useful)
-        out["from_dl_sites"].append([row[on].sum() for row, on in zip(cell_term, is_dl)])
-        out["from_ul_sites"].append([row[~on].sum() for row, on in zip(mobile_term, is_dl)])
-        out["i_total"].append(np.where(is_dl, cell_term, mobile_term).sum(axis=1))
+        out["from_dl_sites"].append(np.where(is_dl, term, 0.0).sum(axis=1))
+        out["from_ul_sites"].append(np.where(is_dl, 0.0, term).sum(axis=1))
+        out["i_total"].append(term.sum(axis=1))
         out["r_user"].append(r)
-        del r, useful, is_dl, cell_term, mobile_term  # release the chunk before the next is built
+        del r, useful, is_dl, term  # release the chunk before the next is built
     return {key: np.concatenate(parts) for key, parts in out.items()}
 
 
@@ -277,11 +330,10 @@ def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
     grid = check_gamma_grid(gamma_grid_db)
     gamma_lin = 10.0 ** (grid / 10.0)
     counts = np.zeros(grid.size, dtype=np.int64)
-    for _, useful, is_dl, cell_term, mobile_term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
-        interference = np.where(is_dl, cell_term, mobile_term).sum(axis=1)
-        sinr = useful / (net.load_eta * interference + prop.p_noise_mw)
+    for _, useful, _, term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
+        sinr = useful / (net.load_eta * term.sum(axis=1) + prop.p_noise_mw)
         counts += (sinr[:, None] > gamma_lin[None, :]).sum(axis=0)
-        del useful, is_dl, cell_term, mobile_term  # release the chunk before the next is built
+        del useful, term  # release the chunk before the next is built
     value = counts / n_draws
     half = 1.96 * np.sqrt(np.maximum(value * (1.0 - value), 0.0) / n_draws)
     return CoverageCurve(grid, value, half)

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import rng
 from .errors import IntegrationError
+from .hexgrid import _dist2_polar
 from .params import (
     CoverageCurve,
     PropagationParams,
@@ -152,6 +153,10 @@ _DEFAULT_QUAD = QuadratureControl()
 # memory
 _CHUNK = 1 << 17
 
+# interfering pairs per chunk of the Monte Carlo sampler: its buffer
+# holds about 6 numbers per pair, 12 MB
+_SAMPLE_CHUNK = 1 << 18
+
 # the spectral-efficiency integral: Gauss nodes per panel, panel width
 # in g = ln(1 + gamma), and the most panels before giving up
 _ASE_NODES = 16
@@ -206,15 +211,20 @@ def _sample(scenario, direction, n_draws, seed, association="rayleigh", serving_
     distance, fixed to serving_r when given, with an exclusion ball of
     that radius around the receiver.  association="nearest" places every
     pair explicitly with no exclusion ball: for downlink the receiver
-    attaches to the nearest cell of the process, whose own user then
-    stops interfering (to a cell at its own-user offset when the window
-    holds none); for uplink the typical cell serves its own user at a
-    Rayleigh offset and every pair interferes.
+    attaches to the nearest cell of the process (the first of equals),
+    whose own user then stops interfering (to a cell at its own-user
+    offset when the window holds none); for uplink the typical cell
+    serves its own user at a Rayleigh offset and every pair interferes.
 
     Draw i consumes only stream (seed, i), in this order: the serving
-    exponential (Rayleigh, unless serving_r is given), the Poisson count,
-    positions, direction flags, offsets, the own-user offset and an
-    unused angle (nearest only), the serving fade, then the fades.
+    exponential (Rayleigh, unless serving_r is given), the Poisson count
+    n, then 3n uniforms (position radii, position angles, direction
+    flags), n offset exponentials, n offset angles, the own-user offset
+    and an unused angle (nearest only), and n + 1 exponentials (the
+    serving fade, then the fades).  Each merged call reads the same
+    numbers as the separate calls it replaces.  A draw's numbers are
+    written into a chunk buffer of about _SAMPLE_CHUNK pairs, and the
+    arithmetic runs once per chunk.
     """
     direction = check_direction(direction)
     if n_draws < 1:
@@ -222,53 +232,103 @@ def _sample(scenario, direction, n_draws, seed, association="rayleigh", serving_
     if association not in ("rayleigh", "nearest"):
         raise ValueError(f"association must be 'rayleigh' or 'nearest', got {association!r}")
     lam_pi = scenario.lam * math.pi
+    mean_n = lam_pi * scenario.window_radius**2
+    nearest = association == "nearest"
+    draw_r = serving_r is None and not nearest
+    # per draw, 6n + 1 numbers, and two more for nearest association
+    extra = 2 if nearest else 0
+    streams = rng.Streams(seed)
+    counts = np.empty(n_draws, dtype=np.int64)
+    serving_exp = np.empty(n_draws)
+    out = tuple(np.empty(n_draws) for _ in range(4))
+    buf = np.empty(6 * _SAMPLE_CHUNK + 1 + extra)
+    lo = used = 0
+    for i in range(n_draws):
+        gen = streams.at(i)
+        if draw_r:
+            serving_exp[i] = gen.standard_exponential()
+        n = int(gen.poisson(mean_n))
+        size = 6 * n + 1 + extra
+        if used + size > buf.size:
+            _sample_chunk(scenario, direction, nearest, serving_r, buf, counts[lo:i],
+                          serving_exp[lo:i], [a[lo:i] for a in out])
+            lo, used = i, 0
+            if size > buf.size:
+                buf = np.empty(size)
+        counts[i] = n
+        block = buf[used : used + size]
+        gen.random(out=block[: 3 * n])
+        gen.standard_exponential(out=block[3 * n : 4 * n])
+        gen.random(out=block[4 * n : 5 * n])
+        if nearest:
+            gen.standard_exponential(out=block[5 * n : 5 * n + 1])
+            gen.random()  # the own-user angle: no quantity depends on it
+        gen.standard_exponential(out=block[5 * n + extra :])
+        used += size
+    _sample_chunk(scenario, direction, nearest, serving_r, buf, counts[lo:],
+                  serving_exp[lo:], [a[lo:] for a in out])
+    return out
+
+
+def _sample_chunk(scenario, direction, nearest, serving_r, buf, counts, serving_exp, out):
+    """The arithmetic of :func:`_sample` for the draws whose numbers are
+    laid out in buf; writes useful, from_dl, from_ul and distance into
+    the four arrays of out."""
+    m = counts.size
+    if m == 0:
+        return
+    useful, from_dl, from_ul, distance = out
+    lam_pi = scenario.lam * math.pi
     w = scenario.window_radius
     prop = scenario.prop
-    two_b = prop.two_b
-    bk = prop.b * prop.k
-    p_dl, p_ul = scenario.p_small_mw, scenario.p_small_star_mw
-    nearest = association == "nearest"
-    useful = np.empty(n_draws)
-    from_dl = np.empty(n_draws)
-    from_ul = np.empty(n_draws)
-    distance = np.empty(n_draws)
-    for i in range(n_draws):
-        gen = rng.stream(seed, i)
-        r = serving_r
-        if r is None and not nearest:
-            r = math.sqrt(gen.standard_exponential() / lam_pi)
-        n = gen.poisson(lam_pi * w * w)
-        pos = w * np.sqrt(gen.random(n)) * np.exp(2j * math.pi * gen.random(n))
-        is_dl = gen.random(n) < scenario.mix.alpha_d
-        rho = np.sqrt(gen.standard_exponential(n) / lam_pi)
-        phi = 2.0 * math.pi * gen.random(n)
-        if nearest:
-            rho0 = math.sqrt(gen.standard_exponential() / lam_pi)
-            gen.random()  # the own-user angle: no quantity depends on it
-        serving_fade = gen.standard_exponential()
-        fades = gen.standard_exponential(n)
+    b = prop.b
+    extra = 2 if nearest else 0
+    size = 6 * counts + 1 + extra
+    block = np.cumsum(size) - size
+    first = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    draw = np.repeat(np.arange(m), counts)
+    step = np.repeat(counts, counts)
+    # index of each pair's first number: its draw's block, plus its rank
+    at = np.repeat(block - first, counts) + np.arange(total)
+    x2 = buf[at]
+    x2 *= w * w  # squared cell distances
+    at += step
+    angle = buf[at]
+    at += step
+    is_dl = buf[at] < scenario.mix.alpha_d
+    at += step
+    rho2 = buf[at] / lam_pi  # squared offsets
+    at += step
+    x = np.sqrt(x2)
+    # the squared distance from each pair's user to the receiver
+    d2 = _dist2_polar(x, math.pi * angle, np.sqrt(rho2), buf[at])
+    at += step + 1 + extra
+    fades = buf[at]
+    serving_fade = buf[block + 5 * counts + extra]
+    term = np.where(is_dl, x2 ** (-b), rho2 ** (b * prop.k) * d2 ** (-b))
+    term *= fades
 
-        cell_dist = np.abs(pos)
-        if not nearest:
-            keep = cell_dist > r
-        else:
-            keep = np.ones(n, dtype=bool)
-            r = rho0
-            if direction == "dl" and n > 0:
-                j = int(np.argmin(cell_dist))
-                r = float(cell_dist[j])
-                keep[j] = False
-        on_dl = keep & is_dl
-        on_ul = keep & ~is_dl
-        user_dist = np.abs(pos[on_ul] + rho[on_ul] * np.exp(1j * phi[on_ul]))
-        from_dl[i] = p_dl * float(np.sum(fades[on_dl] * cell_dist[on_dl] ** (-two_b)))
-        from_ul[i] = p_ul * float(np.sum(fades[on_ul] * rho[on_ul] ** (2.0 * bk) * user_dist ** (-two_b)))
-        if direction == "dl":
-            useful[i] = p_dl * serving_fade * r ** (-two_b)
-        else:
-            useful[i] = p_ul * serving_fade * r ** (-two_b * (1.0 - prop.k))
-        distance[i] = r
-    return useful, from_dl, from_ul, distance
+    if not nearest:
+        r = np.sqrt(serving_exp / lam_pi) if serving_r is None else np.full(m, float(serving_r))
+        keep = x > r[draw]
+    else:
+        r = np.sqrt(buf[block + 5 * counts] / lam_pi)
+        keep = np.ones(total, dtype=bool)
+        if direction == "dl" and total > 0:
+            # the nearest cell of each draw that has one, first of equals
+            filled = counts > 0
+            r[filled] = np.minimum.reduceat(x, first[filled])
+            hit = np.flatnonzero(x == r[draw])
+            owner = draw[hit]
+            keep[hit[np.r_[True, owner[1:] != owner[:-1]]]] = False
+    from_dl[:] = scenario.p_small_mw * np.bincount(draw, np.where(keep & is_dl, term, 0.0), m)
+    from_ul[:] = scenario.p_small_star_mw * np.bincount(draw, np.where(keep & ~is_dl, term, 0.0), m)
+    if direction == "dl":
+        useful[:] = scenario.p_small_mw * serving_fade * r ** (-prop.two_b)
+    else:
+        useful[:] = scenario.p_small_star_mw * serving_fade * r ** (-prop.two_b * (1.0 - prop.k))
+    distance[:] = r
 
 
 def ppp_interference_draws(scenario, direction, n_draws, seed):

@@ -148,6 +148,23 @@ def test_run_writes_csv_and_metadata(tmp_path):
     assert config_from_dict(meta["config"]) == cfg
 
 
+@pytest.mark.parametrize("experiment, extra, draws", [
+    ("coverage", {"geometry": "macro", "macro": {"rings": 2}, "gamma_grid_db": [0.0]}, 300),
+    ("ase", {"geometry": "ppp", "lambda_grid": [5.0, 10.0]}, 600),
+])
+def test_run_records_monte_carlo_draw_rate(tmp_path, experiment, extra, draws):
+    data = {"experiment": experiment, "mode": "mc", "n_draws": 300, "label": "rate", **extra}
+    run(config_from_dict(data), out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "rate.meta.json").read_text(encoding="utf-8"))
+    assert set(meta) == {"config", "seed", "version", "wall_time_s", "mc_draws", "mc_draws_per_s"}
+    assert meta["mc_draws"] == draws
+    assert meta["mc_draws_per_s"] > 0
+    # the rate is the draws over the recorded wall time, up to the
+    # rounding of both (to 1 ms and to 0.1 draw/s)
+    rate, wall = meta["mc_draws_per_s"], meta["wall_time_s"]
+    assert rate * wall == pytest.approx(draws, abs=0.0005 * rate + 0.05 * wall + 1e-9)
+
+
 def test_run_is_byte_deterministic(tmp_path):
     data = {
         "geometry": "macro",

@@ -1,0 +1,58 @@
+"""Tests for the re-positioned Philox streams."""
+
+import numpy as np
+import pytest
+
+from tddgeom import rng
+
+SEED = 20200207
+INDICES = (0, 1, 2**24 - 1, 2**24, 2**24 + 5, 2**30)
+
+
+def _oracle(seed, index):
+    """Stream (seed, index) from its definition: a fresh Philox on the
+    seed's key, advanced by index * 2**40 counter blocks."""
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    bitgen.advance(index * 2**40)
+    return np.random.Generator(bitgen)
+
+
+def _read(gen):
+    return (gen.random(7), gen.standard_exponential(5), gen.poisson(78.5, 3),
+            gen.integers(0, 2**32, 3, dtype=np.uint32), gen.random(2))
+
+
+def _assert_same(a, b):
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("index", INDICES)
+def test_at_matches_an_advanced_philox(index):
+    _assert_same(_read(rng.Streams(SEED).at(index)), _read(_oracle(SEED, index)))
+    _assert_same(_read(rng.stream(SEED, index)), _read(_oracle(SEED, index)))
+
+
+@pytest.mark.parametrize("index", INDICES)
+def test_at_forgets_a_partly_read_stream(index):
+    streams = rng.Streams(SEED)
+    # three doubles leave the four-word output buffer partly used, and a
+    # 32-bit integer leaves a pending half word
+    gen = streams.at(3)
+    gen.random(3)
+    gen.integers(0, 2**32, dtype=np.uint32)
+    _assert_same(_read(streams.at(index)), _read(_oracle(SEED, index)))
+    gen = streams.at(index + 1)
+    gen.random()
+    _assert_same(_read(streams.at(index)), _read(_oracle(SEED, index)))
+
+
+def test_seed_is_reduced_to_one_key_word():
+    _assert_same(_read(rng.Streams(-1).at(2)), _read(_oracle(2**64 - 1, 2)))
+
+
+def test_negative_index_rejected():
+    with pytest.raises(ValueError):
+        rng.Streams(SEED).at(-1)
+    with pytest.raises(ValueError):
+        rng.stream(SEED, -1)
