@@ -18,7 +18,7 @@ import numpy as np
 from .config import FAST_QUAD, config_from_dict, run
 from .hexgrid import bruteforce_isr_ul_dl, lattice_sum, macro_interference_draws, mc_coverage_macro
 from .macro_analytic import (
-    SinrParams, a1, beta_h, coverage_macro, downlink_inverse_sinr, inv_d, inv_u, isr_ul_dl,
+    a1, beta_h, coverage_macro, downlink_inverse_sinr, inv_d, inv_u, isr_ul_dl,
     uplink_inverse_sinr,
 )
 from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix
@@ -109,24 +109,23 @@ def _inverse_round_trips():
     net = MacroNetwork()
     prop = PropagationParams()
     mix = TddMix(alpha_d=0.5)
-    params = SinrParams.from_model(net, prop)
     xs = np.arange(0.05, 0.551, 0.05)
 
     worst_u = 0.0
     for x in xs:
-        y = uplink_inverse_sinr(x, net, prop, mix, params)
-        worst_u = max(worst_u, abs(inv_u(y, prop.b, prop.k, mix, params) - x) / x)
+        y = uplink_inverse_sinr(x, net, prop, mix)
+        worst_u = max(worst_u, abs(inv_u(y, net, prop, mix) - x) / x)
 
     worst_d = 0.0
     worst_series_05 = 0.0
     worst_series_04 = 0.0
     for x in xs:
-        y = downlink_inverse_sinr(x, net, prop, mix, params)
-        x_exact = inv_d(y, net, prop, mix, params)
-        resid = abs(downlink_inverse_sinr(x_exact, net, prop, mix, params) - y) / y
+        y = downlink_inverse_sinr(x, net, prop, mix)
+        x_exact = inv_d(y, net, prop, mix)
+        resid = abs(downlink_inverse_sinr(x_exact, net, prop, mix) - y) / y
         worst_d = max(worst_d, resid)
         if x <= 0.5 + 1e-12:
-            dev = abs(inv_d(y, net, prop, mix, params, method="series") - x_exact) / x_exact
+            dev = abs(inv_d(y, net, prop, mix, method="series") - x_exact) / x_exact
             worst_series_05 = max(worst_series_05, dev)
             if x <= 0.4 + 1e-12:
                 worst_series_04 = max(worst_series_04, dev)

@@ -127,18 +127,19 @@ def _parse_grid(value, name, errors):
 
 
 def _build_group(name, cls, data, errors):
+    """The fields of group ``name`` given in ``data``, and the group's
+    dataclass built from them, which validates them (None if it
+    rejects them)."""
     fields = _GROUP_FIELDS[name]
     unknown = set(data) - set(fields)
     if unknown:
         errors.append(f"{name}: unknown keys {sorted(unknown)}")
     kwargs = {key: data[key] for key in fields if key in data}
-    if cls is None:
-        return kwargs
     try:
-        return cls(**kwargs)
+        return kwargs, cls(**kwargs)
     except (TypeError, ValueError) as exc:
         errors.append(f"{name}: {exc}")
-        return cls()
+        return kwargs, None
 
 
 def config_from_dict(data):
@@ -173,10 +174,12 @@ def config_from_dict(data):
             continue
         if not isinstance(data[name], dict):
             errors.append(f"{name}: expected an object")
-        elif target is None:
-            kwargs.update(_build_group(name, None, data[name], errors))
+            continue
+        fields, group = _build_group(name, cls, data[name], errors)
+        if target is None:
+            kwargs.update(fields)
         else:
-            kwargs[target] = _build_group(name, cls, data[name], errors)
+            kwargs[target] = group
 
     for key in ("gamma_grid_db", "x_grid", "lambda_grid"):
         if key in data:
@@ -239,10 +242,6 @@ def _check_semantics(cfg, errors):
             errors.append("lambda_grid: densities must be positive")
         if list(cfg.lambda_grid) != sorted(set(cfg.lambda_grid)):
             errors.append("lambda_grid: must be strictly increasing")
-    if cfg.lam <= 0:
-        errors.append("ppp.lam: density must be positive")
-    if cfg.window_radius is not None and cfg.window_radius <= 0:
-        errors.append("ppp.window_radius: must be positive when given")
 
 
 def load_config(path):

@@ -41,23 +41,17 @@ __all__ = [
 _E_IPI3 = complex(0.5, 0.5 * SQRT3)  # e^{i pi/3}
 
 
-def _lattice_mn(rings):
-    """Integer lattice coordinates and ring indices for rings 1..rings."""
-    idx = np.arange(-rings, rings + 1)
-    m, n = np.meshgrid(idx, idx, indexing="ij")
-    ring = (np.abs(m) + np.abs(n) + np.abs(m + n)) // 2
-    keep = (ring >= 1) & (ring <= rings)
-    return m[keep], n[keep], ring[keep]
-
-
 def lattice_points(net):
     """Positions of all interfering sites, origin excluded.
 
     Returns a complex array of the 3 * rings * (rings + 1) sites with
     ring index 1..net.rings, at spacing net.delta.
     """
-    m, n, _ = _lattice_mn(net.rings)
-    return net.delta * (m + n * _E_IPI3)
+    idx = np.arange(-net.rings, net.rings + 1)
+    m, n = np.meshgrid(idx, idx, indexing="ij")
+    ring = (np.abs(m) + np.abs(n) + np.abs(m + n)) // 2
+    keep = (ring >= 1) & (ring <= net.rings)
+    return net.delta * (m[keep] + n[keep] * _E_IPI3)
 
 
 def _area_equivalent_radius(net):
@@ -108,22 +102,6 @@ def bruteforce_isr_dl(m, net, prop, tail_correction=True):
     return total
 
 
-def _disk_average_quadrature(sites, z0, net, prop, n_radial=16, n_angular=24):
-    """Per-site disk average of the uplink interferer kernel, by tensor
-    Gauss-Legendre (radial, as sqrt of a uniform variable) x midpoint
-    (angular) quadrature.  Only valid when no site's user disk can touch
-    z0; the far rings used here satisfy that by a wide margin."""
-    radius = net.cell_radius
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(n_radial)
-    u = 0.5 * (u_nodes + 1.0)
-    w = 0.5 * u_weights
-    phi = (np.arange(n_angular) + 0.5) * (2.0 * math.pi / n_angular)
-    rho = radius * np.sqrt(u)
-    pos = sites[:, None, None] + rho[None, :, None] * np.exp(1j * phi[None, None, :])
-    kern = rho[None, :, None] ** (prop.two_b * prop.k) * np.abs(pos - z0) ** (-prop.two_b)
-    return float(np.sum(kern.mean(axis=2) * w[None, :]))
-
-
 # elements (draws x sites) per Monte Carlo chunk: about 2 MB per array,
 # so the temporaries of one chunk stay small
 _CHUNK = 1 << 18
@@ -142,7 +120,7 @@ def _dist2_polar(abs_w, half_arg_w, rho, u):
     return c + (abs_w - rho) ** 2
 
 
-def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correction=True):
+def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     """Uplink-to-downlink ISR: Monte Carlo average over interfering
     mobile positions, one uniform-disk mobile per site.
 
@@ -150,13 +128,9 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
     (P*/P) * rho**(two_b k) * r**two_b / |s + rho e^{i phi} - z0|**two_b
     averaged over (rho, phi) uniform in the site's user disk.
 
-    The estimator splits the lattice: sites with ring index up to
-    ``mc_rings`` are sampled (``n_samples`` mobiles per site), farther
-    kept rings are disk-averaged by deterministic quadrature (their
-    variance contribution is negligible), and the continuum tail beyond
-    the kept rings uses the mean power-control factor
-    E[rho**(two_b k)] = R**(two_b k) / (b k + 1).  Pass ``mc_rings=None``
-    to sample every kept ring instead.
+    Every kept ring is sampled, ``n_samples`` mobiles per site, and the
+    continuum tail beyond the kept rings uses the mean power-control
+    factor E[rho**(two_b k)] = R**(two_b k) / (b k + 1).
 
     The samples are one stream, (seed, 0), read as (rho, phi) uniforms
     per site and sample in order, in chunks of about _CHUNK elements.
@@ -164,26 +138,20 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
     Returns
     -------
     (estimate, stderr) : tuple of float
-        stderr covers the sampled part.
+        stderr covers the sampled part; the tail is deterministic.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if m.r == 0:
         return 0.0, 0.0
     z0 = m.position()
-    mm, nn, ring = _lattice_mn(net.rings)
-    sites = net.delta * (mm + nn * _E_IPI3)
-    if mc_rings is None:
-        near = np.ones(sites.size, dtype=bool)
-    else:
-        near = ring <= mc_rings
     scale = prop.p_star_over_p * m.r**prop.two_b
     radius = net.cell_radius
     bk = prop.b * prop.k
 
     gen = rng.stream(seed, 0)
     # each mobile's offset from the receiver, before its own displacement
-    offset = sites[near] - z0
+    offset = lattice_points(net) - z0
     abs_w = np.abs(offset)
     half_arg_w = 0.5 * np.angle(offset)
     chunk = max(1, _CHUNK // max(offset.size, 1))
@@ -201,17 +169,14 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, mc_rings=8, tail_correct
         total += float(per_draw.sum())
         total_sq += float((per_draw**2).sum())
         done += cn
-    mean_near = total / n_samples
-    var_near = max(total_sq / n_samples - mean_near**2, 0.0)
-    stderr = scale * math.sqrt(var_near / n_samples)
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean**2, 0.0)
+    stderr = scale * math.sqrt(var / n_samples)
 
-    far_part = 0.0
-    if not near.all():
-        far_part = _disk_average_quadrature(sites[~near], z0, net, prop)
     tail = 0.0
     if tail_correction:
         tail = radius ** (2.0 * bk) / (bk + 1.0) * _tail_integral(net, prop.two_b)
-    estimate = scale * (mean_near + far_part + tail)
+    estimate = scale * (mean + tail)
     return estimate, stderr
 
 

@@ -43,12 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError
-from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix, check_direction
+from .params import check_direction
 from .specfun import SeriesControl, ShadowingSpec, omega, shadowing_mean_factor, sum_series
 
 __all__ = [
     "IsrBreakdown",
-    "SinrParams",
     "isr_dl_dl",
     "beta_h",
     "isr_ul_dl",
@@ -339,48 +338,30 @@ def isr_total(m, net, prop, mix, shadowing=None, ctrl=None):
     )
 
 
-@dataclass(frozen=True)
-class SinrParams:
-    """Noise-and-load coefficients of the SINR maps, plus the two uplink
-    interference coefficients so the closed-form uplink map needs no
-    series evaluation.
-
-    y0 is the downlink noise-to-power ratio P_N delta^{2b} / P; y0_prime
-    the uplink one P_N delta^{2b(1-k)} / P*; eta the average activity of
-    interfering cells.
-    """
-
-    y0: float
-    y0_prime: float
-    eta: float = 1.0
-    a1_value: float = None
-    a2_value: float = None
-
-    def __post_init__(self):
-        if self.y0 < 0 or self.y0_prime < 0:
-            raise ValueError("noise ratios must be non-negative")
-        if not 0 <= self.eta <= 1:
-            raise ValueError(f"load must lie in [0, 1], got {self.eta}")
-
-    @classmethod
-    def from_model(cls, net, prop, ctrl=None):
-        b = prop.b
-        xr = net.cell_radius / net.delta
-        return cls(
-            y0=prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw,
-            y0_prime=prop.p_noise_mw * net.delta ** (2.0 * b * (1.0 - prop.k)) / prop.p_star_mw,
-            eta=net.load_eta,
-            a1_value=a1(b, prop.k, xr, ctrl),
-            a2_value=a2(b, prop.k, 1.0 / prop.p_star_over_p, net.delta),
-        )
+def _downlink_noise_ratio(net, prop):
+    # y0 = P_N delta^{2b} / P, the noise term of d(x) = ... + y0 x^{2b}
+    return prop.p_noise_mw * net.delta ** (2.0 * prop.b) / prop.p_dl_mw
 
 
-def downlink_inverse_sinr(x, net, prop, mix, params=None, ctrl=None):
+@lru_cache(maxsize=32)
+def _uplink_coefficient(net, prop, mix, ctrl):
+    """c = eta (alpha_u a1 + alpha_d a2) + y0_prime of the uplink map
+    u(x) = c x^{2b(1-k)}, with y0_prime = P_N delta^{2b(1-k)} / P* the
+    uplink noise ratio."""
+    b = prop.b
+    a1_value = a1(b, prop.k, net.cell_radius / net.delta, ctrl)
+    a2_value = a2(b, prop.k, 1.0 / prop.p_star_over_p, net.delta)
+    y0_prime = prop.p_noise_mw * net.delta ** (2.0 * b * (1.0 - prop.k)) / prop.p_star_mw
+    return net.load_eta * (mix.alpha_u * a1_value + mix.alpha_d * a2_value) + y0_prime
+
+
+def downlink_inverse_sinr(x, net, prop, mix, ctrl=None):
     """The downlink noise-plus-interference over signal map d(x).
 
     d(x) = eta (alpha_d * cell_term(x) + alpha_u * mobile_term(x))
-    + y0 x^{2b}; the downlink SINR at radius x is 1 / d(x).  Strictly
-    increasing in x, d(0) = 0.
+    + y0 x^{2b}, with eta = ``net.load_eta`` and y0 = P_N delta^{2b} / P
+    the noise-to-power ratio; the downlink SINR at radius x is 1 / d(x).
+    Strictly increasing in x, d(0) = 0.
 
     The mobile term is evaluated at min(x, 0.9 (1 - R/delta)): past
     that radius its mean diverges (overlapping interferer disks) while
@@ -388,79 +369,74 @@ def downlink_inverse_sinr(x, net, prop, mix, params=None, ctrl=None):
     realistic power ratio, so freezing it keeps the map finite, strictly
     increasing and invertible on the whole cell.
     """
-    if params is None:
-        params = SinrParams.from_model(net, prop, ctrl)
     b = prop.b
     xr = net.cell_radius / net.delta
     total = mix.alpha_d * isr_dl_dl(x, b, ctrl)
     if mix.alpha_u > 0:
         x_cross = min(x, _CROSS_TERM_CLAMP * (1.0 - xr))
         total += mix.alpha_u * isr_ul_dl(x_cross, b, prop.k, xr, prop.p_star_over_p, ctrl, net.delta)
-    return params.eta * total + params.y0 * x ** (2.0 * b)
+    return net.load_eta * total + _downlink_noise_ratio(net, prop) * x ** (2.0 * b)
 
 
-def uplink_inverse_sinr(x, net, prop, mix, params=None, ctrl=None):
+def uplink_inverse_sinr(x, net, prop, mix, ctrl=None):
     """The uplink noise-plus-interference over signal map u(x).
 
-    u(x) = (eta (alpha_u a1 + alpha_d a2) + y0_prime) x^{2b(1-k)}; the
+    u(x) = (eta (alpha_u a1 + alpha_d a2) + y0_prime) x^{2b(1-k)}, with
+    eta = ``net.load_eta`` and y0_prime = P_N delta^{2b(1-k)} / P*; the
     uplink SINR at radius x is 1 / u(x).  For k = 1 the power control
     removes all x dependence and u is constant.
     """
-    if params is None:
-        params = SinrParams.from_model(net, prop, ctrl)
-    coeff = params.eta * (mix.alpha_u * params.a1_value + mix.alpha_d * params.a2_value)
-    return (coeff + params.y0_prime) * x ** (2.0 * prop.b * (1.0 - prop.k))
+    return _uplink_coefficient(net, prop, mix, ctrl) * x ** (2.0 * prop.b * (1.0 - prop.k))
 
 
-def sinr_dl(x, net, prop, mix, params=None, ctrl=None):
-    """Downlink SINR at normalized radius x; inf when both interference
-    and noise vanish there (x = 0, or eta = 0 with zero noise)."""
-    d = downlink_inverse_sinr(x, net, prop, mix, params, ctrl)
+def sinr_dl(x, net, prop, mix, ctrl=None):
+    """Downlink SINR at normalized radius x; inf at x = 0, where both
+    interference and noise vanish."""
+    d = downlink_inverse_sinr(x, net, prop, mix, ctrl)
     return math.inf if d == 0 else 1.0 / d
 
 
-def sinr_ul(x, net, prop, mix, params=None, ctrl=None):
-    """Uplink SINR at normalized radius x; inf when interference and
-    noise both vanish."""
-    u = uplink_inverse_sinr(x, net, prop, mix, params, ctrl)
+def sinr_ul(x, net, prop, mix, ctrl=None):
+    """Uplink SINR at normalized radius x; inf at x = 0 when k < 1,
+    where both interference and noise vanish."""
+    u = uplink_inverse_sinr(x, net, prop, mix, ctrl)
     return math.inf if u == 0 else 1.0 / u
 
 
-def inv_u(y, b, k, mix, params):
-    """Radius x at which the uplink map takes the value y.
+def inv_u(y, net, prop, mix, ctrl=None):
+    """Radius x at which the uplink map :func:`uplink_inverse_sinr`
+    takes the value y.
 
     Closed form: x = (y / (eta (alpha_u a1 + alpha_d a2) + y0_prime))
-    ^ {1 / (2b(1-k))}.  ``params`` must carry a1_value and a2_value
-    (see :meth:`SinrParams.from_model`).
+    ^ {1 / (2b(1-k))}.
     """
     if y <= 0:
         raise ValueError(f"map value must be positive, got {y}")
-    if k == 1:
+    if prop.k == 1:
         raise ValueError("k = 1: power control removes the radius dependence, map not invertible")
-    coeff = params.eta * (mix.alpha_u * params.a1_value + mix.alpha_d * params.a2_value)
-    coeff += params.y0_prime
+    coeff = _uplink_coefficient(net, prop, mix, ctrl)
     if coeff == 0:
         raise ValueError("zero interference and noise: map is identically zero")
-    return (y / coeff) ** (1.0 / (2.0 * b * (1.0 - k)))
+    return (y / coeff) ** (1.0 / (2.0 * prop.b * (1.0 - prop.k)))
 
 
-def _series_coefficients(net, prop, mix, params, ctrl):
+def _series_coefficients(net, prop, mix, ctrl):
     """Leading and next-order coefficients f, c1 of
     d(x) = f x^{2b} (1 + c1 x^2 + ...)."""
     b = prop.b
     xr = net.cell_radius / net.delta
     r_fac = prop.p_star_over_p * (net.cell_radius) ** (2.0 * b * prop.k)
-    f = 6.0 * params.eta * (
+    f = 6.0 * net.load_eta * (
         mix.alpha_d * omega(b) + mix.alpha_u * r_fac * beta_h(0, b, prop.k, xr, ctrl)
-    ) + params.y0
-    c1f = 6.0 * params.eta * (
+    ) + _downlink_noise_ratio(net, prop)
+    c1f = 6.0 * net.load_eta * (
         mix.alpha_d * b * b * omega(b + 1.0)
         + mix.alpha_u * r_fac * beta_h(1, b, prop.k, xr, ctrl)
     )
     return f, c1f / f
 
 
-def inv_d(y, net, prop, mix, params=None, ctrl=None, method="exact"):
+def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
     """Radius x at which the downlink map takes the value y.
 
     method="exact" solves d(x) = y on (0, x_edge] by Brent's method
@@ -475,10 +451,8 @@ def inv_d(y, net, prop, mix, params=None, ctrl=None, method="exact"):
     """
     if y <= 0:
         raise ValueError(f"map value must be positive, got {y}")
-    if params is None:
-        params = SinrParams.from_model(net, prop, ctrl)
     if method == "series":
-        f, c1 = _series_coefficients(net, prop, mix, params, ctrl)
+        f, c1 = _series_coefficients(net, prop, mix, ctrl)
         if f == 0:
             raise ValueError("zero interference and noise: map is identically zero")
         v = (y / f) ** (1.0 / (2.0 * prop.b))
@@ -486,7 +460,7 @@ def inv_d(y, net, prop, mix, params=None, ctrl=None, method="exact"):
     if method != "exact":
         raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
     x_hi = net.x_edge
-    d_hi = downlink_inverse_sinr(x_hi, net, prop, mix, params, ctrl)
+    d_hi = downlink_inverse_sinr(x_hi, net, prop, mix, ctrl)
     if y > d_hi:
         raise ValueError(f"value {y} exceeds the map's maximum {d_hi} at the cell edge")
     if y == d_hi:
@@ -496,7 +470,7 @@ def inv_d(y, net, prop, mix, params=None, ctrl=None, method="exact"):
     from scipy.optimize import brentq
 
     return brentq(
-        lambda x: downlink_inverse_sinr(x, net, prop, mix, params, ctrl) - y,
+        lambda x: downlink_inverse_sinr(x, net, prop, mix, ctrl) - y,
         0.0, x_hi, xtol=1e-15 * x_hi, rtol=4.0 * np.finfo(float).eps,
     )
 
@@ -539,10 +513,10 @@ class _PatternMaps:
     angle nodes, and ``edge`` the maps and their slopes at the cell edge.
     """
 
-    def __init__(self, net, prop, mix, params, ctrl):
+    def __init__(self, net, prop, mix, ctrl):
         b = prop.b
         self.b = b
-        self.eta = params.eta
+        self.eta = net.load_eta
         self.x_edge = net.x_edge
         self.x_clamp = min(self.x_edge, _CROSS_TERM_CLAMP * (1.0 - self.x_edge))
         far = self.eta * mix.alpha_d * _taylor_coefficients(
@@ -550,7 +524,7 @@ class _PatternMaps:
             * (omega(b + h) - 1.0),
             self.x_edge, ctrl,
         )
-        far[0] += params.y0
+        far[0] += _downlink_noise_ratio(net, prop)
         mobile = self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k) * (
             _taylor_coefficients(lambda h: beta_h(h, b, prop.k, self.x_edge, ctrl), self.x_clamp, ctrl))
         # columns: the coefficients of P and of P', in powers of x^2
@@ -590,9 +564,9 @@ class _PatternMaps:
 
 
 @lru_cache(maxsize=32)
-def _pattern_maps(net, prop, mix, params, ctrl):
+def _pattern_maps(net, prop, mix, ctrl):
     # the maps depend on the model but not on the threshold
-    return _PatternMaps(net, prop, mix, params, ctrl)
+    return _PatternMaps(net, prop, mix, ctrl)
 
 
 def _pattern_averaged_coverage(y, maps):
@@ -630,7 +604,7 @@ def _pattern_averaged_coverage(y, maps):
     return float(np.sum(maps.weights * (x_gamma / x_edge) ** 2))
 
 
-def coverage_macro(gamma_db, direction, net, prop, mix, params=None, ctrl=None):
+def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     """Probability that the SINR of a uniformly placed user exceeds the
     threshold ``gamma_db``.
 
@@ -656,24 +630,27 @@ def coverage_macro(gamma_db, direction, net, prop, mix, params=None, ctrl=None):
     Uplink: mean-field, x_gamma from the closed-form inverse
     :func:`inv_u`.  For k = 1 the uplink SINR is radius-free and
     coverage is a step function.
+
+    Every map is built from ``net``, ``prop`` and ``mix`` alone, the load
+    factor eta included; ``ctrl`` truncates its series.  The pattern
+    maps and the uplink coefficient are cached per model, so a curve
+    pays for them once.
     """
     direction = check_direction(direction)
-    if params is None:
-        params = SinrParams.from_model(net, prop, ctrl)
     gamma = 10.0 ** (gamma_db / 10.0)
     y = 1.0 / gamma
     x_edge = net.x_edge
 
     if direction == "dl":
         if 0.0 < mix.alpha_d < 1.0:
-            return _pattern_averaged_coverage(y, _pattern_maps(net, prop, mix, params, ctrl))
-        if downlink_inverse_sinr(x_edge, net, prop, mix, params, ctrl) <= y:
+            return _pattern_averaged_coverage(y, _pattern_maps(net, prop, mix, ctrl))
+        if downlink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:
             return 1.0
-        x_gamma = inv_d(y, net, prop, mix, params, ctrl)
+        x_gamma = inv_d(y, net, prop, mix, ctrl)
         return (x_gamma / x_edge) ** 2
     if prop.k == 1:
-        return 1.0 if uplink_inverse_sinr(x_edge, net, prop, mix, params, ctrl) <= y else 0.0
-    if uplink_inverse_sinr(x_edge, net, prop, mix, params, ctrl) <= y:
+        return 1.0 if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y else 0.0
+    if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:
         return 1.0
-    x_gamma = inv_u(y, prop.b, prop.k, mix, params)
+    x_gamma = inv_u(y, net, prop, mix, ctrl)
     return (min(x_gamma, x_edge) / x_edge) ** 2

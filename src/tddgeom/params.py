@@ -10,6 +10,7 @@ feel it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,8 +118,7 @@ class MacroNetwork:
                 f"cell_radius must lie in (0, delta/sqrt(3)] = (0, {self.delta / SQRT3:.6f}], "
                 f"got {self.cell_radius}"
             )
-        if self.rings < 1:
-            raise ValueError(f"rings must be at least 1, got {self.rings}")
+        _check_count("rings", self.rings, 1)
         if not 0 < self.load_eta <= 1:
             raise ValueError(f"load_eta must lie in (0, 1], got {self.load_eta}")
 
@@ -192,6 +192,16 @@ class CoverageCurve:
             raise ValueError("gamma_db must be a nonempty 1-d grid")
         if value.shape != gamma.shape or self.ci_halfwidth.shape != gamma.shape:
             raise ValueError("value and ci_halfwidth must match the grid shape")
+
+
+def _check_count(name, value, minimum):
+    """Validate an integer field of a dataclass: a bool or a
+    non-integer raises TypeError, a value below ``minimum``
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def check_direction(direction):

@@ -48,6 +48,7 @@ from .params import (
     CoverageCurve,
     PropagationParams,
     TddMix,
+    _check_count,
     check_direction,
     check_gamma_grid,
     dbm_to_mw,
@@ -140,10 +141,8 @@ class QuadratureControl:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("n_theta", "n_rho", "n_x", "n_serving"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be non-negative")
+            _check_count(name, getattr(self, name), 2)
+        _check_count("max_refinements", self.max_refinements, 0)
 
 
 _DEFAULT_QUAD = QuadratureControl()

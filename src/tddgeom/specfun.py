@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TruncationError
+from .params import _check_count
 
 __all__ = [
     "SeriesControl",
@@ -45,8 +46,7 @@ class SeriesControl:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+        _check_count("max_terms", self.max_terms, 1)
 
 
 @dataclass(frozen=True)

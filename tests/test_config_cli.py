@@ -59,6 +59,29 @@ def test_invalid_field_value_rejected():
     assert "alpha_d" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("group, key, value", [
+    ("macro", "rings", 2.5),
+    ("macro", "rings", True),
+    ("series", "max_terms", 2.5),
+    ("quadrature", "n_theta", 16.5),
+    ("quadrature", "n_rho", 32.5),
+    ("quadrature", "n_x", 24.5),
+    ("quadrature", "n_serving", 24.5),
+    ("quadrature", "max_refinements", 1.5),
+])
+def test_integer_fields_reject_non_integers(group, key, value):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict({group: {key: value}})
+    assert f"{key} must be an integer" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("ppp", [{"lam": "x"}, {"lam": -1.0}, {"window_radius": 0.0}])
+def test_cli_rejects_a_bad_ppp_group_with_exit_2(tmp_path, capsys, ppp):
+    path = _write(tmp_path / "ppp.json", {"geometry": "ppp", "ppp": ppp})
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert "config error: invalid config:\n  ppp: " in capsys.readouterr().err
+
+
 def test_unknown_keys_reported_itemized():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({

@@ -124,15 +124,6 @@ def test_isr_ul_dl_stderr_shrinks_with_samples():
     assert 2.0 < se_small / se_large < 8.0
 
 
-def test_isr_ul_dl_far_ring_quadrature_consistent():
-    net = MacroNetwork(rings=10)
-    prop = PropagationParams()
-    m = MobilePolar(0.3, 0.2)
-    sampled, se_s = bruteforce_isr_ul_dl(m, net, prop, 2000, seed=17, mc_rings=None)
-    split, se_q = bruteforce_isr_ul_dl(m, net, prop, 2000, seed=17, mc_rings=3)
-    assert abs(sampled - split) < 4.0 * math.hypot(se_s, se_q) + 1e-12
-
-
 def test_macro_draws_decomposition():
     net = MacroNetwork(rings=3)
     prop = PropagationParams()

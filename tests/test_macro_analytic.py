@@ -16,7 +16,6 @@ from tddgeom import (
     PropagationParams,
     SeriesControl,
     ShadowingSpec,
-    SinrParams,
     TddMix,
     TruncationError,
     a1,
@@ -38,7 +37,7 @@ from tddgeom import (
     sum_series,
     uplink_inverse_sinr,
 )
-from tddgeom.macro_analytic import _beta_h_cached, _PatternMaps
+from tddgeom.macro_analytic import _beta_h_cached, _PatternMaps, _pattern_maps, _uplink_coefficient
 
 XR = 1.0 / math.sqrt(3.0)
 
@@ -263,42 +262,87 @@ def test_inv_u_round_trip():
     net = MacroNetwork()
     prop = PropagationParams(k=0.4)
     mix = TddMix(alpha_d=0.5)
-    params = SinrParams.from_model(net, prop)
     for x in (0.05, 0.2, 0.5):
-        y = uplink_inverse_sinr(x, net, prop, mix, params)
-        assert inv_u(y, prop.b, prop.k, mix, params) == pytest.approx(x, rel=1e-12)
+        y = uplink_inverse_sinr(x, net, prop, mix)
+        assert inv_u(y, net, prop, mix) == pytest.approx(x, rel=1e-12)
     with pytest.raises(ValueError):
-        inv_u(-1.0, prop.b, prop.k, mix, params)
+        inv_u(-1.0, net, prop, mix)
     with pytest.raises(ValueError):
-        inv_u(1.0, prop.b, 1.0, mix, params)
+        inv_u(1.0, net, PropagationParams(k=1.0), mix)
 
 
 def test_inv_d_exact_round_trip():
     net = MacroNetwork()
     prop = PropagationParams()
     mix = TddMix(alpha_d=0.5)
-    params = SinrParams.from_model(net, prop)
     for x in (0.05, 0.2, 0.45):
-        y = downlink_inverse_sinr(x, net, prop, mix, params)
-        back = inv_d(y, net, prop, mix, params)
+        y = downlink_inverse_sinr(x, net, prop, mix)
+        back = inv_d(y, net, prop, mix)
         assert back == pytest.approx(x, rel=1e-10)
-    edge = downlink_inverse_sinr(net.x_edge, net, prop, mix, params)
-    assert inv_d(edge, net, prop, mix, params) == net.x_edge
+    edge = downlink_inverse_sinr(net.x_edge, net, prop, mix)
+    assert inv_d(edge, net, prop, mix) == net.x_edge
     with pytest.raises(ValueError):
-        inv_d(2.0 * edge, net, prop, mix, params)
+        inv_d(2.0 * edge, net, prop, mix)
     with pytest.raises(ValueError):
-        inv_d(0.5 * edge, net, prop, mix, params, method="bisection")
+        inv_d(0.5 * edge, net, prop, mix, method="bisection")
 
 
 def test_inv_d_series_accuracy_degrades_gracefully():
     net = MacroNetwork()
     prop = PropagationParams()
     mix = TddMix(alpha_d=1.0)
-    params = SinrParams.from_model(net, prop)
     for x, tol in ((0.1, 5e-3), (0.3, 2e-2), (0.5, 5e-2)):
-        y = downlink_inverse_sinr(x, net, prop, mix, params)
-        approx = inv_d(y, net, prop, mix, params, method="series")
+        y = downlink_inverse_sinr(x, net, prop, mix)
+        approx = inv_d(y, net, prop, mix, method="series")
         assert abs(approx - x) / x < tol, (x, approx)
+
+
+# a model away from every default: half load, 2 km spacing, a user disk
+# smaller than the hexagon (x_edge = 0.4)
+OTHER_NET = MacroNetwork(delta=2.0, cell_radius=0.8, load_eta=0.5)
+
+
+def test_maps_invert_on_a_non_default_network():
+    prop = PropagationParams(k=0.4)
+    mix = TddMix(alpha_d=0.5)
+    for x in (0.05, 0.2, 0.38):
+        y = uplink_inverse_sinr(x, OTHER_NET, prop, mix)
+        assert inv_u(y, OTHER_NET, prop, mix) == pytest.approx(x, rel=1e-12)
+        y = downlink_inverse_sinr(x, OTHER_NET, prop, mix)
+        assert inv_d(y, OTHER_NET, prop, mix) == pytest.approx(x, rel=1e-10)
+
+
+@pytest.mark.parametrize("direction, alpha_d, grid", [
+    ("dl", 0.5, (10.0, 15.0, 20.0)), ("dl", 1.0, (10.0, 15.0, 20.0)), ("ul", 0.5, (-30.0, -25.0, -20.0)),
+])
+def test_coverage_macro_reads_the_load_factor(direction, alpha_d, grid):
+    # without noise every map is eta times the full-load one, so halving
+    # the load is worth a threshold 10 log10(2) dB higher
+    prop = PropagationParams(k=0.4, p_noise_dbm=-math.inf)
+    mix = TddMix(alpha_d=alpha_d)
+    full = MacroNetwork(delta=2.0, cell_radius=0.8)
+    shift = 10.0 * math.log10(0.5)
+    for g in grid:
+        half_load = coverage_macro(g, direction, OTHER_NET, prop, mix)
+        assert 0.0 < half_load < 1.0
+        assert half_load == pytest.approx(coverage_macro(g + shift, direction, full, prop, mix), rel=1e-8)
+
+
+@pytest.mark.parametrize("direction, alpha_d, gamma_db", [("dl", 0.5, 15.0), ("dl", 1.0, 15.0), ("ul", 0.5, -25.0)])
+def test_coverage_macro_alternating_networks_keep_their_values(direction, alpha_d, gamma_db):
+    # the model-level caches must key on every field of the network
+    prop = PropagationParams(k=0.4)
+    mix = TddMix(alpha_d=alpha_d)
+    nets = (MacroNetwork(delta=2.0, cell_radius=0.8), OTHER_NET)
+    fresh = []
+    for net in nets:
+        _pattern_maps.cache_clear()
+        _uplink_coefficient.cache_clear()
+        fresh.append(coverage_macro(gamma_db, direction, net, prop, mix))
+    assert fresh[0] != fresh[1]
+    for _ in range(2):
+        for net, value in zip(nets, fresh):
+            assert coverage_macro(gamma_db, direction, net, prop, mix) == value
 
 
 def test_coverage_macro_frozen_values():
@@ -346,7 +390,7 @@ def test_coverage_macro_mixed_downlink_matches_monte_carlo():
 def test_pattern_maps_increase_with_radius_and_split_the_lattice_sum():
     net = MacroNetwork()
     prop = PropagationParams(p_star_dbm=-200.0, p_noise_dbm=-math.inf)
-    maps = _PatternMaps(net, prop, TddMix(alpha_d=0.5), SinrParams.from_model(net, prop), None)
+    maps = _PatternMaps(net, prop, TddMix(alpha_d=0.5), None)
     xs = np.linspace(0.01, net.x_edge, 60)
     for theta_node in (0, 7, 15):
         for pattern in (0, 1, 0b101010, 63):

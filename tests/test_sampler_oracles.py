@@ -117,11 +117,10 @@ def _macro_reference(net, prop, mix, direction, n_draws, seed):
     return out
 
 
-def _bruteforce_reference(m, net, prop, n_samples, seed, mc_rings=8):
+def _bruteforce_reference(m, net, prop, n_samples, seed):
     """The sampled part of bruteforce_isr_ul_dl: the per-sample mean and
     its standard error, before the common scale."""
-    mm, nn, ring = hexgrid._lattice_mn(net.rings)
-    sites = (net.delta * (mm + nn * hexgrid._E_IPI3))[ring <= mc_rings]
+    sites = lattice_points(net)
     u = rng.stream(seed, 0).random((n_samples, sites.size, 2))
     rho = net.cell_radius * np.sqrt(u[..., 0])
     pos = sites + rho * np.exp(2j * math.pi * u[..., 1])
@@ -205,11 +204,9 @@ def test_macro_draws_match_reference(chunking, alpha_d, direction, k):
 def test_bruteforce_matches_reference(chunking, x, theta):
     m, net, prop = MobilePolar(x, theta), MacroNetwork(rings=10), PropagationParams()
     est, se = bruteforce_isr_ul_dl(m, net, prop, 123, seed=4, tail_correction=False)
-    mean_near, se_near = _bruteforce_reference(m, net, prop, 123, seed=4)
-    far = hexgrid._disk_average_quadrature(
-        lattice_points(net)[hexgrid._lattice_mn(net.rings)[2] > 8], m.position(), net, prop)
+    mean, se_ref = _bruteforce_reference(m, net, prop, 123, seed=4)
     scale = prop.p_star_over_p * m.r**prop.two_b
-    _assert_close([est, se], [scale * (mean_near + far), scale * se_near])
+    _assert_close([est, se], [scale * mean, scale * se_ref])
 
 
 def test_chunking_leaves_every_draw_bit_identical(monkeypatch):
