@@ -134,7 +134,7 @@ def _inverse_round_trips():
     # the recorded tolerance is 5% out to x = 0.5 (2% holds to x = 0.4)
     ok = worst_u <= 1e-12 and worst_d <= 1e-10 and worst_series_05 <= 0.05 and worst_series_04 <= 0.02
     return (
-        f"uplink {worst_u:.2e} (req<=1e-12), Brent residual {worst_d:.2e} (req<=1e-10), "
+        f"uplink {worst_u:.2e} (req<=1e-12), exact-inverse residual {worst_d:.2e} (req<=1e-10), "
         f"series dev {worst_series_05 * 100:.2f}% x<=0.5 (req<=5%), "
         f"{worst_series_04 * 100:.2f}% x<=0.4 (req<=2%)", ok,
     )

@@ -31,7 +31,8 @@ averages the downlink coverage over the user angle and over the 64
 direction patterns of the six ring-1 cells: those cells are resolved at
 the user's position, and the rest of the lattice keeps the mean-field
 series.  With alpha_d in {0, 1} there is a single pattern, and coverage
-inverts the ISR map as before.  Uplink coverage stays mean-field, in
+inverts the mean map :func:`downlink_inverse_sinr` by the same iteration.
+Uplink coverage stays mean-field, in
 closed form; its largest gap to the Monte Carlo is 0.010 at
 alpha_d = 1/2.  The ISR maps themselves are unchanged.
 """
@@ -338,11 +339,6 @@ def isr_total(m, net, prop, mix, shadowing=None, ctrl=None):
     )
 
 
-def _downlink_noise_ratio(net, prop):
-    # y0 = P_N delta^{2b} / P, the noise term of d(x) = ... + y0 x^{2b}
-    return prop.p_noise_mw * net.delta ** (2.0 * prop.b) / prop.p_dl_mw
-
-
 @lru_cache(maxsize=32)
 def _uplink_coefficient(net, prop, mix, ctrl):
     """c = eta (alpha_u a1 + alpha_d a2) + y0_prime of the uplink map
@@ -367,15 +363,14 @@ def downlink_inverse_sinr(x, net, prop, mix, ctrl=None):
     that radius its mean diverges (overlapping interferer disks) while
     its magnitude is still negligible against the cell term for any
     realistic power ratio, so freezing it keeps the map finite, strictly
-    increasing and invertible on the whole cell.
+    increasing and invertible on the whole cell.  Its Taylor tables
+    are cut at the cell edge, so x must lie in [0, R/delta].
     """
-    b = prop.b
-    xr = net.cell_radius / net.delta
-    total = mix.alpha_d * isr_dl_dl(x, b, ctrl)
-    if mix.alpha_u > 0:
-        x_cross = min(x, _CROSS_TERM_CLAMP * (1.0 - xr))
-        total += mix.alpha_u * isr_ul_dl(x_cross, b, prop.k, xr, prop.p_star_over_p, ctrl, net.delta)
-    return net.load_eta * total + _downlink_noise_ratio(net, prop) * x ** (2.0 * b)
+    if not 0 <= x <= net.x_edge:
+        raise ValueError(f"normalized radius must lie in [0, {net.x_edge}], got {x}")
+    if x == 0:
+        return 0.0
+    return float(_downlink_maps(net, prop, mix, ctrl)(np.array([float(x)]))[0][0])
 
 
 def uplink_inverse_sinr(x, net, prop, mix, ctrl=None):
@@ -390,8 +385,8 @@ def uplink_inverse_sinr(x, net, prop, mix, ctrl=None):
 
 
 def sinr_dl(x, net, prop, mix, ctrl=None):
-    """Downlink SINR at normalized radius x; inf at x = 0, where both
-    interference and noise vanish."""
+    """Downlink SINR at normalized radius x in [0, R/delta]; inf at
+    x = 0, where both interference and noise vanish."""
     d = downlink_inverse_sinr(x, net, prop, mix, ctrl)
     return math.inf if d == 0 else 1.0 / d
 
@@ -420,29 +415,14 @@ def inv_u(y, net, prop, mix, ctrl=None):
     return (y / coeff) ** (1.0 / (2.0 * prop.b * (1.0 - prop.k)))
 
 
-def _series_coefficients(net, prop, mix, ctrl):
-    """Leading and next-order coefficients f, c1 of
-    d(x) = f x^{2b} (1 + c1 x^2 + ...)."""
-    b = prop.b
-    xr = net.cell_radius / net.delta
-    r_fac = prop.p_star_over_p * (net.cell_radius) ** (2.0 * b * prop.k)
-    f = 6.0 * net.load_eta * (
-        mix.alpha_d * omega(b) + mix.alpha_u * r_fac * beta_h(0, b, prop.k, xr, ctrl)
-    ) + _downlink_noise_ratio(net, prop)
-    c1f = 6.0 * net.load_eta * (
-        mix.alpha_d * b * b * omega(b + 1.0)
-        + mix.alpha_u * r_fac * beta_h(1, b, prop.k, xr, ctrl)
-    )
-    return f, c1f / f
-
-
 def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
-    """Radius x at which the downlink map takes the value y.
+    """Radius x at which the downlink map :func:`downlink_inverse_sinr`
+    takes the value y.
 
-    method="exact" solves d(x) = y on (0, x_edge] by Brent's method
-    (scipy.optimize.brentq) to 1e-15 x_edge and is the reference.
-    method="series" inverts the two-term truncation
-    d ~ f x^{2b} (1 + c1 x^2): with V = (y/f)^{1/(2b)},
+    method="exact" solves d(x) = y on (0, x_edge] by the Newton
+    iteration of :func:`coverage_macro` to 1e-15 x_edge and is the
+    reference.  method="series" inverts the map's first two Taylor
+    terms d ~ f x^{2b} (1 + c1 x^2): with V = (y/f)^{1/(2b)},
 
         x = V / sqrt(1/2 + sqrt(1/4 + (c1/b) V^2)),
 
@@ -451,34 +431,26 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
     """
     if y <= 0:
         raise ValueError(f"map value must be positive, got {y}")
+    if method not in ("exact", "series"):
+        raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
+    maps = _downlink_maps(net, prop, mix, ctrl)
     if method == "series":
-        f, c1 = _series_coefficients(net, prop, mix, ctrl)
+        f, c1f = maps.mean_far[:2, 0] + maps.mobile[:2, 0]
         if f == 0:
             raise ValueError("zero interference and noise: map is identically zero")
         v = (y / f) ** (1.0 / (2.0 * prop.b))
-        return v / math.sqrt(0.5 + math.sqrt(0.25 + (c1 / prop.b) * v * v))
-    if method != "exact":
-        raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
-    x_hi = net.x_edge
-    d_hi = downlink_inverse_sinr(x_hi, net, prop, mix, ctrl)
-    if y > d_hi:
-        raise ValueError(f"value {y} exceeds the map's maximum {d_hi} at the cell edge")
-    if y == d_hi:
-        return x_hi
-    # imported here: scipy.optimize costs about 46 MB and 0.4 s to load,
-    # which the paths that never invert this map should not pay
-    from scipy.optimize import brentq
-
-    return brentq(
-        lambda x: downlink_inverse_sinr(x, net, prop, mix, ctrl) - y,
-        0.0, x_hi, xtol=1e-15 * x_hi, rtol=4.0 * np.finfo(float).eps,
-    )
+        return v / math.sqrt(0.5 + math.sqrt(0.25 + (c1f / f / prop.b) * v * v))
+    edge = maps(np.array([net.x_edge]))
+    if y > edge[0][0]:
+        raise ValueError(f"value {y} exceeds the map's maximum {edge[0][0]} at the cell edge")
+    return float(_crossing_radii(y, maps, (), edge, 1e-15 * net.x_edge)[0])
 
 
-def _taylor_coefficients(coefficient, x_max, ctrl):
-    """Coefficients c_0, c_1, ... of sum_h c_h x^{2h}, cut where
-    :func:`sum_series` accepts the series at x = x_max.  The terms are
-    positive, so the cut holds at every smaller x too."""
+def _taylor_table(coefficient, x_max, ctrl, scale):
+    """Columns scale * c_h and the coefficients of their derivative in
+    x^2, for the series sum_h c_h x^{2h} cut where :func:`sum_series`
+    accepts it at x = x_max.  The terms are positive, so the cut holds
+    at every smaller x too."""
     coeffs = []
 
     def terms():
@@ -489,23 +461,29 @@ def _taylor_coefficients(coefficient, x_max, ctrl):
             h += 1
 
     sum_series(terms(), ctrl)
-    return np.array(coeffs)
+    c = scale * np.array(coeffs)
+    return np.stack([c, np.append(np.polynomial.polynomial.polyder(c), 0.0)], axis=1)
 
 
-class _PatternMaps:
-    """The downlink maps d_p(x, theta) of the ring-1 direction patterns.
+class _DownlinkMaps:
+    """The downlink maps of one model, as Taylor tables in x^2.
 
-    With the ring-1 cells in pattern p and the user at x e^{i theta},
+    Called with radii alone it gives the mean map of
+    :func:`downlink_inverse_sinr`, from the tables ``mean_far`` (eta
+    alpha_d times the :func:`isr_dl_dl` series, plus y0) and ``mobile``.
+    For 0 < alpha_d < 1 its rows resolve ring 1: with the ring-1 cells
+    in pattern p and the user at x e^{i theta},
 
         d_p = eta [sum over the downlink sites s of p of
                    (x / |s - x e^{i theta}|)^{2b}
                    + alpha_d F(x) + alpha_u mobile_term(x)] + y0 x^{2b},
 
-    where F is the :func:`isr_dl_dl` series with omega(b+h) replaced by
-    omega(b+h) - 1: ring 1 adds exactly 1 to every omega, and the rest
-    converges for x < sqrt(3).  The mobile term is the clamped one of
-    :func:`downlink_inverse_sinr`.  Every ring-1 term increases with x
-    because |s| >= sqrt(3) x on the cell, so every d_p is increasing.
+    where F (table ``far``) is the :func:`isr_dl_dl` series with
+    omega(b+h) replaced by omega(b+h) - 1: ring 1 adds exactly 1 to
+    every omega, and the rest converges for x < sqrt(3).  Every ring-1
+    term increases with x because |s| >= sqrt(3) x on the cell, so
+    every d_p is increasing.  For alpha_d in {0, 1} the one row, of
+    weight 1, is the mean map.
 
     One row per (angle node, pattern) pair: ``cosines`` holds
     cos(angle of site j - theta), ``patterns`` the 0/1 downlink
@@ -519,24 +497,28 @@ class _PatternMaps:
         self.eta = net.load_eta
         self.x_edge = net.x_edge
         self.x_clamp = min(self.x_edge, _CROSS_TERM_CLAMP * (1.0 - self.x_edge))
-        far = self.eta * mix.alpha_d * _taylor_coefficients(
-            lambda h: 6.0 * math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
-            * (omega(b + h) - 1.0),
-            self.x_edge, ctrl,
-        )
-        far[0] += _downlink_noise_ratio(net, prop)
-        mobile = self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k) * (
-            _taylor_coefficients(lambda h: beta_h(h, b, prop.k, self.x_edge, ctrl), self.x_clamp, ctrl))
-        # columns: the coefficients of P and of P', in powers of x^2
-        self.far, self.mobile = (
-            np.stack([c, np.append(np.polynomial.polynomial.polyder(c), 0.0)], axis=1) for c in (far, mobile)
-        )
 
-        theta = (np.arange(_SECTOR_ANGLES) + 0.5) * (math.pi / 6.0 / _SECTOR_ANGLES)
-        self.cosines = np.repeat(np.cos(_RING1_ANGLES[None, :] - theta[:, None]), 64, axis=0)
-        self.patterns = np.tile(_RING1_PATTERNS, (_SECTOR_ANGLES, 1))
-        n_dl = self.patterns.sum(axis=1)
-        self.weights = mix.alpha_d**n_dl * mix.alpha_u ** (6.0 - n_dl) / _SECTOR_ANGLES
+        def far(ring1):
+            table = _taylor_table(
+                lambda h: 6.0 * math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
+                * (omega(b + h) - ring1), self.x_edge, ctrl, self.eta * mix.alpha_d)
+            # y0 = P_N delta^{2b} / P, the noise term of d(x) = ... + y0 x^{2b}
+            table[0, 0] += prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw
+            return table
+        # with no cell in uplink the mobile series is zero and is cut at once
+        self.mobile = _taylor_table(
+            lambda h: beta_h(h, b, prop.k, self.x_edge, ctrl), self.x_clamp if mix.alpha_u > 0 else 0.0, ctrl,
+            self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k))
+        self.mean_far = self.far = far(0.0)
+        self.cosines = self.patterns = np.zeros((1, 6))
+        self.weights = np.ones(1)
+        if 0.0 < mix.alpha_d < 1.0:
+            self.far = far(1.0)
+            theta = (np.arange(_SECTOR_ANGLES) + 0.5) * (math.pi / 6.0 / _SECTOR_ANGLES)
+            self.cosines = np.repeat(np.cos(_RING1_ANGLES[None, :] - theta[:, None]), 64, axis=0)
+            self.patterns = np.tile(_RING1_PATTERNS, (_SECTOR_ANGLES, 1))
+            n_dl = self.patterns.sum(axis=1)
+            self.weights = mix.alpha_d**n_dl * mix.alpha_u ** (6.0 - n_dl) / _SECTOR_ANGLES
         self.edge = self(np.full(self.weights.size, self.x_edge), self.cosines, self.patterns)
 
     def _power_series(self, x, pair):
@@ -547,43 +529,43 @@ class _PatternMaps:
         xb = x ** (2.0 * b)
         return xb * p, xb / x * (2.0 * b * p + 2.0 * u * dp)
 
-    def __call__(self, x, cosines, patterns):
-        """d_p and its slope in x at radii x of shape (n,), for the rows
-        ``cosines`` and ``patterns`` of shape (n, 6)."""
-        b = self.b
-        xx = x[:, None]
-        q = 1.0 - 2.0 * xx * cosines + xx * xx
-        ring1 = (xx * xx / q) ** b * patterns
-        ring1_slope = 2.0 * b * ring1 * (1.0 - xx * cosines) / (xx * q)
-        far_value, far_slope = self._power_series(x, self.far)
+    def __call__(self, x, cosines=None, patterns=None):
+        """d_p and its slope in x at radii 0 < x <= x_edge of shape (n,),
+        for the rows ``cosines`` and ``patterns`` of shape (n, 6); the
+        mean map d and its slope without rows."""
+        value = slope = 0.0
+        if patterns is not None:
+            xx = x[:, None]
+            q = 1.0 - 2.0 * xx * cosines + xx * xx
+            ring1 = (xx * xx / q) ** self.b * patterns
+            value = self.eta * ring1.sum(axis=1)
+            slope = self.eta * (2.0 * self.b * ring1 * (1.0 - xx * cosines) / (xx * q)).sum(axis=1)
+        far_value, far_slope = self._power_series(x, self.mean_far if patterns is None else self.far)
         mobile_value, mobile_slope = self._power_series(np.minimum(x, self.x_clamp), self.mobile)
-        value = self.eta * ring1.sum(axis=1) + far_value + mobile_value
-        slope = (self.eta * ring1_slope.sum(axis=1) + far_slope
-                 + np.where(x < self.x_clamp, mobile_slope, 0.0))
-        return value, slope
+        return (value + far_value + mobile_value,
+                slope + far_slope + np.where(x < self.x_clamp, mobile_slope, 0.0))
 
 
 @lru_cache(maxsize=32)
-def _pattern_maps(net, prop, mix, ctrl):
+def _downlink_maps(net, prop, mix, ctrl):
     # the maps depend on the model but not on the threshold
-    return _PatternMaps(net, prop, mix, ctrl)
+    return _DownlinkMaps(net, prop, mix, ctrl)
 
 
-def _pattern_averaged_coverage(y, maps):
-    """Downlink coverage averaged over the user angle and the 64
-    direction patterns of the ring-1 cells; see :func:`coverage_macro`."""
-    x_edge = maps.x_edge
-    x_gamma = np.full(maps.weights.size, x_edge)
-    d, slope = maps.edge
+def _crossing_radii(y, maps, rows, edge, tol):
+    """Radii where the increasing maps ``maps(x, *rows)`` cross y, found
+    to ``tol``; x_edge where they stay at or below y.  ``edge`` holds
+    their values and slopes at x_edge."""
+    x_gamma = np.full(edge[0].size, maps.x_edge)
+    d, slope = edge
     todo = d > y
+    rows = [row[todo] for row in rows]
     x, d, slope = x_gamma[todo], d[todo], slope[todo]
-    cosines, patterns = maps.cosines[todo], maps.patterns[todo]
     # Newton on log d_p against log x, where every term is close to a
     # power law, inside the bracket [lo, hi] around the single crossing.
     # As in Numerical Recipes' rtsafe, a step longer than the tolerance
     # bisects instead where Newton would leave the bracket or would not
     # halve the step before last.
-    tol = 1e-10 * x_edge
     lo = np.zeros(x.size)
     hi = x.copy()
     last = before_last = hi - lo
@@ -599,9 +581,16 @@ def _pattern_averaged_coverage(y, maps):
         x = x_next
         if np.max(last) <= tol:
             break
-        d, slope = maps(x, cosines, patterns)
+        d, slope = maps(x, *rows)
     x_gamma[todo] = x
-    return float(np.sum(maps.weights * (x_gamma / x_edge) ** 2))
+    return x_gamma
+
+
+def _pattern_averaged_coverage(y, maps):
+    """Downlink coverage averaged over the rows of ``maps``, ring-1
+    patterns and user angles or the one mean-map row; see :func:`coverage_macro`."""
+    x_gamma = _crossing_radii(y, maps, (maps.cosines, maps.patterns), maps.edge, 1e-10 * maps.x_edge)
+    return float(np.sum(maps.weights * (x_gamma / maps.x_edge) ** 2))
 
 
 def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
@@ -625,14 +614,14 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
 
     Downlink with alpha_d in {0, 1}: a single pattern, and x_gamma is
     where the angle-averaged map :func:`downlink_inverse_sinr` crosses
-    1/gamma, found by Brent's method (:func:`inv_d`).
+    1/gamma, found by the same iteration to the same tolerance.
 
     Uplink: mean-field, x_gamma from the closed-form inverse
     :func:`inv_u`.  For k = 1 the uplink SINR is radius-free and
     coverage is a step function.
 
     Every map is built from ``net``, ``prop`` and ``mix`` alone, the load
-    factor eta included; ``ctrl`` truncates its series.  The pattern
+    factor eta included; ``ctrl`` truncates its series.  The downlink
     maps and the uplink coefficient are cached per model, so a curve
     pays for them once.
     """
@@ -642,12 +631,7 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     x_edge = net.x_edge
 
     if direction == "dl":
-        if 0.0 < mix.alpha_d < 1.0:
-            return _pattern_averaged_coverage(y, _pattern_maps(net, prop, mix, ctrl))
-        if downlink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:
-            return 1.0
-        x_gamma = inv_d(y, net, prop, mix, ctrl)
-        return (x_gamma / x_edge) ** 2
+        return _pattern_averaged_coverage(y, _downlink_maps(net, prop, mix, ctrl))
     if prop.k == 1:
         return 1.0 if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y else 0.0
     if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:

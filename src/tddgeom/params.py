@@ -63,6 +63,8 @@ class PropagationParams:
     p_noise_dbm: float = -93.0
 
     def __post_init__(self):
+        for name in ("a_db", "p_dl_dbm", "p_star_dbm", "p_noise_dbm"):
+            _check_real(name, getattr(self, name))
         if not self.two_b > 2:
             raise ValueError(f"two_b must exceed 2, got {self.two_b}")
         if not 0.0 <= self.k <= 1.0:
@@ -202,6 +204,13 @@ def _check_count(name, value, minimum):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def _check_real(name, value):
+    """Validate a real field of a dataclass: a bool, a non-real value or
+    NaN raises TypeError; -inf passes (-inf dBm is a silent transmitter)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def check_direction(direction):

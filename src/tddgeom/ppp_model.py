@@ -49,6 +49,7 @@ from .params import (
     PropagationParams,
     TddMix,
     _check_count,
+    _check_real,
     check_direction,
     check_gamma_grid,
     dbm_to_mw,
@@ -74,10 +75,11 @@ class SmallCellScenario:
     """Parameter bundle for the small-cell tier.
 
     lam is the deployment density in cells per km^2; window_radius the
-    simulation disk radius in km (default 5 / sqrt(lam), wide enough
-    that edge effects on the typical link are negligible).  Powers are
-    dBm; the environment offset prop.a_db is folded into the effective
-    transmit powers, never into the noise.
+    simulation disk radius in km, default 5 / sqrt(lam).  The Monte Carlo
+    omits the interference beyond it, which at lam = 10, alpha_d = 1/2
+    raises DL coverage at 0 dB by 0.0111 (7 standard errors at 100k
+    draws; 0.0030 with a 3 km window).  Powers are dBm; the environment
+    offset prop.a_db is folded into the effective transmit powers only.
     """
 
     lam: float = 10.0
@@ -88,6 +90,8 @@ class SmallCellScenario:
     mix: TddMix = field(default_factory=TddMix)
 
     def __post_init__(self):
+        for name in ("p_small_dbm", "p_small_star_dbm"):
+            _check_real(name, getattr(self, name))
         if self.lam <= 0:
             raise ValueError(f"density must be positive, got {self.lam}")
         if self.window_radius is None:

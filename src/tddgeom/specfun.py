@@ -142,9 +142,9 @@ def hurwitz_zeta(s, q):
 
     For 1 < s <= 55 and 0 < q <= 1, the range omega uses, the first
     omitted correction is below 1e-21 of the value, and the tests hold
-    the result to scipy.special.zeta within 2e-15.  scipy is not used
-    at run time: loading scipy.special would add about 24 MB and 0.25 s
-    to every process that needs omega.
+    the result to scipy.special.zeta within 2e-15.  scipy is a test
+    dependency only: loading scipy.special would add about 24 MB and
+    0.25 s to every process that needs omega.
     """
     if s <= 1:
         raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")

@@ -75,11 +75,25 @@ def test_integer_fields_reject_non_integers(group, key, value):
     assert f"{key} must be an integer" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("ppp", [{"lam": "x"}, {"lam": -1.0}, {"window_radius": 0.0}])
+@pytest.mark.parametrize("ppp", [
+    {"lam": "x"}, {"lam": -1.0}, {"window_radius": 0.0},
+    {"p_small_dbm": "x"}, {"p_small_star_dbm": True}, {"p_small_dbm": math.nan},
+])
 def test_cli_rejects_a_bad_ppp_group_with_exit_2(tmp_path, capsys, ppp):
     path = _write(tmp_path / "ppp.json", {"geometry": "ppp", "ppp": ppp})
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert "config error: invalid config:\n  ppp: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_noise_dbm", "x"), ("p_dl_dbm", True), ("p_star_dbm", [20.0]), ("a_db", math.nan),
+])
+def test_cli_rejects_a_non_real_power_with_exit_2(tmp_path, capsys, key, value):
+    # -inf dBm stays valid: it is a silent transmitter
+    assert config_from_dict({"propagation": {"p_noise_dbm": -math.inf}}).prop.p_noise_mw == 0.0
+    path = _write(tmp_path / "power.json", {"propagation": {key: value}})
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert f"config error: invalid config:\n  propagation: {key} " in capsys.readouterr().err
 
 
 def test_unknown_keys_reported_itemized():

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from tddgeom import (
     MacroNetwork,
@@ -37,7 +38,7 @@ from tddgeom import (
     sum_series,
     uplink_inverse_sinr,
 )
-from tddgeom.macro_analytic import _beta_h_cached, _PatternMaps, _pattern_maps, _uplink_coefficient
+from tddgeom.macro_analytic import _beta_h_cached, _downlink_maps, _DownlinkMaps, _uplink_coefficient
 
 XR = 1.0 / math.sqrt(3.0)
 
@@ -312,6 +313,52 @@ def test_maps_invert_on_a_non_default_network():
         assert inv_d(y, OTHER_NET, prop, mix) == pytest.approx(x, rel=1e-10)
 
 
+@pytest.mark.parametrize("net", [MacroNetwork(), OTHER_NET], ids=["default-net", "other-net"])
+@pytest.mark.parametrize("k", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("alpha_d", [0.0, 0.5, 1.0])
+def test_downlink_map_and_inverses_match_the_series_under_brent(net, k, alpha_d):
+    # an oracle shared with neither the Taylor tables nor the Newton
+    # iteration: the ISR series composed into the mean map, inverted by
+    # scipy's Brent
+    prop, mix = PropagationParams(k=k), TddMix(alpha_d=alpha_d)
+    b, x_edge = prop.b, net.x_edge
+    y0 = prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw
+
+    def reference(x):
+        mobile = isr_ul_dl(min(x, 0.9 * (1.0 - x_edge)), b, k, x_edge, prop.p_star_over_p, delta=net.delta)
+        return net.load_eta * (alpha_d * isr_dl_dl(x, b) + mix.alpha_u * mobile) + y0 * x ** (2.0 * b)
+
+    def brent(y):
+        return scipy.optimize.brentq(lambda x: reference(x) - y, 0.0, x_edge, xtol=1e-15 * x_edge,
+                                     rtol=4.0 * np.finfo(float).eps)
+
+    for x in np.linspace(0.02, 0.98 * x_edge, 12):
+        y = reference(x)
+        assert downlink_inverse_sinr(x, net, prop, mix) == pytest.approx(y, rel=2e-10), x
+        assert inv_d(y, net, prop, mix) == pytest.approx(brent(y), rel=1e-10), x
+    assert downlink_inverse_sinr(x_edge, net, prop, mix) == pytest.approx(reference(x_edge), rel=2e-10)
+    # the two-term series inverse is off by O(x^4) only: 3.3e-7 at x = 0.02
+    y = reference(0.02)
+    assert inv_d(y, net, prop, mix, method="series") == pytest.approx(brent(y), rel=1e-6)
+    if alpha_d in (0.0, 1.0):
+        for g in np.arange(-20.0, 20.1, 2.5):
+            y = 10.0 ** (-g / 10.0)
+            expected = 1.0 if reference(x_edge) <= y else (brent(y) / x_edge) ** 2
+            assert coverage_macro(g, "dl", net, prop, mix) == pytest.approx(expected, rel=1e-11), g
+
+
+def test_downlink_map_rejects_a_radius_outside_the_cell():
+    # the map's tables are cut at the cell edge
+    prop, mix = PropagationParams(), TddMix(alpha_d=0.5)
+    for net in (MacroNetwork(), OTHER_NET):
+        assert downlink_inverse_sinr(net.x_edge, net, prop, mix) > 0.0
+        for x in (-0.1, net.x_edge * (1.0 + 1e-9), net.x_edge + 0.05):
+            with pytest.raises(ValueError):
+                downlink_inverse_sinr(x, net, prop, mix)
+            with pytest.raises(ValueError):
+                sinr_dl(x, net, prop, mix)
+
+
 @pytest.mark.parametrize("direction, alpha_d, grid", [
     ("dl", 0.5, (10.0, 15.0, 20.0)), ("dl", 1.0, (10.0, 15.0, 20.0)), ("ul", 0.5, (-30.0, -25.0, -20.0)),
 ])
@@ -336,7 +383,7 @@ def test_coverage_macro_alternating_networks_keep_their_values(direction, alpha_
     nets = (MacroNetwork(delta=2.0, cell_radius=0.8), OTHER_NET)
     fresh = []
     for net in nets:
-        _pattern_maps.cache_clear()
+        _downlink_maps.cache_clear()
         _uplink_coefficient.cache_clear()
         fresh.append(coverage_macro(gamma_db, direction, net, prop, mix))
     assert fresh[0] != fresh[1]
@@ -390,7 +437,7 @@ def test_coverage_macro_mixed_downlink_matches_monte_carlo():
 def test_pattern_maps_increase_with_radius_and_split_the_lattice_sum():
     net = MacroNetwork()
     prop = PropagationParams(p_star_dbm=-200.0, p_noise_dbm=-math.inf)
-    maps = _PatternMaps(net, prop, TddMix(alpha_d=0.5), None)
+    maps = _DownlinkMaps(net, prop, TddMix(alpha_d=0.5), None)
     xs = np.linspace(0.01, net.x_edge, 60)
     for theta_node in (0, 7, 15):
         for pattern in (0, 1, 0b101010, 63):
