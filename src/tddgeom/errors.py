@@ -30,7 +30,8 @@ class IntegrationError(TddgeomError):
     achieved : float
         Best available estimate of the integral.
     discrepancy : float
-        Absolute difference between the base and refined evaluations.
+        Absolute difference between the coarse and the fine estimate of
+        the last check: the Gauss and the Kronrod value of a nested pair.
     """
 
     def __init__(self, message, achieved=None, discrepancy=None):

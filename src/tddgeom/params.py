@@ -63,7 +63,7 @@ class PropagationParams:
     p_noise_dbm: float = -93.0
 
     def __post_init__(self):
-        for name in ("a_db", "p_dl_dbm", "p_star_dbm", "p_noise_dbm"):
+        for name in ("two_b", "k", "a_db", "p_dl_dbm", "p_star_dbm", "p_noise_dbm"):
             _check_real(name, getattr(self, name))
         if not self.two_b > 2:
             raise ValueError(f"two_b must exceed 2, got {self.two_b}")
@@ -111,10 +111,13 @@ class MacroNetwork:
     load_eta: float = 1.0
 
     def __post_init__(self):
+        for name in ("delta", "load_eta"):
+            _check_real(name, getattr(self, name))
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.cell_radius is None:
             object.__setattr__(self, "cell_radius", self.delta / SQRT3)
+        _check_real("cell_radius", self.cell_radius)
         if not 0 < self.cell_radius <= self.delta / SQRT3 * (1 + 1e-12):
             raise ValueError(
                 f"cell_radius must lie in (0, delta/sqrt(3)] = (0, {self.delta / SQRT3:.6f}], "
@@ -141,6 +144,7 @@ class TddMix:
     alpha_d: float = 1.0
 
     def __post_init__(self):
+        _check_real("alpha_d", self.alpha_d)
         if not 0.0 <= self.alpha_d <= 1.0:
             raise ValueError(f"alpha_d must lie in [0, 1], got {self.alpha_d}")
 

@@ -13,26 +13,43 @@ same model, so the two routes are comparable to Monte Carlo error.  A
 diagnostic nearest-cell association mode quantifies what the
 approximation leaves out.
 
-Quadrature design.  Rayleigh-weighted integrals over an offset or
-serving distance are mapped through their own CDF onto (0, 1) and
-integrated by Gauss-Legendre; the radial PGFL integral is split at the
-scale where the interference kernel turns over and its tail is mapped
-by s = (x_break/x)^{2b-2}, which makes the integrand asymptotically
-constant.  The offset angle takes the midpoint rule on n_theta nodes,
-folded onto its distinct cosines (theta and 2 pi - theta share one), so
-ceil(n_theta / 2) angles are evaluated.  The kernel returns the
-interfered fraction itself, not one minus the retention, so the far
-tail of the PGFL keeps its relative accuracy.  It works on a
-batch of (v, r) pairs at once: a coverage estimate sends all of its
-serving nodes in one call, and the uplink term is built angle-first and
-in place, in chunks capped at _CHUNK elements (about 1 MB) so that a
-large batch adds no memory.  Each level re-evaluates at doubled x,
-offset and serving orders and compares against the configured
-tolerance, refining (each Laplace pair on its own) or raising an
-integration error with the achieved estimate.  n_theta is never
-doubled, so the tolerances bound the x, offset and serving error only:
-at FAST_QUAD the angle rule leaves a true coverage error of 1.5e-3 at
-0 dB against the 1e-4 asked for.
+Quadrature design.  Every rule in x, offset and serving distance is a
+nested Gauss-Kronrod pair G(n) in K(2n+1) on (-1, 1): the 2n + 1
+Kronrod nodes contain the n Gauss nodes, so one evaluation on the
+Kronrod nodes gives both estimates, K (exact to degree 3n + 1) and
+G (to 2n - 1).  A level accepts |K - G| <= tol and returns K; otherwise
+it doubles the coarse orders n_x and n_rho (a Laplace value, each pair
+on its own) or n_serving (a coverage value) and evaluates the next pair,
+up to max_refinements times, then raises an integration error with the
+achieved estimate.  The rules come from :mod:`tddgeom.quadrules`, built
+on first use and cached per order.
+
+The serving distance is mapped through its Rayleigh CDF onto (0, 1).
+The offset is mapped through its CDF u = 1 - exp(-lam pi rho^2) and
+then graded by u = 1 - (1 - t)^2: on u alone the integrand has a
+logarithmic singularity at rho -> infinity.  With every pair in uplink
+(k = 0.4, lam = 10) at (v, r) = (1.05e9, 0.52), the G(32) offset rule
+errs by 1.1e-4 on u and by 2.7e-7 on the graded map.  The offset
+rule is reduced against both weight vectors, so the kernel returns both
+estimates; the G estimate pairs the Gauss rules in x and offset, the K
+estimate the Kronrod rules.  The radial PGFL
+integral is split at the scale where the interference kernel turns
+over and its tail is mapped by s = (x_break/x)^{2b-2}, which makes the
+integrand asymptotically constant.
+
+The offset angle takes the midpoint rule on n_theta nodes, folded onto
+its distinct cosines (theta and 2 pi - theta share one), so
+ceil(n_theta / 2) angles are evaluated.  n_theta is never doubled and
+both estimates share it, so the tolerances bound the x, offset and
+serving error only: at FAST_QUAD the angle rule leaves a true coverage
+error of 1.5e-3 at 0 dB against the 1e-4 asked for.
+
+The kernel returns the interfered fraction itself, not one minus the
+retention, so the far tail of the PGFL keeps its relative accuracy.  It
+works on a batch of (v, r) pairs at once: a coverage estimate sends all
+of its serving nodes in one call, and the uplink term is built
+angle-first and in place, in chunks capped at _CHUNK elements (about
+1 MB) so that a large batch adds no memory.
 """
 
 import math
@@ -54,6 +71,7 @@ from .params import (
     check_gamma_grid,
     dbm_to_mw,
 )
+from .quadrules import gauss_kronrod, gauss_kronrod_unit, gauss_legendre
 
 __all__ = [
     "SmallCellScenario",
@@ -90,12 +108,13 @@ class SmallCellScenario:
     mix: TddMix = field(default_factory=TddMix)
 
     def __post_init__(self):
-        for name in ("p_small_dbm", "p_small_star_dbm"):
+        for name in ("lam", "p_small_dbm", "p_small_star_dbm"):
             _check_real(name, getattr(self, name))
         if self.lam <= 0:
             raise ValueError(f"density must be positive, got {self.lam}")
         if self.window_radius is None:
             object.__setattr__(self, "window_radius", 5.0 / math.sqrt(self.lam))
+        _check_real("window_radius", self.window_radius)
         if self.window_radius <= 0:
             raise ValueError(f"window radius must be positive, got {self.window_radius}")
 
@@ -121,14 +140,19 @@ class SmallCellScenario:
 class QuadratureControl:
     """Node counts and tolerances for the analytic integrals.
 
-    inner_abs_tol bounds the accepted doubling discrepancy of one
-    Laplace-transform value, outer_abs_tol the same for a coverage
-    value.  A failing comparison doubles the orders up to
-    max_refinements times before raising; max_refinements=0 raises at
-    the first failure.  The doubled orders are n_x and n_rho (Laplace)
-    and n_serving (coverage); n_theta is never doubled, so the
-    tolerances do not bound the error of the angle rule.  ase_rel_tol
-    ends the spectral-efficiency panels (see :func:`ase`).
+    n_x, n_rho and n_serving are the coarse orders n of the nested
+    Gauss-Kronrod pairs G(n) in K(2n+1) for the cell distance, the
+    Rayleigh offset (on its graded CDF map) and the serving distance;
+    each rule evaluates its integrand at the 2n + 1 Kronrod nodes.
+    inner_abs_tol bounds the accepted |K - G| of one Laplace-transform
+    value, outer_abs_tol the same for a coverage value, and the Kronrod
+    value is returned.  A failing comparison doubles the coarse orders
+    up to max_refinements times before raising; max_refinements=0
+    raises at the first failure.  The doubled orders are n_x and n_rho
+    (Laplace) and n_serving (coverage).  n_theta, the midpoint angle
+    rule shared by both estimates, is never doubled, so the tolerances
+    do not bound the error of the angle rule.  ase_rel_tol ends the
+    spectral-efficiency panels (see :func:`ase`).
     """
 
     inner_abs_tol: float = 1e-6
@@ -142,6 +166,7 @@ class QuadratureControl:
 
     def __post_init__(self):
         for name in ("inner_abs_tol", "outer_abs_tol", "ase_rel_tol"):
+            _check_real(name, getattr(self, name))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("n_theta", "n_rho", "n_x", "n_serving"):
@@ -167,17 +192,15 @@ _ASE_PANEL_WIDTH = 2.0
 _ASE_MAX_PANELS = 40
 
 
-@lru_cache(maxsize=64)
-def _gl_unit(n):
-    """Gauss-Legendre nodes and weights on (0, 1); weights sum to 1."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-@lru_cache(maxsize=64)
-def _gl_signed(n):
-    """Gauss-Legendre nodes and weights on (-1, 1)."""
-    return np.polynomial.legendre.leggauss(n)
+def _offset_rule(n_rho, lam):
+    """Offset distances and their (2, 2 n_rho + 1) Kronrod and Gauss
+    weights for the Rayleigh offset of density lam: the CDF
+    u = 1 - exp(-lam pi rho^2), graded by u = 1 - (1 - t)^2 so that the
+    integrand vanishes like (1 - t) at the rho -> infinity end, where
+    the ungraded map leaves a logarithmic singularity."""
+    t, w = gauss_kronrod_unit(n_rho)
+    rho = np.sqrt(-2.0 * np.log1p(-t) / (lam * math.pi))
+    return rho, w * (2.0 * (1.0 - t))
 
 
 @lru_cache(maxsize=64)
@@ -396,7 +419,10 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     from the user displaced off the cell, under power control on the
     same offset.  The fraction is formed directly, never as one minus
     the retention: far out it is about 1e-10, and the subtraction would
-    leave only its leading digits.
+    leave only its leading digits.  The offset is integrated by the
+    graded nested pair of :func:`_offset_rule` of coarse order n_rho,
+    and the result has shape (2, x.size): the Kronrod estimate, then the
+    Gauss estimate, both from one evaluation on the Kronrod nodes.
 
     The typical user and the typical cell see the same field, so one
     kernel serves both receptions: the offset angle is uniform, and the
@@ -408,7 +434,7 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     The uplink term is built theta-first, one chunk of positions at a
     time, in one buffer of at most _CHUNK elements; it is skipped when
     no uplink pair transmits (alpha_u = 0 or zero uplink power), where
-    its fraction is exactly 0.
+    its fraction is exactly 0 under either rule.
     """
     prop = scenario.prop
     b = prop.b
@@ -417,20 +443,20 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     f_dl = a_dl / (1.0 + a_dl)
     p_ul = scenario.p_small_star_mw
     if mix.alpha_u == 0.0 or p_ul == 0.0:
-        return mix.alpha_d * f_dl
-    u, w = _gl_unit(n_rho)
-    rho = np.sqrt(-np.log1p(-u) / (scenario.lam * math.pi))
+        return np.broadcast_to(mix.alpha_d * f_dl, (2, x.size))
+    rho, w = _offset_rule(n_rho, scenario.lam)
+    n_off = rho.size
     rho2 = rho * rho
     pc = rho ** (2.0 * b * prop.k)
     cos_theta, w_theta = _theta_fold(n_theta)
     n_t = w_theta.size
-    step = max(1, _CHUNK // (n_t * n_rho))
-    buf = np.empty(n_t * min(step, x.size) * n_rho)
-    f_ul = np.empty(x.size)
+    step = max(1, _CHUNK // (n_t * n_off))
+    buf = np.empty(n_t * min(step, x.size) * n_off)
+    f_ul = np.empty((x.size, 2))
     for lo in range(0, x.size, step):
         xs = x[lo:lo + step, None]
         m = xs.shape[0]
-        d2 = buf[: n_t * m * n_rho].reshape(n_t, m, n_rho)
+        d2 = buf[: n_t * m * n_off].reshape(n_t, m, n_off)
         near = xs * xs + rho2
         cross = 2.0 * xs * rho
         for j, c in enumerate(cos_theta):
@@ -444,15 +470,18 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
         np.exp(d2, out=d2)
         d2 += 1.0
         np.reciprocal(d2, out=d2)
-        f_ul[lo:lo + m] = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_rho) @ w
-    return mix.alpha_d * f_dl + mix.alpha_u * f_ul
+        f_ul[lo:lo + m] = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_off) @ w.T
+    return mix.alpha_d * f_dl + mix.alpha_u * f_ul.T
 
 
 def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
     """Per (v, r) pair of the 1-D arrays v and r: the integral over
     (r, infinity) of _mean_kernel(x) x dx, split at the kernel
-    turnover scale with an algebraic tail map.  All nodes of all pairs
-    go through one kernel call."""
+    turnover scale with an algebraic tail map, each part on the nested
+    pair G(n_x) in K(2 n_x + 1).  Returns shape (2, v.size): the
+    Kronrod estimate (Kronrod in x and in the offset), then the Gauss
+    estimate (Gauss in both).  All nodes of all pairs go through one
+    kernel call."""
     prop = scenario.prop
     two_b = prop.two_b
     z = two_b - 2.0
@@ -465,48 +494,47 @@ def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
         ),
     )
     mid = np.flatnonzero(x_break > r)
-    nodes, weights = _gl_signed(n_x)
+    nodes, weights = gauss_kronrod(n_x)
     lo, hi = r[mid, None], x_break[mid, None]
     xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-    wm = 0.5 * (hi - lo) * weights
-    s, ws = _gl_unit(n_x)
+    s, ws = gauss_kronrod_unit(n_x)
     xt = x_break[:, None] * s ** (-1.0 / z)
     jac = (x_break * x_break / z)[:, None] * s ** (-2.0 / z - 1.0)
     frac = _mean_kernel(
         np.concatenate((xm.ravel(), xt.ravel())),
-        np.concatenate((np.repeat(v[mid], n_x), np.repeat(v, n_x))),
+        np.concatenate((np.repeat(v[mid], nodes.size), np.repeat(v, nodes.size))),
         scenario, n_theta, n_rho,
-    ).reshape(-1, n_x)
-    total = (frac[mid.size:] * jac * ws).sum(axis=1)
-    total[mid] += (frac[: mid.size] * xm * wm).sum(axis=1)
-    return total
+    ).reshape(2, -1, nodes.size)
+    total = (frac[:, mid.size:] * jac) @ ws[:, :, None]
+    total[:, mid] += (frac[:, : mid.size] * (xm * (0.5 * (hi - lo)))) @ weights[:, :, None]
+    return total[:, :, 0]
 
 
 def _laplace(v, r, scenario, quad):
     """Laplace transforms at the pairs of the 1-D arrays v and r.  Each
-    pair is refined on its own: only the pairs whose doubling check
-    fails go on to the next order."""
+    pair is refined on its own: a pair whose Kronrod and Gauss values
+    differ by more than inner_abs_tol goes on to doubled x and offset
+    orders; the others return their Kronrod value."""
     if np.any(v < 0) or np.any(r < 0):
         raise ValueError("v and r must be non-negative")
     out = np.ones(v.size)
     todo = np.flatnonzero(v != 0)
     pref = 2.0 * math.pi * scenario.lam
     n_x, n_rho = quad.n_x, quad.n_rho
-    coarse = np.exp(-pref * _pgfl_radial(v[todo], r[todo], scenario, n_x, quad.n_theta, n_rho))
     for _ in range(quad.max_refinements + 1):
-        fine = np.exp(
-            -pref * _pgfl_radial(v[todo], r[todo], scenario, 2 * n_x, quad.n_theta, 2 * n_rho)
+        fine, coarse = np.exp(
+            -pref * _pgfl_radial(v[todo], r[todo], scenario, n_x, quad.n_theta, n_rho)
         )
         disc = np.abs(fine - coarse)
         done = disc <= quad.inner_abs_tol
         out[todo[done]] = fine[done]
-        todo, coarse, disc = todo[~done], fine[~done], disc[~done]
+        todo, fine, disc = todo[~done], fine[~done], disc[~done]
         if todo.size == 0:
             return out
         n_x, n_rho = 2 * n_x, 2 * n_rho
     raise IntegrationError(
         f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[todo[0]]}, r={r[todo[0]]}",
-        achieved=float(coarse[0]),
+        achieved=float(fine[0]),
         discrepancy=float(disc[0]),
     )
 
@@ -550,27 +578,24 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     pgfl_ref = _pgfl_radial(
         np.array([v_ref]), np.array([r_ref]), scenario, quad.n_x, quad.n_theta, quad.n_rho
     )
-    surplus = 2.0 * float(pgfl_ref[0]) / (r_ref * r_ref)
+    surplus = 2.0 * float(pgfl_ref[0, 0]) / (r_ref * r_ref)
     beta = lam_pi * (1.0 + surplus)
 
-    def estimate(n_serving):
-        t, w = _gl_unit(n_serving)
+    n = quad.n_serving
+    for _ in range(quad.max_refinements + 1):
+        # the nested pair G(n) in K(2n + 1): one Laplace call on the
+        # Kronrod nodes gives both estimates
+        t, w = gauss_kronrod_unit(n)
         r = np.sqrt(-np.log1p(-t) / beta)
         v = gamma * r**exp_serving / p_serv
         val = (
             np.exp(surplus * lam_pi * r * r - gamma * scenario.p_noise_mw * r**exp_serving / p_serv)
             * _laplace(v, r, scenario, quad)
         )
-        return float(w @ val) / (1.0 + surplus)
-
-    n = quad.n_serving
-    coarse = estimate(n)
-    for _ in range(quad.max_refinements + 1):
-        fine = estimate(2 * n)
+        fine, coarse = ((w @ val) / (1.0 + surplus)).tolist()
         disc = abs(fine - coarse)
         if disc <= quad.outer_abs_tol:
             return min(fine, 1.0)
-        coarse = fine
         n *= 2
     raise IntegrationError(
         f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={gamma_db}",
@@ -608,7 +633,7 @@ def ase(scenario, direction, quad=None, coverage_fn=None):
         def coverage_fn(gamma_db):
             return _coverage_analytic(gamma_db, scenario, quad, direction)
 
-    nodes, weights = _gl_signed(_ASE_NODES)
+    nodes, weights = gauss_legendre(_ASE_NODES)
     width = _ASE_PANEL_WIDTH
     total = 0.0
     for panel in range(_ASE_MAX_PANELS):

@@ -96,6 +96,23 @@ def test_cli_rejects_a_non_real_power_with_exit_2(tmp_path, capsys, key, value):
     assert f"config error: invalid config:\n  propagation: {key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group, key, value", [
+    ("macro", "delta", "x"), ("macro", "cell_radius", True), ("macro", "load_eta", math.nan),
+    ("mix", "alpha_d", True), ("propagation", "two_b", "3.5"), ("propagation", "k", True),
+    ("ppp", "lam", True), ("ppp", "window_radius", math.nan),
+    ("quadrature", "inner_abs_tol", True), ("quadrature", "outer_abs_tol", "x"),
+    ("quadrature", "ase_rel_tol", math.nan),
+])
+def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, value):
+    # a bool is not taken as 0 or 1, and a string gets a message that
+    # names the field
+    tree = {"geometry": "ppp" if group == "ppp" else "macro", group: {key: value}}
+    path = _write(tmp_path / "field.json", tree)
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid config:\n  {group}: {key} must be a real number" in err
+
+
 def test_unknown_keys_reported_itemized():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({

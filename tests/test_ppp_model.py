@@ -25,6 +25,7 @@ from tddgeom import (
     ppp_interference_draws,
 )
 from tddgeom import ppp_model
+from tddgeom.quadrules import gauss_kronrod_unit
 from tddgeom.config import FAST_QUAD
 
 
@@ -137,19 +138,35 @@ def _broadcast_kernel(x, v, scenario, n_theta, n_rho):
     """The interfered fraction a / (1 + a), a = v P d^{-2b}, as one
     broadcast over (x, rho, theta) on the full midpoint angle grid, with
     d2 ** (-b): the reference for the folded, chunked kernel.  v holds
-    one transform variable per x."""
+    one transform variable per x.  Returns the Kronrod and the Gauss
+    offset estimates, shape (2, x.size)."""
     prop = scenario.prop
     b = prop.b
-    u, w = ppp_model._gl_unit(n_rho)
-    rho = np.sqrt(-np.log1p(-u) / (scenario.lam * math.pi))
+    rho, w = ppp_model._offset_rule(n_rho, scenario.lam)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     xc = x[:, None, None]
     rc = rho[None, :, None]
     d2 = xc * xc + rc * rc - 2.0 * xc * rc * np.cos(theta)[None, None, :]
     a_ul = v[:, None, None] * scenario.p_small_star_mw * rc ** (2.0 * b * prop.k) * d2 ** (-b)
-    f_ul = (a_ul / (1.0 + a_ul)).mean(axis=2) @ w
+    f_ul = w @ (a_ul / (1.0 + a_ul)).mean(axis=2).T
     a_dl = v * scenario.p_small_mw * x ** (-2.0 * b)
     return scenario.mix.alpha_d * a_dl / (1.0 + a_dl) + scenario.mix.alpha_u * f_ul
+
+
+def test_offset_rule_is_a_graded_rayleigh_rule():
+    # E[rho^{2bk}] = Gamma(1 + bk) / (lam pi)^{bk} for a Rayleigh offset:
+    # the power-control moment the kernel integrates far out (bk = 0.7 at
+    # the default 2b = 3.5, k = 0.4)
+    lam, bk = 10.0, 0.7
+    rho, weights = ppp_model._offset_rule(32, lam)
+    assert rho.shape == (65,) and weights.shape == (2, 65)
+    assert np.all(rho > 0) and np.all(np.diff(rho) > 0)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    exact = math.gamma(1.0 + bk) / (lam * math.pi) ** bk
+    kronrod, gauss = weights @ rho ** (2.0 * bk) / exact - 1.0
+    assert abs(kronrod) < 1e-7 and abs(gauss) < 1e-5
+    # the accepted discrepancy |K - G| bounds the error of the value returned
+    assert abs(kronrod) < abs(kronrod - gauss)
 
 
 @pytest.mark.parametrize("n_theta", [16, 15])
@@ -162,18 +179,19 @@ def test_kernel_matches_the_broadcast_reference(n_theta, k, alpha_d):
     v = 10.0 ** np.random.default_rng(3).uniform(7.0, 11.0, x.size)
     ref = _broadcast_kernel(x, v, sc, n_theta, 32)
     ours = ppp_model._mean_kernel(x, v, sc, n_theta, 32)
+    assert ours.shape == ref.shape == (2, x.size)
     assert np.max(np.abs(ours - ref) / ref) <= 1e-13
 
 
 @pytest.mark.parametrize("alpha_d", [0.0, 0.5])
 def test_kernel_keeps_its_relative_accuracy_in_the_far_tail(alpha_d):
-    # the tail nodes of the PGFL at (v, r) = (1e10, 0.2) and n_x = 96,
-    # where the interfered fraction falls to about 1e-10: one minus the
-    # retention would keep only its leading six digits there
+    # the tail nodes of the PGFL at (v, r) = (1e10, 0.2) and n_x = 48
+    # (K(97)), where the interfered fraction falls to about 1e-10: one
+    # minus the retention would keep only its leading six digits there
     sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=alpha_d))
     two_b = sc.prop.two_b
     x_break = (1e10 * sc.p_small_mw) ** (1.0 / two_b)  # the turnover scale, beyond r
-    s, _ = ppp_model._gl_unit(96)
+    s, _ = gauss_kronrod_unit(48)
     x = x_break * s ** (-1.0 / (two_b - 2.0))
     v = np.full(x.size, 1e10)
     ref = _broadcast_kernel(x, v, sc, 16, 32)
@@ -189,9 +207,8 @@ def test_silent_uplink_pairs_retain_exactly():
         for alpha_d in (0.5, 0.0):
             sc = SmallCellScenario(lam=10.0, p_small_star_dbm=-math.inf, mix=TddMix(alpha_d=alpha_d))
             a_dl = v * sc.p_small_mw * x ** (-sc.prop.two_b)
-            np.testing.assert_array_equal(
-                ppp_model._mean_kernel(x, v, sc, 16, 32), alpha_d * (a_dl / (1.0 + a_dl))
-            )
+            for estimate in ppp_model._mean_kernel(x, v, sc, 16, 32):
+                np.testing.assert_array_equal(estimate, alpha_d * (a_dl / (1.0 + a_dl)))
         # at alpha_d = 0 nothing transmits: the interference is exactly zero
         assert laplace_dl(1e9, 0.1, sc) == 1.0
         assert laplace_ul(1e9, 0.1, sc) == 1.0
@@ -209,14 +226,15 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
 
     monkeypatch.setattr(ppp_model, "_pgfl_radial", spy)
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
-    # at this tolerance (1e8, 0.3) needs one more doubling, the others none
-    quad = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-6})
+    # at this tolerance (1e8, 0.02) needs one doubling (its Kronrod and
+    # Gauss values differ by 3.4e-7 at n_x 24), the others none
+    quad = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-7})
     v = np.array([1e9, 1e8, 0.0, 1e10])
-    r = np.array([0.02, 0.3, 0.1, 0.1])
+    r = np.array([0.1, 0.02, 0.1, 0.1])
     batch = ppp_model._laplace(v, r, sc, quad)
     batch_orders = dict(orders)
-    assert batch_orders[1e8] == [24, 48, 96]
-    assert batch_orders[1e9] == batch_orders[1e10] == [24, 48]
+    assert batch_orders[1e8] == [24, 48]
+    assert batch_orders[1e9] == batch_orders[1e10] == [24]
     assert 0.0 not in batch_orders and batch[2] == 1.0
     for vi, ri, bi in zip(v, r, batch):
         orders.clear()
@@ -224,13 +242,33 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
         assert abs(bi - one) <= 1e-15 * one
         assert orders.get(float(vi), []) == batch_orders.get(float(vi), [])
     # no refinement allowed: the error names the failing pair
-    strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-6, "max_refinements": 0})
+    strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-7, "max_refinements": 0})
     with pytest.raises(IntegrationError) as scalar:
-        laplace_dl(1e8, 0.3, sc, strict)
-    with pytest.raises(IntegrationError, match="v=100000000.0, r=0.3") as batched:
+        laplace_dl(1e8, 0.02, sc, strict)
+    with pytest.raises(IntegrationError, match="v=100000000.0, r=0.02") as batched:
         ppp_model._laplace(v, r, sc, strict)
     assert batched.value.achieved == scalar.value.achieved
-    assert batched.value.discrepancy == scalar.value.discrepancy > 1e-6
+    assert batched.value.discrepancy == scalar.value.discrepancy > 1e-7
+
+
+def test_laplace_meets_its_tolerance_against_a_fine_reference():
+    # every pair in uplink with power control: the ungraded offset map
+    # left a logarithmic singularity at rho -> infinity here, and the
+    # default quadrature raised after two refinements
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.0))
+    quad = QuadratureControl()
+    v, r = 1.05e9, 0.52
+    fine = ppp_model._pgfl_radial(np.array([v]), np.array([r]), sc, 192, quad.n_theta, 1024)
+    ref = math.exp(-2.0 * math.pi * sc.lam * fine[0, 0])
+    assert abs(laplace_dl(v, r, sc, quad) - ref) <= quad.inner_abs_tol
+
+
+def test_default_quadrature_converges_when_every_pair_is_in_uplink():
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.0))
+    dl = [coverage_ppp_dl(g, sc) for g in (-4.0, 0.0, 4.0)]
+    ul = [coverage_ppp_ul(g, sc) for g in (-12.0, -8.0, -4.0)]
+    for values in (dl, ul):
+        assert all(1.0 > a > b > 0.0 for a, b in zip(values, values[1:]))
 
 
 def test_laplace_basic_properties():

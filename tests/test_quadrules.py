@@ -1,0 +1,60 @@
+"""Tests for the Gauss-Legendre and nested Gauss-Kronrod rules."""
+
+import numpy as np
+import pytest
+
+from tddgeom.quadrules import gauss_kronrod, gauss_kronrod_unit, gauss_legendre
+
+
+@pytest.mark.parametrize("n", [24, 32, 48, 64])
+def test_gauss_kronrod_pair(n):
+    nodes, weights = gauss_kronrod(n)
+    assert nodes.shape == (2 * n + 1,) and weights.shape == (2, 2 * n + 1)
+    assert np.all(np.diff(nodes) > 0)
+    # K(2n+1) integrates every Legendre polynomial to degree 3n + 1
+    # exactly, and the next one (3n + 2, even) not
+    moments = weights[0] @ np.polynomial.legendre.legvander(nodes, 3 * n + 2)
+    np.testing.assert_allclose(moments[: 3 * n + 2], np.r_[2.0, np.zeros(3 * n + 1)],
+                               rtol=0, atol=1e-14)
+    assert abs(moments[3 * n + 2]) > 1e-6
+    assert np.all(weights[0] > 0)
+    # the Gauss subset is G(n), on every other node, interlaced by the
+    # Kronrod-only nodes
+    gauss = weights[1] != 0
+    np.testing.assert_array_equal(gauss, np.arange(2 * n + 1) % 2 == 1)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(nodes[gauss], ref_nodes, rtol=0, atol=1e-15)
+    # leggauss's own weights are off by up to 4e-15 from 40-digit values
+    np.testing.assert_allclose(weights[1][gauss], ref_weights, rtol=0, atol=1e-14)
+    assert np.all(weights[1][gauss] > 0)
+    # the unit-interval copy keeps the weight sums
+    t, w = gauss_kronrod_unit(n)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_gauss_legendre_matches_numpy(n):
+    nodes, weights = gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-14)
+    moments = weights @ np.polynomial.legendre.legvander(nodes, 2 * n - 1)
+    np.testing.assert_allclose(moments, np.r_[2.0, np.zeros(2 * n - 1)], rtol=0, atol=1e-14)
+    # the Gauss subset of the Kronrod pair is this rule, bit for bit
+    k_nodes, k_weights = gauss_kronrod(n)
+    gauss = k_weights[1] != 0
+    np.testing.assert_array_equal(k_nodes[gauss], nodes)
+    np.testing.assert_array_equal(k_weights[1][gauss], weights)
+
+
+def test_gauss_kronrod_interlaces_and_stays_positive_at_every_order_reached():
+    # the coarse orders of FAST_QUAD and of the default quadrature, their
+    # doublings, small and odd orders, and one large order
+    for n in list(range(1, 34)) + [48, 96, 128, 192, 256, 1024]:
+        nodes, weights = gauss_kronrod(n)
+        assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0, n
+        np.testing.assert_array_equal(weights[1] != 0, np.arange(2 * n + 1) % 2 == 1)
+        assert np.all(weights[0] > 0) and np.all(weights[1][1::2] > 0), n
+        assert abs(weights[0].sum() - 2.0) < 1e-13 and abs(weights[1].sum() - 2.0) < 1e-13, n
+        # odd moments vanish by symmetry; the even ones are 2 / (j + 1)
+        assert abs(weights[0] @ nodes ** 2 - 2.0 / 3.0) < 1e-13, n
