@@ -47,10 +47,10 @@ from .params import (
     PropagationParams,
     TddMix,
 )
+from .ppp_ase import ase
 from .ppp_model import (
     QuadratureControl,
     SmallCellScenario,
-    ase,
     coverage_ppp_dl,
     coverage_ppp_ul,
     laplace_dl,

@@ -22,8 +22,9 @@ from .macro_analytic import (
     uplink_inverse_sinr,
 )
 from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix
+from .ppp_ase import ase
 from .ppp_model import (
-    QuadratureControl, SmallCellScenario, ase, coverage_ppp_dl, coverage_ppp_ul, mc_coverage_ppp,
+    QuadratureControl, SmallCellScenario, coverage_ppp_dl, coverage_ppp_ul, mc_coverage_ppp,
     mc_laplace_ppp, mc_sinr_ppp, ppp_interference_draws,
 )
 from .specfun import SeriesControl, omega

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import hexgrid, macro_analytic, ppp_model
+from . import hexgrid, macro_analytic, ppp_ase, ppp_model
 from .errors import ConfigError
 from .params import (
     CoverageCurve,
@@ -238,10 +238,18 @@ def _check_semantics(cfg, errors):
     if cfg.experiment == "ase":
         if cfg.geometry != "ppp":
             errors.append("ase experiments require geometry=ppp")
-        if any(l <= 0 for l in cfg.lambda_grid):
-            errors.append("lambda_grid: densities must be positive")
         if list(cfg.lambda_grid) != sorted(set(cfg.lambda_grid)):
             errors.append("lambda_grid: must be strictly increasing")
+    if cfg.geometry == "ppp":
+        # the ppp group was checked against the default propagation;
+        # check each scenario the run builds with the configured one
+        group, lams = ("lambda_grid", cfg.lambda_grid) if cfg.experiment == "ase" else ("ppp", (cfg.lam,))
+        for lam in lams:
+            try:
+                dataclasses.replace(cfg, lam=float(lam)).scenario()
+            except ValueError as exc:
+                errors.append(f"{group}: {exc}")
+                break
 
 
 def load_config(path):
@@ -368,7 +376,7 @@ def _ase_rows(cfg):
     for lam in cfg.lambda_grid:
         scenario = dataclasses.replace(cfg, lam=float(lam)).scenario()
         if cfg.mode in ("analytic", "both"):
-            value = ppp_model.ase(scenario, cfg.direction, cfg.quadrature)
+            value = ppp_ase.ase(scenario, cfg.direction, cfg.quadrature)
         if cfg.mode in ("mc", "both"):
             sinr = ppp_model.mc_sinr_ppp(scenario, cfg.direction, cfg.n_draws, cfg.seed)
             eff = np.log2(1.0 + sinr)

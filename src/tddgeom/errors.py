@@ -32,6 +32,8 @@ class IntegrationError(TddgeomError):
     discrepancy : float
         Absolute difference between the coarse and the fine estimate of
         the last check: the Gauss and the Kronrod value of a nested pair.
+        A spectral-efficiency row that fails reports its |K - G| weighted
+        as the row enters the total, in bits/s/Hz like the achieved value.
     """
 
     def __init__(self, message, achieved=None, discrepancy=None):

@@ -111,14 +111,12 @@ class MacroNetwork:
     load_eta: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "load_eta"):
-            _check_real(name, getattr(self, name))
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _check_positive("delta", self.delta)
+        _check_real("load_eta", self.load_eta)
         if self.cell_radius is None:
             object.__setattr__(self, "cell_radius", self.delta / SQRT3)
-        _check_real("cell_radius", self.cell_radius)
-        if not 0 < self.cell_radius <= self.delta / SQRT3 * (1 + 1e-12):
+        _check_positive("cell_radius", self.cell_radius)
+        if not self.cell_radius <= self.delta / SQRT3 * (1 + 1e-12):
             raise ValueError(
                 f"cell_radius must lie in (0, delta/sqrt(3)] = (0, {self.delta / SQRT3:.6f}], "
                 f"got {self.cell_radius}"
@@ -215,6 +213,14 @@ def _check_real(name, value):
     NaN raises TypeError; -inf passes (-inf dBm is a silent transmitter)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_positive(name, value):
+    """Validate a length or a density: a real number (see _check_real)
+    that is also finite and positive, else ValueError."""
+    _check_real(name, value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def check_direction(direction):

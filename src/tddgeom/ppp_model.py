@@ -1,5 +1,6 @@
 """Small-cell tier: Poisson deployment sampling, Monte Carlo SINR, and
-the Laplace-transform route to coverage and spectral efficiency.
+the Laplace-transform route to coverage.  The spectral efficiency built
+on the same transform is in :mod:`tddgeom.ppp_ase`.
 
 Model summary.  Users form a homogeneous PPP; each user's serving cell
 sits at an independent Rayleigh-distributed offset (the displacement
@@ -40,9 +41,14 @@ integrand asymptotically constant.
 The offset angle takes the midpoint rule on n_theta nodes, folded onto
 its distinct cosines (theta and 2 pi - theta share one), so
 ceil(n_theta / 2) angles are evaluated.  n_theta is never doubled and
-both estimates share it, so the tolerances bound the x, offset and
-serving error only: at FAST_QUAD the angle rule leaves a true coverage
-error of 1.5e-3 at 0 dB against the 1e-4 asked for.
+both estimates share it, so the tolerances bound the x, offset,
+serving and spectral-efficiency error only: at FAST_QUAD the angle rule
+leaves a true coverage error of 1.5e-3 at 0 dB against the 1e-4 asked
+for.
+
+The spectral efficiency is one double integral over the serving
+distance and g = ln(1 + v S(r)), not an integral of coverage values; its
+rules are in :mod:`tddgeom.ppp_ase`.
 
 The kernel returns the interfered fraction itself, not one minus the
 retention, so the far tail of the PGFL keeps its relative accuracy.  It
@@ -66,12 +72,13 @@ from .params import (
     PropagationParams,
     TddMix,
     _check_count,
+    _check_positive,
     _check_real,
     check_direction,
     check_gamma_grid,
     dbm_to_mw,
 )
-from .quadrules import gauss_kronrod, gauss_kronrod_unit, gauss_legendre
+from .quadrules import gauss_kronrod, gauss_kronrod_unit
 
 __all__ = [
     "SmallCellScenario",
@@ -84,7 +91,6 @@ __all__ = [
     "laplace_ul",
     "coverage_ppp_dl",
     "coverage_ppp_ul",
-    "ase",
 ]
 
 
@@ -96,8 +102,11 @@ class SmallCellScenario:
     simulation disk radius in km, default 5 / sqrt(lam).  The Monte Carlo
     omits the interference beyond it, which at lam = 10, alpha_d = 1/2
     raises DL coverage at 0 dB by 0.0111 (7 standard errors at 100k
-    draws; 0.0030 with a 3 km window).  Powers are dBm; the environment
-    offset prop.a_db is folded into the effective transmit powers only.
+    draws; 0.0030 with a 3 km window).  Both must be finite and positive,
+    and lam large enough that (10 rho_scale)^{2b} is a finite float, as
+    the analytic rules raise distances of a few rho_scale to that power.
+    Powers are dBm; the environment offset prop.a_db is folded into the
+    effective transmit powers only.
     """
 
     lam: float = 10.0
@@ -108,15 +117,19 @@ class SmallCellScenario:
     mix: TddMix = field(default_factory=TddMix)
 
     def __post_init__(self):
-        for name in ("lam", "p_small_dbm", "p_small_star_dbm"):
+        for name in ("p_small_dbm", "p_small_star_dbm"):
             _check_real(name, getattr(self, name))
-        if self.lam <= 0:
-            raise ValueError(f"density must be positive, got {self.lam}")
+        _check_positive("lam", self.lam)
+        try:
+            (10.0 * self.rho_scale) ** self.prop.two_b
+        except OverflowError:
+            raise ValueError(
+                f"lam {self.lam!r} is too small: its distance scale {self.rho_scale:.3g} km "
+                f"overflows when raised to two_b"
+            ) from None
         if self.window_radius is None:
             object.__setattr__(self, "window_radius", 5.0 / math.sqrt(self.lam))
-        _check_real("window_radius", self.window_radius)
-        if self.window_radius <= 0:
-            raise ValueError(f"window radius must be positive, got {self.window_radius}")
+        _check_positive("window_radius", self.window_radius)
 
     @property
     def p_small_mw(self):
@@ -151,8 +164,11 @@ class QuadratureControl:
     raises at the first failure.  The doubled orders are n_x and n_rho
     (Laplace) and n_serving (coverage).  n_theta, the midpoint angle
     rule shared by both estimates, is never doubled, so the tolerances
-    do not bound the error of the angle rule.  ase_rel_tol ends the
-    spectral-efficiency panels (see :func:`ase`).
+    do not bound the error of the angle rule.  ase_rel_tol bounds the
+    |K - G| of each spectral-efficiency g integral relative to its value,
+    and that of the serving-distance rule relative to the total; a
+    failing g integral doubles its own order (from _ASE_NODES), a
+    failing serving rule n_serving (see :func:`tddgeom.ppp_ase.ase`).
     """
 
     inner_abs_tol: float = 1e-6
@@ -184,12 +200,6 @@ _CHUNK = 1 << 17
 # interfering pairs per chunk of the Monte Carlo sampler: its buffer
 # holds about 6 numbers per pair, 12 MB
 _SAMPLE_CHUNK = 1 << 18
-
-# the spectral-efficiency integral: Gauss nodes per panel, panel width
-# in g = ln(1 + gamma), and the most panels before giving up
-_ASE_NODES = 16
-_ASE_PANEL_WIDTH = 2.0
-_ASE_MAX_PANELS = 40
 
 
 def _offset_rule(n_rho, lam):
@@ -557,15 +567,18 @@ def laplace_ul(v, r, scenario, quad=None):
     return laplace_dl(v, r, scenario, quad)
 
 
-def _coverage_analytic(gamma_db, scenario, quad, direction):
+def _serving_link(scenario, direction):
+    """The serving power and the serving path-loss exponent: P and 2b
+    downlink, P* and 2b(1 - k) uplink under power control."""
     prop = scenario.prop
-    gamma = 10.0 ** (gamma_db / 10.0)
     if direction == "dl":
-        exp_serving = prop.two_b
-        p_serv = scenario.p_small_mw
-    else:
-        exp_serving = prop.two_b * (1.0 - prop.k)
-        p_serv = scenario.p_small_star_mw
+        return scenario.p_small_mw, prop.two_b
+    return scenario.p_small_star_mw, prop.two_b * (1.0 - prop.k)
+
+
+def _coverage_analytic(gamma_db, scenario, quad, direction):
+    gamma = 10.0 ** (gamma_db / 10.0)
+    p_serv, exp_serving = _serving_link(scenario, direction)
     if p_serv == 0.0:
         return 0.0  # a silent serving link: the SINR is 0
     lam_pi = scenario.lam * math.pi
@@ -616,36 +629,3 @@ def coverage_ppp_ul(gamma_db, scenario, quad=None):
     """Uplink coverage probability; identical structure with the uplink
     serving power and the power-controlled serving exponent 2b(1-k)."""
     return _coverage_analytic(gamma_db, scenario, quad or _DEFAULT_QUAD, "ul")
-
-
-def ase(scenario, direction, quad=None, coverage_fn=None):
-    """Average spectral efficiency E[log2(1 + SINR)] in bits/s/Hz.
-
-    Integrates the coverage CCDF against d gamma / (1 + gamma) via the
-    substitution gamma = e^g - 1, on consecutive Gauss panels in g until
-    a panel contributes less than ase_rel_tol of the running total.
-    coverage_fn overrides the analytic coverage (it receives a threshold
-    in dB); used for cross-checks and synthetic profiles.
-    """
-    quad = quad or _DEFAULT_QUAD
-    direction = check_direction(direction)
-    if coverage_fn is None:
-        def coverage_fn(gamma_db):
-            return _coverage_analytic(gamma_db, scenario, quad, direction)
-
-    nodes, weights = gauss_legendre(_ASE_NODES)
-    width = _ASE_PANEL_WIDTH
-    total = 0.0
-    for panel in range(_ASE_MAX_PANELS):
-        lo = panel * width
-        g = lo + 0.5 * width * (nodes + 1.0)
-        w = 0.5 * width * weights
-        gamma = np.expm1(g)
-        contrib = float(sum(wi * coverage_fn(10.0 * math.log10(gi)) for wi, gi in zip(w, gamma)))
-        total += contrib
-        if panel >= 1 and contrib <= quad.ase_rel_tol * total:
-            return total / math.log(2.0)
-    raise IntegrationError(
-        f"spectral-efficiency integral still growing after {_ASE_MAX_PANELS} panels",
-        achieved=total / math.log(2.0),
-    )

@@ -113,6 +113,24 @@ def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, 
     assert f"config error: invalid config:\n  {group}: {key} must be a real number" in err
 
 
+@pytest.mark.parametrize("tree, message", [
+    ({"macro": {"delta": math.inf}}, "macro: delta must be finite and positive"),
+    ({"macro": {"cell_radius": math.inf}}, "macro: cell_radius must be finite and positive"),
+    ({"geometry": "ppp", "mode": "mc", "ppp": {"window_radius": math.inf}},
+     "ppp: window_radius must be finite and positive"),
+    ({"geometry": "ppp", "ppp": {"lam": math.inf}}, "ppp: lam must be finite and positive"),
+    ({"geometry": "ppp", "ppp": {"lam": 1e-300}}, "ppp: lam 1e-300 is too small"),
+    ({"geometry": "ppp", "experiment": "ase", "lambda_grid": [1e-300, 5.0]},
+     "lambda_grid: lam 1e-300 is too small"),
+], ids=["delta", "cell_radius", "window_radius", "lam-inf", "lam-tiny", "lambda_grid-tiny"])
+def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys, tree, message):
+    # +-inf is a valid power (-inf dBm is a silent transmitter), but not
+    # a valid length, density or window
+    path = _write(tmp_path / "inf.json", tree)
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert f"config error: invalid config:\n  {message}" in capsys.readouterr().err
+
+
 def test_unknown_keys_reported_itemized():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({

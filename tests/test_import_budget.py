@@ -25,6 +25,7 @@ for method in ("exact", "series"):
     tg.inv_d(y, net, prop, mix, method=method)
 scenario = tg.SmallCellScenario(lam=10.0, mix=mix)
 tg.coverage_ppp_dl(0.0, scenario, tg.QuadratureControl(**FAST_QUAD))
+tg.ase(scenario, "dl", tg.QuadratureControl(**FAST_QUAD))
 tg.mc_coverage_macro(net, prop, mix, "dl", [0.0], 50, seed=1)
 tg.mc_coverage_ppp(scenario, "dl", [0.0], 50, seed=1)
 tg.validate(quick=True)

@@ -399,22 +399,83 @@ def test_silent_serving_link_has_zero_coverage(direction, silent):
     assert ase(sc, direction, QuadratureControl(**FAST_QUAD)) == 0.0
 
 
-def test_ase_synthetic_profiles():
-    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
-    # coverage 1/(1+gamma) integrates to exactly 1 nat
-    val = ase(sc, "dl", coverage_fn=lambda db: 1.0 / (1.0 + 10.0 ** (db / 10.0)))
-    assert abs(val - 1.0 / math.log(2.0)) < 5e-5
-    # a sharp cutoff at gamma = e^2 - 1 lands on a panel boundary and
-    # integrates exactly to 2 nats
-    cut = math.expm1(2.0)
-    step = ase(sc, "dl", coverage_fn=lambda db: 1.0 if 10.0 ** (db / 10.0) < cut else 0.0)
-    assert step == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
+def _abg_ase_bits():
+    """Andrews, Baccelli and Ganti (IEEE Trans. Commun. 2011): without
+    noise, at path-loss exponent 4, the nearest-cell downlink covers with
+    probability 1 / (1 + sqrt(gamma) arctan(sqrt(gamma))), and the mean
+    rate is its integral against d gamma / (1 + gamma)."""
+    def integrand(gamma):
+        root = math.sqrt(gamma)
+        return 1.0 / ((1.0 + root * math.atan(root)) * (1.0 + gamma))
+
+    nats = sum(scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+    return nats / math.log(2.0)
+
+
+@pytest.mark.parametrize("quad", [QuadratureControl(**FAST_QUAD), QuadratureControl()],
+                         ids=["fast", "default"])
+def test_ase_meets_the_closed_form_without_noise(quad):
+    # every pair in downlink and no noise: the Rayleigh-serving model
+    # with its exclusion ball is the ABG model, whatever the density
+    exact = _abg_ase_bits()
+    assert exact == pytest.approx(2.148155, abs=5e-7)
+    prop = PropagationParams(two_b=4.0, p_noise_dbm=-math.inf)
+    sc = SmallCellScenario(lam=10.0, prop=prop, mix=TddMix(alpha_d=1.0))
+    assert abs(ase(sc, "dl", quad) - exact) <= quad.ase_rel_tol * exact
+
+
+def test_ase_nonconvergence_is_loud():
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=1.0))
+    fast = QuadratureControl(**FAST_QUAD)
+    # n_x 96 holds every Laplace value to inner_abs_tol without a
+    # refinement, so the error comes from the ASE rules
+    strict = QuadratureControl(**dict(FAST_QUAD, n_x=96, ase_rel_tol=1e-12, max_refinements=0))
+    with pytest.raises(IntegrationError, match="spectral-efficiency") as excinfo:
+        ase(sc, "dl", strict)
+    err = excinfo.value
+    # the achieved value is the ASE with the unconverged rows in it, and
+    # the discrepancy is in bit/s/Hz, far above the 1e-12 asked for
+    assert err.achieved == pytest.approx(ase(sc, "dl", fast), rel=fast.ase_rel_tol)
+    assert err.discrepancy is not None and 1e-12 * err.achieved < err.discrepancy < 1e-3
     with pytest.raises(ValueError):
         ase(sc, "sideways")
+    # an uplink with no noise and silent interferers has no finite ASE
+    silent = SmallCellScenario(lam=10.0, p_small_dbm=-math.inf, mix=TddMix(alpha_d=1.0),
+                               prop=PropagationParams(p_noise_dbm=-math.inf))
+    with pytest.raises(IntegrationError, match="infinite"):
+        ase(silent, "ul", fast)
 
 
-def test_ase_flags_nondecaying_profile():
-    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
-    with pytest.raises(IntegrationError) as excinfo:
-        ase(sc, "dl", coverage_fn=lambda db: 1.0)
-    assert excinfo.value.achieved is not None and excinfo.value.achieved > 0.0
+def _ase_by_coverage(sc, direction, quad):
+    """E[log2(1 + SINR)] as scipy's adaptive quadrature of the coverage
+    CCDF against d gamma / (1 + gamma), in u = ln gamma, with each
+    coverage value held to outer_abs_tol."""
+    coverage = {"dl": coverage_ppp_dl, "ul": coverage_ppp_ul}[direction]
+
+    def integrand(u):
+        # d gamma / (1 + gamma) = du / (1 + e^{-u})
+        return coverage(10.0 * u / math.log(10.0), sc, quad) * 0.5 * (1.0 + math.tanh(0.5 * u))
+
+    nats = sum(scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-4, limit=50)[0]
+               for lo, hi in ((-40.0, 0.0), (0.0, 40.0)))
+    return nats / math.log(2.0)
+
+
+@pytest.mark.parametrize("direction, alpha_d, lam, a_db", [
+    # noise-limited: the ASE is 0.0047 bit/s/Hz, nearly all of it below 0 dB
+    ("ul", 0.5, 5.0, 160.0),
+    # every pair in uplink, so the interferers are weaker than the serving
+    # power suggests: a g rule scaled by P and the noise alone stops short
+    ("dl", 0.0, 50.0, 130.0),
+], ids=["ul-noise-limited", "dl-weak-interferers"])
+def test_ase_meets_its_tolerance_against_the_coverage_integral(direction, alpha_d, lam, a_db):
+    # the same kernel orders on both sides, so the unrefined angle rule
+    # errs alike; small ones keep the reference's 200-400 coverage
+    # values cheap
+    kernel = dict(FAST_QUAD, n_theta=8, n_rho=16, n_x=12)
+    sc = SmallCellScenario(lam=lam, prop=PropagationParams(k=0.4, a_db=a_db), mix=TddMix(alpha_d=alpha_d))
+    quad = QuadratureControl(**kernel)
+    reference = _ase_by_coverage(sc, direction, QuadratureControl(**dict(kernel, outer_abs_tol=1e-6,
+                                                                           max_refinements=4)))
+    assert abs(ase(sc, direction, quad) - reference) <= quad.ase_rel_tol * reference
