@@ -9,6 +9,7 @@ rejected so typos cannot silently revert a parameter to its default.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -297,6 +298,7 @@ def _write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+@functools.cache
 def _version_string():
     from . import __version__
 

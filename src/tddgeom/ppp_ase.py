@@ -6,7 +6,8 @@ interference channels", IEEE Trans. Commun. 2010), a Rayleigh serving
 fade of mean S turns E[ln(1 + S h / (I + N))] into one integral over
 the interference Laplace transform, so the ASE needs no coverage value
 and no threshold.  The transform is :func:`tddgeom.ppp_model._laplace`,
-with its own tolerance and refinement.
+with its own tolerance and refinement, and the serving distance takes
+its graded Rayleigh rule, :func:`tddgeom.ppp_model._rayleigh_rule`.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .params import check_direction
-from .ppp_model import _DEFAULT_QUAD, _laplace, _serving_link
+from .ppp_model import _DEFAULT_QUAD, _laplace, _rayleigh_rule, _serving_link
 from .quadrules import gauss_kronrod_unit
 
 __all__ = ["ase"]
@@ -86,10 +87,10 @@ def ase(scenario, direction, quad=None):
         E[ln(1 + SINR) | r] = int_0^inf e^{-vN} L_I(v, r) S / (1 + v S) dv
                             = int_0^inf e^{-vN} L_I(v, r) dg,
 
-    with g = ln(1 + v S).  The outer integral over r takes the Rayleigh
-    CDF u = 1 - exp(-lam pi r^2), graded by u = t^2 against the
-    logarithmic growth of the row at r -> 0, on the nested pair of
-    coarse order n_serving.  Neither rule depends on a threshold: each
+    with g = ln(1 + v S).  The outer integral over r takes the graded
+    Rayleigh rule of the coverage (graded at r -> 0 against the
+    logarithmic growth of the row there) of coarse order n_serving.
+    Neither rule depends on a threshold: each
     row's g rule (see _ase_rows) is scaled by v_s = 1 / (N + I_s), where
     I_s is the mean interference from beyond max(r, rho_scale) of cells
     that transmit the alpha-weighted downlink and uplink powers
@@ -119,18 +120,15 @@ def ase(scenario, direction, quad=None):
         raise IntegrationError(
             "spectral efficiency is infinite: no noise and no interference", achieved=math.inf
         )
-    lam_pi = scenario.lam * math.pi
     n = quad.n_serving
     for _ in range(quad.max_refinements + 1):
-        t, w = gauss_kronrod_unit(n)
-        r = np.sqrt(-np.log1p(-t * t) / lam_pi)
+        r, w = _rayleigh_rule(n, scenario.lam)
         d = np.maximum(r, rho_s)
         i_scale = power * d ** (-2.0 * b) * (d / rho_s) ** 2 / (b - 1.0)
         s_mean = p_serv * r ** (-exp_serving)
         rows, failed, row_disc = _ase_rows(
             r, s_mean, s_mean / (scenario.p_noise_mw + i_scale), scenario, quad
         )
-        w = w * (2.0 * t)
         fine, coarse = (w @ rows / math.log(2.0)).tolist()
         if failed.size:
             raise IntegrationError(

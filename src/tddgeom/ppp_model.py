@@ -25,18 +25,19 @@ up to max_refinements times, then raises an integration error with the
 achieved estimate.  The rules come from :mod:`tddgeom.quadrules`, built
 on first use and cached per order.
 
-The serving distance is mapped through its Rayleigh CDF onto (0, 1).
-The offset is mapped through its CDF u = 1 - exp(-lam pi rho^2) and
-then graded by u = 1 - (1 - t)^2: on u alone the integrand has a
-logarithmic singularity at rho -> infinity.  With every pair in uplink
+The serving distance and each pair's offset are Rayleigh, and both
+take one rule (:func:`_rayleigh_rule`): the CDF u = 1 - exp(-lam pi d^2),
+graded by u = t^2 (3 - 2t).  On u alone the offset integrand has a
+logarithmic singularity at rho -> infinity: with every pair in uplink
 (k = 0.4, lam = 10) at (v, r) = (1.05e9, 0.52), the G(32) offset rule
-errs by 1.1e-4 on u and by 2.7e-7 on the graded map.  The offset
-rule is reduced against both weight vectors, so the kernel returns both
-estimates; the G estimate pairs the Gauss rules in x and offset, the K
-estimate the Kronrod rules.  The radial PGFL
-integral is split at the scale where the interference kernel turns
-over and its tail is mapped by s = (x_break/x)^{2b-2}, which makes the
-integrand asymptotically constant.
+errs by 1.1e-4 on u and by 3.7e-7 on the graded map.  At r -> 0 a
+coverage integrand falls steeply at high thresholds and low densities,
+and a spectral-efficiency row grows like ln(1/r).  The kernel returns
+both offset estimates; the G estimate pairs the Gauss rules in x and
+offset, the K estimate the Kronrod rules.  The radial PGFL integral is
+split at the scale where the interference kernel turns over and its
+tail is mapped by s = (x_break/x)^{2b-2}, which makes the integrand
+asymptotically constant.
 
 The offset angle takes the midpoint rule on n_theta nodes, folded onto
 its distinct cosines (theta and 2 pi - theta share one), so
@@ -55,10 +56,13 @@ retention, so the far tail of the PGFL keeps its relative accuracy.  It
 works on a batch of (v, r) pairs at once: a coverage estimate sends all
 of its serving nodes in one call, and the uplink term is built
 angle-first and in place, in chunks capped at _CHUNK elements (about
-1 MB) so that a large batch adds no memory.
+1 MB) so that a large batch adds no memory.  Its weighted sums are
+einsum reductions, not BLAS products, so a pair's value is the same to
+the bit in any batch.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -103,8 +107,9 @@ class SmallCellScenario:
     omits the interference beyond it, which at lam = 10, alpha_d = 1/2
     raises DL coverage at 0 dB by 0.0111 (7 standard errors at 100k
     draws; 0.0030 with a 3 km window).  Both must be finite and positive,
-    and lam large enough that (10 rho_scale)^{2b} is a finite float, as
-    the analytic rules raise distances of a few rho_scale to that power.
+    and lam such that (10 rho_scale)^{2b} is a finite float and
+    (rho_scale / 10)^{2b} a normal one, as the analytic rules raise
+    distances of a few rho_scale to that power.
     Powers are dBm; the environment offset prop.a_db is folded into the
     effective transmit powers only.
     """
@@ -127,6 +132,9 @@ class SmallCellScenario:
                 f"lam {self.lam!r} is too small: its distance scale {self.rho_scale:.3g} km "
                 f"overflows when raised to two_b"
             ) from None
+        if (0.1 * self.rho_scale) ** self.prop.two_b < sys.float_info.min:
+            raise ValueError(f"lam {self.lam!r} is too large: its distance scale "
+                             f"{self.rho_scale:.3g} km underflows when raised to two_b")
         if self.window_radius is None:
             object.__setattr__(self, "window_radius", 5.0 / math.sqrt(self.lam))
         _check_positive("window_radius", self.window_radius)
@@ -155,7 +163,7 @@ class QuadratureControl:
 
     n_x, n_rho and n_serving are the coarse orders n of the nested
     Gauss-Kronrod pairs G(n) in K(2n+1) for the cell distance, the
-    Rayleigh offset (on its graded CDF map) and the serving distance;
+    offset and the serving distance (both on the graded Rayleigh rule);
     each rule evaluates its integrand at the 2n + 1 Kronrod nodes.
     inner_abs_tol bounds the accepted |K - G| of one Laplace-transform
     value, outer_abs_tol the same for a coverage value, and the Kronrod
@@ -202,15 +210,16 @@ _CHUNK = 1 << 17
 _SAMPLE_CHUNK = 1 << 18
 
 
-def _offset_rule(n_rho, lam):
-    """Offset distances and their (2, 2 n_rho + 1) Kronrod and Gauss
-    weights for the Rayleigh offset of density lam: the CDF
-    u = 1 - exp(-lam pi rho^2), graded by u = 1 - (1 - t)^2 so that the
-    integrand vanishes like (1 - t) at the rho -> infinity end, where
-    the ungraded map leaves a logarithmic singularity."""
-    t, w = gauss_kronrod_unit(n_rho)
-    rho = np.sqrt(-2.0 * np.log1p(-t) / (lam * math.pi))
-    return rho, w * (2.0 * (1.0 - t))
+def _rayleigh_rule(n, lam):
+    """Distances and their (2, 2n + 1) Kronrod and Gauss weights for a
+    Rayleigh distance of density lam, on the nested pair of coarse order
+    n: the CDF u = 1 - exp(-lam pi d^2), graded by u = t^2 (3 - 2t) so
+    that the integrand vanishes like t at d -> 0 and like 1 - t at
+    d -> infinity (see the module notes)."""
+    t, w = gauss_kronrod_unit(n)
+    # -ln(1 - u), with 1 - u = (1 - t)^2 (1 + 2t) exact near t = 1
+    d2 = -(2.0 * np.log1p(-t) + np.log1p(2.0 * t)) / (lam * math.pi)
+    return np.sqrt(d2), w * (6.0 * t * (1.0 - t))
 
 
 @lru_cache(maxsize=64)
@@ -430,7 +439,7 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     same offset.  The fraction is formed directly, never as one minus
     the retention: far out it is about 1e-10, and the subtraction would
     leave only its leading digits.  The offset is integrated by the
-    graded nested pair of :func:`_offset_rule` of coarse order n_rho,
+    graded nested pair of :func:`_rayleigh_rule` of coarse order n_rho,
     and the result has shape (2, x.size): the Kronrod estimate, then the
     Gauss estimate, both from one evaluation on the Kronrod nodes.
 
@@ -454,7 +463,7 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     p_ul = scenario.p_small_star_mw
     if mix.alpha_u == 0.0 or p_ul == 0.0:
         return np.broadcast_to(mix.alpha_d * f_dl, (2, x.size))
-    rho, w = _offset_rule(n_rho, scenario.lam)
+    rho, w = _rayleigh_rule(n_rho, scenario.lam)
     n_off = rho.size
     rho2 = rho * rho
     pc = rho ** (2.0 * b * prop.k)
@@ -462,7 +471,7 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
     n_t = w_theta.size
     step = max(1, _CHUNK // (n_t * n_off))
     buf = np.empty(n_t * min(step, x.size) * n_off)
-    f_ul = np.empty((x.size, 2))
+    f_ul = np.empty((2, x.size))
     for lo in range(0, x.size, step):
         xs = x[lo:lo + step, None]
         m = xs.shape[0]
@@ -480,8 +489,11 @@ def _mean_kernel(x, v, scenario, n_theta, n_rho):
         np.exp(d2, out=d2)
         d2 += 1.0
         np.reciprocal(d2, out=d2)
-        f_ul[lo:lo + m] = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_off) @ w.T
-    return mix.alpha_d * f_dl + mix.alpha_u * f_ul.T
+        per_offset = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_off)
+        # not a matrix product, which may round a row by its place in
+        # the batch
+        f_ul[:, lo:lo + m] = np.einsum("mj,kj->km", per_offset, w)
+    return mix.alpha_d * f_dl + mix.alpha_u * f_ul
 
 
 def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
@@ -515,9 +527,10 @@ def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
         np.concatenate((np.repeat(v[mid], nodes.size), np.repeat(v, nodes.size))),
         scenario, n_theta, n_rho,
     ).reshape(2, -1, nodes.size)
-    total = (frac[:, mid.size:] * jac) @ ws[:, :, None]
-    total[:, mid] += (frac[:, : mid.size] * (xm * (0.5 * (hi - lo)))) @ weights[:, :, None]
-    return total[:, :, 0]
+    total = np.einsum("kpj,kj->kp", frac[:, mid.size:] * jac, ws)
+    mid_jac = xm * (0.5 * (hi - lo))
+    total[:, mid] += np.einsum("kpj,kj->kp", frac[:, : mid.size] * mid_jac, weights)
+    return total
 
 
 def _laplace(v, r, scenario, quad):
@@ -581,31 +594,14 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     p_serv, exp_serving = _serving_link(scenario, direction)
     if p_serv == 0.0:
         return 0.0  # a silent serving link: the SINR is 0
-    lam_pi = scenario.lam * math.pi
-    # extra Rayleigh rate flattens the interference-induced decay of the
-    # integrand so a fixed Gauss rule resolves large thresholds; the rate
-    # is measured from the PGFL integral at a tail reference radius,
-    # where the exclusion ball makes it grow quadratically
-    r_ref = 3.0 / math.sqrt(lam_pi)
-    v_ref = gamma * r_ref**exp_serving / p_serv
-    pgfl_ref = _pgfl_radial(
-        np.array([v_ref]), np.array([r_ref]), scenario, quad.n_x, quad.n_theta, quad.n_rho
-    )
-    surplus = 2.0 * float(pgfl_ref[0, 0]) / (r_ref * r_ref)
-    beta = lam_pi * (1.0 + surplus)
-
     n = quad.n_serving
     for _ in range(quad.max_refinements + 1):
-        # the nested pair G(n) in K(2n + 1): one Laplace call on the
-        # Kronrod nodes gives both estimates
-        t, w = gauss_kronrod_unit(n)
-        r = np.sqrt(-np.log1p(-t) / beta)
+        # int_0^1 e^{-vN} L_I(v, r) du over the serving CDF u, graded at
+        # r -> 0, where the integrand falls steeply at high thresholds
+        r, w = _rayleigh_rule(n, scenario.lam)
         v = gamma * r**exp_serving / p_serv
-        val = (
-            np.exp(surplus * lam_pi * r * r - gamma * scenario.p_noise_mw * r**exp_serving / p_serv)
-            * _laplace(v, r, scenario, quad)
-        )
-        fine, coarse = ((w @ val) / (1.0 + surplus)).tolist()
+        val = np.exp(-v * scenario.p_noise_mw) * _laplace(v, r, scenario, quad)
+        fine, coarse = (w @ val).tolist()
         disc = abs(fine - coarse)
         if disc <= quad.outer_abs_tol:
             return min(fine, 1.0)

@@ -137,7 +137,9 @@ def gauss_kronrod(n):
     _, _, q, _, dp = sweep(nodes)
     weights = np.stack((2.0 / (dp * q), np.concatenate((wg, np.zeros(n + 1)))))
     order = np.argsort(nodes)
-    return nodes[order], weights[:, order]
+    # take() keeps each row contiguous (weights[:, order] would not), as
+    # the einsum reductions of the PPP kernel want
+    return nodes[order], weights.take(order, axis=1)
 
 
 @lru_cache(maxsize=64)

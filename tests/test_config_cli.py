@@ -122,7 +122,11 @@ def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, 
     ({"geometry": "ppp", "ppp": {"lam": 1e-300}}, "ppp: lam 1e-300 is too small"),
     ({"geometry": "ppp", "experiment": "ase", "lambda_grid": [1e-300, 5.0]},
      "lambda_grid: lam 1e-300 is too small"),
-], ids=["delta", "cell_radius", "window_radius", "lam-inf", "lam-tiny", "lambda_grid-tiny"])
+    ({"geometry": "ppp", "ppp": {"lam": 1e200}}, "ppp: lam 1e+200 is too large"),
+    ({"geometry": "ppp", "experiment": "ase", "lambda_grid": [5.0, 1e200]},
+     "lambda_grid: lam 1e+200 is too large"),
+], ids=["delta", "cell_radius", "window_radius", "lam-inf", "lam-tiny", "lambda_grid-tiny",
+        "lam-huge", "lambda_grid-huge"])
 def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys, tree, message):
     # +-inf is a valid power (-inf dBm is a silent transmitter), but not
     # a valid length, density or window

@@ -2,6 +2,7 @@
 interference Laplace transform against an independent quadrature oracle,
 coverage, and spectral efficiency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,13 @@ def test_scenario_defaults_and_units():
         SmallCellScenario(lam=0.0)
     with pytest.raises(ValueError):
         SmallCellScenario(lam=1.0, window_radius=-2.0)
+    # a density whose distance scale underflows at the path-loss power
+    # is rejected; one just inside the range keeps the dense-limit value
+    with pytest.raises(ValueError, match="too large"):
+        SmallCellScenario(lam=1e200)
+    quad = QuadratureControl(**FAST_QUAD)
+    dense = SmallCellScenario(lam=1e150, mix=TddMix(alpha_d=1.0))
+    assert coverage_ppp_dl(0.0, dense, quad) == pytest.approx(0.482255, abs=5e-7)
 
 
 def test_quadrature_control_validation():
@@ -142,7 +150,7 @@ def _broadcast_kernel(x, v, scenario, n_theta, n_rho):
     offset estimates, shape (2, x.size)."""
     prop = scenario.prop
     b = prop.b
-    rho, w = ppp_model._offset_rule(n_rho, scenario.lam)
+    rho, w = ppp_model._rayleigh_rule(n_rho, scenario.lam)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     xc = x[:, None, None]
     rc = rho[None, :, None]
@@ -158,7 +166,7 @@ def test_offset_rule_is_a_graded_rayleigh_rule():
     # the power-control moment the kernel integrates far out (bk = 0.7 at
     # the default 2b = 3.5, k = 0.4)
     lam, bk = 10.0, 0.7
-    rho, weights = ppp_model._offset_rule(32, lam)
+    rho, weights = ppp_model._rayleigh_rule(32, lam)
     assert rho.shape == (65,) and weights.shape == (2, 65)
     assert np.all(rho > 0) and np.all(np.diff(rho) > 0)
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
@@ -227,8 +235,8 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
     monkeypatch.setattr(ppp_model, "_pgfl_radial", spy)
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
     # at this tolerance (1e8, 0.02) needs one doubling (its Kronrod and
-    # Gauss values differ by 3.4e-7 at n_x 24), the others none
-    quad = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-7})
+    # Gauss values differ by 3.1e-9 at n_x 24), the others none
+    quad = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 2e-9})
     v = np.array([1e9, 1e8, 0.0, 1e10])
     r = np.array([0.1, 0.02, 0.1, 0.1])
     batch = ppp_model._laplace(v, r, sc, quad)
@@ -242,13 +250,13 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
         assert abs(bi - one) <= 1e-15 * one
         assert orders.get(float(vi), []) == batch_orders.get(float(vi), [])
     # no refinement allowed: the error names the failing pair
-    strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-7, "max_refinements": 0})
+    strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 2e-9, "max_refinements": 0})
     with pytest.raises(IntegrationError) as scalar:
         laplace_dl(1e8, 0.02, sc, strict)
     with pytest.raises(IntegrationError, match="v=100000000.0, r=0.02") as batched:
         ppp_model._laplace(v, r, sc, strict)
     assert batched.value.achieved == scalar.value.achieved
-    assert batched.value.discrepancy == scalar.value.discrepancy > 1e-7
+    assert batched.value.discrepancy == scalar.value.discrepancy > 2e-9
 
 
 def test_laplace_meets_its_tolerance_against_a_fine_reference():
@@ -375,6 +383,49 @@ def test_coverage_ppp_monotone_and_bounded():
     assert coverage_ppp_dl(-60.0, sc) > 0.999
     ul_vals = [coverage_ppp_ul(g, sc) for g in (-10.0, 0.0)]
     assert ul_vals[0] > ul_vals[1]
+
+
+def _coverage_by_serving_quad(gamma_db, sc, direction, quad):
+    """Coverage as scipy's adaptive quadrature over the Rayleigh serving
+    distance, each point taking laplace_dl at the kernel orders of quad
+    with inner_abs_tol 1e-8.  The serving density e^{-lam pi r^2} is
+    below e^{-100} beyond 10 rho_scale, so the range stops there."""
+    inner = dataclasses.replace(quad, inner_abs_tol=1e-8)
+    p_serv, exp_serving = ppp_model._serving_link(sc, direction)
+    gamma = 10.0 ** (gamma_db / 10.0)
+    lam_pi = sc.lam * math.pi
+
+    def integrand(r):
+        v = gamma * r**exp_serving / p_serv
+        return (2.0 * lam_pi * r * math.exp(-lam_pi * r * r - v * sc.p_noise_mw)
+                * laplace_dl(v, r, sc, inner))
+
+    s = sc.rho_scale
+    return sum(scipy.integrate.quad(integrand, lo, hi, epsabs=1e-9, epsrel=1e-9, limit=200)[0]
+               for lo, hi in ((0.0, s), (s, 10.0 * s)))
+
+
+@pytest.mark.parametrize("lam, a_db, direction, gamma_db", [
+    # a sparse, noise-limited downlink: the integrand is steep at r -> 0,
+    # where the serving rule must place its nodes
+    (1e-3, 160.0, "dl", -20.0),
+    (10.0, 130.0, "dl", 0.0),
+    (10.0, 130.0, "ul", 10.0),
+], ids=["sparse-noise-limited", "dl-0db", "ul-10db"])
+def test_coverage_meets_its_tolerance_against_the_serving_integral(lam, a_db, direction, gamma_db):
+    sc = SmallCellScenario(lam=lam, prop=PropagationParams(a_db=a_db), mix=TddMix(alpha_d=0.5))
+    quad = QuadratureControl(**FAST_QUAD)
+    analytic = {"dl": coverage_ppp_dl, "ul": coverage_ppp_ul}[direction]
+    reference = _coverage_by_serving_quad(gamma_db, sc, direction, quad)
+    assert abs(analytic(gamma_db, sc, quad) - reference) <= quad.outer_abs_tol
+
+
+def test_coverage_converges_at_a_low_threshold():
+    # a noise-limited uplink at -46 dB, where the coverage is about 0.93:
+    # the serving rule must meet a tight tolerance within its doublings
+    sc = SmallCellScenario(lam=5.0, prop=PropagationParams(k=0.4, a_db=160.0), mix=TddMix(alpha_d=0.5))
+    quad = QuadratureControl(**{**FAST_QUAD, "outer_abs_tol": 1e-7, "max_refinements": 4})
+    assert 0.9 < coverage_ppp_ul(-46.0, sc, quad) < 1.0
 
 
 def test_laplace_nonconvergence_is_loud():
