@@ -459,7 +459,7 @@ def run(cfg, out_dir=None, label=None):
 
 # The reduced quadrature of the PPP recipes (fig7-fig10) and of
 # acceptance criterion 11.
-FAST_QUAD = {"n_theta": 16, "n_rho": 32, "n_x": 24, "n_serving": 24,
+FAST_QUAD = {"n_rho": 32, "n_x": 24, "n_serving": 24,
              "inner_abs_tol": 1e-5, "outer_abs_tol": 1e-4, "ase_rel_tol": 1e-3}
 
 

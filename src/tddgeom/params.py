@@ -225,10 +225,9 @@ def _check_positive(name, value):
 
 def check_direction(direction):
     """Validate a link direction, case-insensitively; returns 'dl' or 'ul'."""
-    direction = direction.lower()
-    if direction not in ("dl", "ul"):
+    if not isinstance(direction, str) or direction.lower() not in ("dl", "ul"):
         raise ValueError(f"direction must be 'dl' or 'ul', got {direction!r}")
-    return direction
+    return direction.lower()
 
 
 def check_gamma_grid(gamma_grid_db):

@@ -101,8 +101,7 @@ def ase(scenario, direction, quad=None):
     doubled on its own, a failing r rule doubles n_serving, each up to
     max_refinements times, and then an integration error carries the
     achieved value and the discrepancy, both in bits/s/Hz.  Each Laplace
-    value meets inner_abs_tol.  The angle rule (n_theta) is never
-    refined, so the tolerance does not bound its error.
+    value meets inner_abs_tol.
     """
     quad = quad or _DEFAULT_QUAD
     direction = check_direction(direction)

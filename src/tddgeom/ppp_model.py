@@ -14,16 +14,15 @@ same model, so the two routes are comparable to Monte Carlo error.  A
 diagnostic nearest-cell association mode quantifies what the
 approximation leaves out.
 
-Quadrature design.  Every rule in x, offset and serving distance is a
-nested Gauss-Kronrod pair G(n) in K(2n+1) on (-1, 1): the 2n + 1
-Kronrod nodes contain the n Gauss nodes, so one evaluation on the
-Kronrod nodes gives both estimates, K (exact to degree 3n + 1) and
-G (to 2n - 1).  A level accepts |K - G| <= tol and returns K; otherwise
-it doubles the coarse orders n_x and n_rho (a Laplace value, each pair
-on its own) or n_serving (a coverage value) and evaluates the next pair,
-up to max_refinements times, then raises an integration error with the
-achieved estimate.  The rules come from :mod:`tddgeom.quadrules`, built
-on first use and cached per order.
+Quadrature design.  Every rule in interferer distance, offset and
+serving distance is a nested Gauss-Kronrod pair G(n) in K(2n+1) on
+(-1, 1): one evaluation on the 2n + 1 Kronrod nodes gives both
+estimates, K (exact to degree 3n + 1) and G (to 2n - 1).  A level
+accepts |K - G| <= tol and returns K; otherwise it doubles the coarse
+orders n_x and n_rho (a Laplace value, each pair on its own) or
+n_serving (a coverage value), up to max_refinements times, then raises
+an integration error with the achieved estimate.  No rule sits outside
+that comparison.  The rules come from :mod:`tddgeom.quadrules`.
 
 The serving distance and each pair's offset are Rayleigh, and both
 take one rule (:func:`_rayleigh_rule`): the CDF u = 1 - exp(-lam pi d^2),
@@ -32,33 +31,41 @@ logarithmic singularity at rho -> infinity: with every pair in uplink
 (k = 0.4, lam = 10) at (v, r) = (1.05e9, 0.52), the G(32) offset rule
 errs by 1.1e-4 on u and by 3.7e-7 on the graded map.  At r -> 0 a
 coverage integrand falls steeply at high thresholds and low densities,
-and a spectral-efficiency row grows like ln(1/r).  The kernel returns
-both offset estimates; the G estimate pairs the Gauss rules in x and
-offset, the K estimate the Kronrod rules.  The radial PGFL integral is
-split at the scale where the interference kernel turns over and its
-tail is mapped by s = (x_break/x)^{2b-2}, which makes the integrand
-asymptotically constant.
+and a spectral-efficiency row grows like ln(1/r).
 
-The offset angle takes the midpoint rule on n_theta nodes, folded onto
-its distinct cosines (theta and 2 pi - theta share one), so
-ceil(n_theta / 2) angles are evaluated.  n_theta is never doubled and
-both estimates share it, so the tolerances bound the x, offset,
-serving and spectral-efficiency error only: at FAST_QUAD the angle rule
-leaves a true coverage error of 1.5e-3 at 0 dB against the 1e-4 asked
-for.
+The interference transform integrates, over the pairs beyond the
+exclusion ball r, the interfered fraction g = c / (c + y^{2b}) =
+1 - E[exp(-v h P y^{-2b})] of a transmitter at distance y: c = v P for
+a downlink cell, c = v P* rho^{2bk} for an uplink user whose cell lies
+at offset rho and a uniform angle.  The users of a displaced PPP are
+again a PPP (Haenggi, Stochastic Geometry for Wireless Networks, 2012,
+ch. 2), so the uplink term integrates over the user's position, and
+per offset the angle average becomes a closed-form weight:
 
-The spectral efficiency is one double integral over the serving
-distance and g = ln(1 + v S(r)), not an integral of coverage values; its
-rules are in :mod:`tddgeom.ppp_ase`.
+    int_{|x| > r} E_theta[g(|x - rho e^{i theta}|)] d^2x / (2 pi)
+        = int_0^inf y g(y) W(y) dy,
+    W = 1 - arccos(clip((y^2 + rho^2 - r^2) / (2 y rho), -1, 1)) / pi,
 
-The kernel returns the interfered fraction itself, not one minus the
-retention, so the far tail of the PGFL keeps its relative accuracy.  It
-works on a batch of (v, r) pairs at once: a coverage estimate sends all
-of its serving nodes in one call, and the uplink term is built
-angle-first and in place, in chunks capped at _CHUNK elements (about
-1 MB) so that a large batch adds no memory.  Its weighted sums are
-einsum reductions, not BLAS products, so a pair's value is the same to
-the bit in any batch.
+the fraction of angles that put the cell outside the ball.  W is 1 up
+to rho - r and beyond r + rho, 0 up to r - rho, with square-root ends
+at |r - rho| and r + rho.  So each (pair, offset) takes four pieces on
+the pair of order n_x: [0, (rho - r)+]; [|r - rho|, r + rho], the only
+one with arccos; [r + rho, max(r + rho, c^{1/2b})], up to where g turns
+over; and the tail beyond, mapped by s = (e/y)^{2b-2} from its start e,
+where y g(y) dy tends to a constant in s.  Each finite piece is graded
+by t^2 (3 - 2t), which smooths the square-root ends.  The downlink term
+is the same sum with W = 1 from r.  The typical user and the typical
+cell see the same field, so one transform serves both.
+
+The kernel forms the interfered fraction itself, never one minus the
+retention, so the far tail keeps its relative accuracy.  It takes a
+batch of (v, r) pairs in chunks that reuse three buffers of _CHUNK
+elements.  It skips empty pieces (r = rho happens: the serving and
+offset rules share the node t = 1/2), so no node sits at y = 0.  Its
+sums are einsum reductions, not BLAS products, so a pair's value is the
+same to the bit in any batch.
+
+The spectral efficiency's rules are in :mod:`tddgeom.ppp_ase`.
 """
 
 import math
@@ -82,7 +89,7 @@ from .params import (
     check_gamma_grid,
     dbm_to_mw,
 )
-from .quadrules import gauss_kronrod, gauss_kronrod_unit
+from .quadrules import gauss_kronrod_unit
 
 __all__ = [
     "SmallCellScenario",
@@ -162,21 +169,22 @@ class QuadratureControl:
     """Node counts and tolerances for the analytic integrals.
 
     n_x, n_rho and n_serving are the coarse orders n of the nested
-    Gauss-Kronrod pairs G(n) in K(2n+1) for the cell distance, the
-    offset and the serving distance (both on the graded Rayleigh rule);
-    each rule evaluates its integrand at the 2n + 1 Kronrod nodes.
+    Gauss-Kronrod pairs G(n) in K(2n+1) for each piece of the
+    interferer distance, the offset and the serving distance (both on
+    the graded Rayleigh rule); each rule evaluates its integrand at the
+    2n + 1 Kronrod nodes.
     inner_abs_tol bounds the accepted |K - G| of one Laplace-transform
     value, outer_abs_tol the same for a coverage value, and the Kronrod
     value is returned.  A failing comparison doubles the coarse orders
     up to max_refinements times before raising; max_refinements=0
     raises at the first failure.  The doubled orders are n_x and n_rho
-    (Laplace) and n_serving (coverage).  n_theta, the midpoint angle
-    rule shared by both estimates, is never doubled, so the tolerances
-    do not bound the error of the angle rule.  ase_rel_tol bounds the
+    (Laplace) and n_serving (coverage).  ase_rel_tol bounds the
     |K - G| of each spectral-efficiency g integral relative to its value,
     and that of the serving-distance rule relative to the total; a
     failing g integral doubles its own order (from _ASE_NODES), a
     failing serving rule n_serving (see :func:`tddgeom.ppp_ase.ase`).
+    n_theta is validated and ignored, as the offset angle is integrated
+    in closed form; it stays so that old configs and meta.json load.
     """
 
     inner_abs_tol: float = 1e-6
@@ -200,10 +208,10 @@ class QuadratureControl:
 
 _DEFAULT_QUAD = QuadratureControl()
 
-# elements (8 bytes each) of the uplink-kernel buffer: about 1 MB, so
-# the in-place passes over it stay in cache and a large batch adds no
-# memory
-_CHUNK = 1 << 17
+# elements (8 bytes each) of each of the three Laplace-kernel buffers,
+# 512 KB, so that the in-place passes over them stay in cache and a
+# large batch adds no memory
+_CHUNK = 1 << 16
 
 # interfering pairs per chunk of the Monte Carlo sampler: its buffer
 # holds about 6 numbers per pair, 12 MB
@@ -220,20 +228,6 @@ def _rayleigh_rule(n, lam):
     # -ln(1 - u), with 1 - u = (1 - t)^2 (1 + 2t) exact near t = 1
     d2 = -(2.0 * np.log1p(-t) + np.log1p(2.0 * t)) / (lam * math.pi)
     return np.sqrt(d2), w * (6.0 * t * (1.0 - t))
-
-
-@lru_cache(maxsize=64)
-def _theta_fold(n_theta):
-    """The midpoint angle rule folded onto its distinct cosines: the
-    nodes theta and 2 pi - theta share a cosine, so each distinct one
-    carries weight 2 / n_theta, and the node at pi (odd n_theta) keeps
-    1 / n_theta."""
-    half = (n_theta + 1) // 2
-    theta = (np.arange(half) + 0.5) * (2.0 * math.pi / n_theta)
-    weights = np.full(half, 2.0 / n_theta)
-    if n_theta % 2:
-        weights[-1] = 1.0 / n_theta
-    return np.cos(theta), weights
 
 
 # ---------------------------------------------------------------------------
@@ -429,125 +423,131 @@ def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
 # analytic transforms
 
 
-def _mean_kernel(x, v, scenario, n_theta, n_rho):
-    """Rayleigh-offset and angle average of the interfered fraction
-    1 - E[exp(-v h P d^{-2b})] = v P d^{-2b} / (1 + v P d^{-2b}) at
-    interfering-cell distances x, each paired with the transform
-    variable v of the same position (x and v are 1-D arrays of one
-    length): downlink pairs interfere from the cell itself, uplink pairs
-    from the user displaced off the cell, under power control on the
-    same offset.  The fraction is formed directly, never as one minus
-    the retention: far out it is about 1e-10, and the subtraction would
-    leave only its leading digits.  The offset is integrated by the
-    graded nested pair of :func:`_rayleigh_rule` of coarse order n_rho,
-    and the result has shape (2, x.size): the Kronrod estimate, then the
-    Gauss estimate, both from one evaluation on the Kronrod nodes.
-
-    The typical user and the typical cell see the same field, so one
-    kernel serves both receptions: the offset angle is uniform, and the
-    sign of the cross term in the squared distance is immaterial.  With
-    the minus sign the kernel peaks at theta = 0, which no midpoint node
-    hits; with the plus sign it would peak at theta = pi, a node
-    whenever n_theta is odd.
-
-    The uplink term is built theta-first, one chunk of positions at a
-    time, in one buffer of at most _CHUNK elements; it is skipped when
-    no uplink pair transmits (alpha_u = 0 or zero uplink power), where
-    its fraction is exactly 0 under either rule.
-    """
-    prop = scenario.prop
-    b = prop.b
-    mix = scenario.mix
-    a_dl = v * scenario.p_small_mw * x ** (-2.0 * b)
-    f_dl = a_dl / (1.0 + a_dl)
-    p_ul = scenario.p_small_star_mw
-    if mix.alpha_u == 0.0 or p_ul == 0.0:
-        return np.broadcast_to(mix.alpha_d * f_dl, (2, x.size))
-    rho, w = _rayleigh_rule(n_rho, scenario.lam)
-    n_off = rho.size
-    rho2 = rho * rho
-    pc = rho ** (2.0 * b * prop.k)
-    cos_theta, w_theta = _theta_fold(n_theta)
-    n_t = w_theta.size
-    step = max(1, _CHUNK // (n_t * n_off))
-    buf = np.empty(n_t * min(step, x.size) * n_off)
-    f_ul = np.empty((2, x.size))
-    for lo in range(0, x.size, step):
-        xs = x[lo:lo + step, None]
-        m = xs.shape[0]
-        d2 = buf[: n_t * m * n_off].reshape(n_t, m, n_off)
-        near = xs * xs + rho2
-        cross = 2.0 * xs * rho
-        for j, c in enumerate(cos_theta):
-            np.multiply(cross, c, out=d2[j])
-            np.subtract(near, d2[j], out=d2[j])
-        # 1 / (1 + d2^b / (v P* rho^{2bk})), through the logarithm so
-        # that every step runs in place
-        np.log(d2, out=d2)
-        d2 *= b
-        d2 -= np.log(v[lo:lo + step, None] * p_ul * pc)
-        np.exp(d2, out=d2)
-        d2 += 1.0
-        np.reciprocal(d2, out=d2)
-        per_offset = (w_theta @ d2.reshape(n_t, -1)).reshape(m, n_off)
-        # not a matrix product, which may round a row by its place in
-        # the batch
-        f_ul[:, lo:lo + m] = np.einsum("mj,kj->km", per_offset, w)
-    return mix.alpha_d * f_dl + mix.alpha_u * f_ul
-
-
-def _pgfl_radial(v, r, scenario, n_x, n_theta, n_rho):
-    """Per (v, r) pair of the 1-D arrays v and r: the integral over
-    (r, infinity) of _mean_kernel(x) x dx, split at the kernel
-    turnover scale with an algebraic tail map, each part on the nested
-    pair G(n_x) in K(2 n_x + 1).  Returns shape (2, v.size): the
-    Kronrod estimate (Kronrod in x and in the offset), then the Gauss
-    estimate (Gauss in both).  All nodes of all pairs go through one
-    kernel call."""
-    prop = scenario.prop
-    two_b = prop.two_b
+@lru_cache(maxsize=64)
+def _piece_rule(n, two_b):
+    """Nodes and (2, 2n + 1) Kronrod and Gauss weights of the finite
+    pieces of :func:`_piece_integrals`, at u = t^2 (3 - 2t), and of the
+    tail beyond e, at y = e s^{-1/z} with z = 2b - 2 (see the module
+    notes), on the nested pair of coarse order n."""
+    t, w = gauss_kronrod_unit(n)
     z = two_b - 2.0
-    x_break = np.maximum(
-        np.maximum(r, 2.0 * scenario.rho_scale),
-        np.maximum(
-            (v * scenario.p_small_mw) ** (1.0 / two_b),
-            (v * scenario.p_small_star_mw * scenario.rho_scale ** (2.0 * prop.b * prop.k))
-            ** (1.0 / two_b),
-        ),
-    )
-    mid = np.flatnonzero(x_break > r)
-    nodes, weights = gauss_kronrod(n_x)
-    lo, hi = r[mid, None], x_break[mid, None]
-    xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-    s, ws = gauss_kronrod_unit(n_x)
-    xt = x_break[:, None] * s ** (-1.0 / z)
-    jac = (x_break * x_break / z)[:, None] * s ** (-2.0 / z - 1.0)
-    frac = _mean_kernel(
-        np.concatenate((xm.ravel(), xt.ravel())),
-        np.concatenate((np.repeat(v[mid], nodes.size), np.repeat(v, nodes.size))),
-        scenario, n_theta, n_rho,
-    ).reshape(2, -1, nodes.size)
-    total = np.einsum("kpj,kj->kp", frac[:, mid.size:] * jac, ws)
-    mid_jac = xm * (0.5 * (hi - lo))
-    total[:, mid] += np.einsum("kpj,kj->kp", frac[:, : mid.size] * mid_jac, weights)
+    return ((t * t * (3.0 - 2.0 * t), w * (6.0 * t * (1.0 - t))),
+            (t ** (-1.0 / z), w * t ** (-1.0 / z - 1.0) / z))
+
+
+def _piece_integrals(start, scale, turn, two_b, n, work, cells=None):
+    """Kronrod and Gauss estimates, shape (2, R), of int y g(y) W(y) dy
+    over the pieces of each of R rows, with g = 1 / (1 + (y / turn)^{2b}).
+    start and scale have shape (R, Q): the finite pieces are
+    [start, start + scale], and the last is the tail beyond its scale.
+    W is 1, or with cells = (rho, r), 1-D arrays of length R, it is the
+    angle weight of the module notes on piece 1.  work is three flat
+    buffers of at least R (2n + 1) elements.
+    """
+    finite, tail = _piece_rule(n, two_b)
+    total = np.zeros((2, start.shape[0]))
+    for q in range(start.shape[1]):
+        tau, omega = tail if q == start.shape[1] - 1 else finite
+        live = np.flatnonzero(scale[:, q] > 0.0)
+        y = work[0][: live.size * tau.size].reshape(live.size, tau.size)
+        den = work[1][: y.size].reshape(y.shape)
+        # in units of the turnover, where g = 1/2
+        at = turn[live, None]
+        h = scale[live, q, None] / at
+        np.multiply(h, tau, out=y)
+        y += start[live, q, None] / at
+        if q == 1 and cells is not None:
+            rho, r = (c[live, None] for c in cells)
+            # pi W = arccos(-q'), with q' = (y^2 + rho^2 - r^2) / (2 y rho)
+            angle = work[2][: y.size].reshape(y.shape)
+            np.multiply(y, y, out=angle)
+            angle += (rho - r) * (rho + r) / (at * at)
+            angle /= y
+            angle *= -0.5 * at / rho
+            np.clip(angle, -1.0, 1.0, out=angle)
+            np.arccos(angle, out=angle)
+        np.power(y, two_b, out=den)
+        den += 1.0
+        y /= den
+        weight = h[:, 0] * at[:, 0] ** 2
+        if q == 1 and cells is not None:
+            y *= angle
+            weight /= math.pi
+        # einsum, not a matrix product, which may round a row by its
+        # place in the batch
+        total[:, live] += np.einsum("rk,ek->er", y, omega) * weight
+    return total
+
+
+def _uplink_integrals(v, r, rho, scenario, n, work):
+    """Per pair of the 1-D arrays v and r and per offset of the 1-D rho:
+    int_0^inf y g(y) W(y) dy, the angle average of the uplink interfered
+    fraction integrated over the cells beyond r (see the module notes),
+    on four pieces.  Returns shape (2, v.size, rho.size)."""
+    prop = scenario.prop
+    shape = (v.size, rho.size)
+    r = r[:, None]
+    turn = (v[:, None] * scenario.p_small_star_mw) ** (1.0 / prop.two_b) * rho**prop.k
+    near, far = np.abs(rho - r), rho + r
+    edge = np.maximum(far, turn)
+    # [0, (rho - r)+] and [rho + r, edge] with W = 1, [|rho - r|, rho + r]
+    # between them, and the tail
+    start = np.stack(np.broadcast_arrays(0.0, near, far, 0.0), axis=-1)
+    scale = np.stack((np.maximum(rho - r, 0.0), far - near, edge - far, edge), axis=-1)
+    cells = (np.broadcast_to(rho, shape).ravel(), np.broadcast_to(r, shape).ravel())
+    return _piece_integrals(start.reshape(-1, 4), scale.reshape(-1, 4), turn.ravel(), prop.two_b,
+                            n, work, cells).reshape(2, *shape)
+
+
+def _pgfl_radial(v, r, scenario, n_x, n_rho):
+    """Per (v, r) pair of the 1-D arrays v and r: the mean interfered
+    fraction of the pairs beyond r integrated against x dx, E, so that
+    the Laplace transform is exp(-2 pi lam E).  The downlink term takes
+    the pieces [r, max(r, c^{1/2b})] and the tail, the uplink term those
+    of :func:`_uplink_integrals` at each offset node of order n_rho; a
+    silent term is skipped.  Returns shape (2, v.size): the Kronrod
+    estimate (Kronrod in y and offset), then the Gauss estimate."""
+    mix = scenario.mix
+    two_b = scenario.prop.two_b
+    down = mix.alpha_d > 0.0 and scenario.p_small_mw > 0.0
+    up = mix.alpha_u > 0.0 and scenario.p_small_star_mw > 0.0
+    rho, w_rho = _rayleigh_rule(n_rho, scenario.lam)
+    rows = rho.size if up else 1
+    row_size = 2 * n_x + 1
+    # pairs per chunk, and offsets per pass (all, unless one pair fills _CHUNK)
+    step = max(1, _CHUNK // (rows * row_size))
+    block = max(1, _CHUNK // (step * row_size))
+    size = min(step, v.size) * min(block, rows) * row_size
+    work = [np.empty(size) for _ in range(3)]
+    total = np.zeros((2, v.size))
+    for lo in range(0, v.size, step):
+        vs, rs = v[lo : lo + step], r[lo : lo + step]
+        out = total[:, lo : lo + vs.size]
+        if down:
+            turn = (vs * scenario.p_small_mw) ** (1.0 / two_b)
+            edge = np.maximum(rs, turn)
+            pieces = np.stack((rs, 0.0 * rs), axis=1), np.stack((edge - rs, edge), axis=1)
+            out += mix.alpha_d * _piece_integrals(*pieces, turn, two_b, n_x, work)
+        if up:
+            per_offset = np.concatenate([_uplink_integrals(vs, rs, rho[j : j + block], scenario, n_x, work)
+                                         for j in range(0, rows, block)], axis=2)
+            out += mix.alpha_u * np.einsum("emj,ej->em", per_offset, w_rho)
     return total
 
 
 def _laplace(v, r, scenario, quad):
     """Laplace transforms at the pairs of the 1-D arrays v and r.  Each
     pair is refined on its own: a pair whose Kronrod and Gauss values
-    differ by more than inner_abs_tol goes on to doubled x and offset
-    orders; the others return their Kronrod value."""
-    if np.any(v < 0) or np.any(r < 0):
-        raise ValueError("v and r must be non-negative")
+    differ by more than inner_abs_tol goes on to doubled distance and
+    offset orders; the others return their Kronrod value."""
+    if not (np.all((v >= 0) & (v < math.inf)) and np.all((r >= 0) & (r < math.inf))):
+        raise ValueError("v and r must be finite and non-negative")
     out = np.ones(v.size)
     todo = np.flatnonzero(v != 0)
     pref = 2.0 * math.pi * scenario.lam
     n_x, n_rho = quad.n_x, quad.n_rho
     for _ in range(quad.max_refinements + 1):
-        fine, coarse = np.exp(
-            -pref * _pgfl_radial(v[todo], r[todo], scenario, n_x, quad.n_theta, n_rho)
-        )
+        fine, coarse = np.exp(-pref * _pgfl_radial(v[todo], r[todo], scenario, n_x, n_rho))
         disc = np.abs(fine - coarse)
         done = disc <= quad.inner_abs_tol
         out[todo[done]] = fine[done]

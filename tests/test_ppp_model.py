@@ -142,23 +142,43 @@ def test_laplace_against_independent_oracle():
     assert abs(ours - ref) < 2e-5, (ours, ref)
 
 
-def _broadcast_kernel(x, v, scenario, n_theta, n_rho):
-    """The interfered fraction a / (1 + a), a = v P d^{-2b}, as one
-    broadcast over (x, rho, theta) on the full midpoint angle grid, with
-    d2 ** (-b): the reference for the folded, chunked kernel.  v holds
-    one transform variable per x.  Returns the Kronrod and the Gauss
-    offset estimates, shape (2, x.size)."""
-    prop = scenario.prop
-    b = prop.b
-    rho, w = ppp_model._rayleigh_rule(n_rho, scenario.lam)
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    xc = x[:, None, None]
-    rc = rho[None, :, None]
-    d2 = xc * xc + rc * rc - 2.0 * xc * rc * np.cos(theta)[None, None, :]
-    a_ul = v[:, None, None] * scenario.p_small_star_mw * rc ** (2.0 * b * prop.k) * d2 ** (-b)
-    f_ul = w @ (a_ul / (1.0 + a_ul)).mean(axis=2).T
-    a_dl = v * scenario.p_small_mw * x ** (-2.0 * b)
-    return scenario.mix.alpha_d * a_dl / (1.0 + a_dl) + scenario.mix.alpha_u * f_ul
+def _broadcast_kernel(v, r, scenario, n, n_rho):
+    """The piece rule of the module notes as one broadcast over (pair,
+    offset, node) in kilometres, with g = c / (c + y^{2b}) and
+    W = 1 - arccos(q) / pi written out, and nodes at y = 0 where a piece
+    is empty: the reference for the kernel, which works in chunks, in
+    units of the turnover and in place.  Returns the Kronrod and the
+    Gauss estimates, shape (2, v.size)."""
+    prop, mix = scenario.prop, scenario.mix
+    two_b, z = prop.two_b, prop.two_b - 2.0
+    t, w = gauss_kronrod_unit(n)
+
+    def panel(c, lo, hi, weight=1.0):
+        """int_lo^hi y g(y) W(y) dy on the graded map, shape (..., 2)."""
+        y = lo[..., None] + (hi - lo)[..., None] * (t * t * (3.0 - 2.0 * t))
+        f = y * c[..., None] / (c[..., None] + y**two_b) * weight
+        return (f * (hi - lo)[..., None] * (6.0 * t * (1.0 - t))) @ w.T
+
+    def tail(c, e):
+        """int_e^inf y g(y) dy on the map s = (e / y)^{2b - 2}."""
+        y = e[..., None] * t ** (-1.0 / z)
+        f = y * c[..., None] / (c[..., None] + y**two_b)
+        return (f * e[..., None] * t ** (-1.0 / z - 1.0) / z) @ w.T
+
+    c_dl = v * scenario.p_small_mw
+    edge = np.maximum(r, c_dl ** (1.0 / two_b))
+    down = panel(c_dl, r, edge) + tail(c_dl, edge)
+    rho, w_rho = ppp_model._rayleigh_rule(n_rho, scenario.lam)
+    rr = r[:, None]
+    c_ul = v[:, None] * scenario.p_small_star_mw * rho ** (two_b * prop.k)
+    near, far = np.abs(rho - rr), rho + rr
+    edge = np.maximum(far, c_ul ** (1.0 / two_b))
+    y = near[..., None] + (far - near)[..., None] * (t * t * (3.0 - 2.0 * t))
+    q = (y * y + (rho * rho - rr * rr)[..., None]) / (2.0 * y * rho[:, None])
+    angle = 1.0 - np.arccos(np.clip(q, -1.0, 1.0)) / math.pi
+    up = (panel(c_ul, np.zeros_like(near), np.maximum(rho - rr, 0.0)) + panel(c_ul, near, far, angle)
+          + panel(c_ul, far, edge) + tail(c_ul, edge))
+    return mix.alpha_d * down.T + mix.alpha_u * np.einsum("mjk,kj->km", up, w_rho)
 
 
 def test_offset_rule_is_a_graded_rayleigh_rule():
@@ -177,46 +197,106 @@ def test_offset_rule_is_a_graded_rayleigh_rule():
     assert abs(kronrod) < abs(kronrod - gauss)
 
 
-@pytest.mark.parametrize("n_theta", [16, 15])
+@pytest.mark.parametrize("n", [16, 15])
 @pytest.mark.parametrize("k", [0.0, 0.4])
 @pytest.mark.parametrize("alpha_d", [0.0, 0.5, 1.0])
-def test_kernel_matches_the_broadcast_reference(n_theta, k, alpha_d):
+def test_kernel_matches_the_broadcast_reference(n, k, alpha_d):
+    # n is the distance order: at odd n the centre t = 1/2 of the unit
+    # rule is a Gauss node as well as a Kronrod one
     sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=k), mix=TddMix(alpha_d=alpha_d))
-    # 1200 positions span several chunks of the kernel's buffer
-    x = np.geomspace(0.005, 40.0, 1200)
-    v = 10.0 ** np.random.default_rng(3).uniform(7.0, 11.0, x.size)
-    ref = _broadcast_kernel(x, v, sc, n_theta, 32)
-    ours = ppp_model._mean_kernel(x, v, sc, n_theta, 32)
-    assert ours.shape == ref.shape == (2, x.size)
+    rho, _ = ppp_model._rayleigh_rule(16, sc.lam)
+    # 120 pairs span several chunks of the kernel's buffers; some serving
+    # distances are offset nodes, where a piece is empty, and one is 0
+    gen = np.random.default_rng(3)
+    r = np.concatenate((rho[::3], [0.0], gen.uniform(0.005, 0.6, 108)))
+    v = 10.0 ** gen.uniform(6.0, 11.0, r.size)
+    ours = ppp_model._pgfl_radial(v, r, sc, n, 16)
+    ref = _broadcast_kernel(v, r, sc, n, 16)
+    assert ours.shape == ref.shape == (2, r.size)
     assert np.max(np.abs(ours - ref) / ref) <= 1e-13
+
+
+def _uplink_by_cell_and_angle(v, r, rho, scenario):
+    """The left side of the per-offset identity of the module notes:
+    scipy's adaptive quadrature over the cell distance x beyond r of x
+    times the angle average of the uplink fraction, itself adaptive in
+    the angle, split where the integrand turns."""
+    prop = scenario.prop
+    c = v * scenario.p_small_star_mw * rho ** (prop.two_b * prop.k)
+
+    def angle_mean(x):
+        def g(theta):
+            return c / (c + (x * x + rho * rho - 2.0 * x * rho * math.cos(theta)) ** prop.b)
+        return scipy.integrate.quad(g, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0] / math.pi
+
+    turn = c ** (1.0 / prop.two_b)
+    cuts = sorted({r, max(r, rho), r + rho, max(r, rho + turn), 4.0 * (r + rho + turn), math.inf})
+    return sum(scipy.integrate.quad(lambda x: x * angle_mean(x), lo, hi, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
+
+
+def test_offset_integral_matches_the_cell_and_angle_integral():
+    # the displacement identity, offset by offset: the four y pieces with
+    # the closed-form angle weight against a nested quad over (x, theta)
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.5))
+    v, r = 1e9, 0.1
+    rho = np.array([0.5, 1.0, 2.0, 6.0]) * r
+    n = 24
+    work = tuple(np.empty(4 * (2 * n + 1) * rho.size) for _ in range(3))
+    kronrod, gauss = ppp_model._uplink_integrals(np.array([v]), np.array([r]), rho, sc, n, work)[:, 0]
+    for j, offset in enumerate(rho):
+        ref = _uplink_by_cell_and_angle(v, r, offset, sc)
+        assert abs(kronrod[j] / ref - 1.0) <= 1e-12, (offset, kronrod[j], ref)
+        assert abs(kronrod[j] - ref) <= abs(kronrod[j] - gauss[j])
+
+
+def _uplink_far_tail_at_two_b_4(v, r, rho, scenario):
+    """int_r^inf x E_theta[g] dx for one offset at 2b = 4, where the
+    angle average of g = c / (c + d^4) is closed: with A = x^2 + rho^2,
+    w = ((x^2 - rho^2)^2 - c) - 2i sqrt(c) A and u = Re sqrt(w), it is
+    c A / (u |w|).  The x integral is scipy's in u' = r^2 / x^2."""
+    c = v * scenario.p_small_star_mw * rho ** (4.0 * scenario.prop.k)
+
+    def angle_mean(x):
+        big = x * x + rho * rho
+        p = (x * x - rho * rho) ** 2 - c
+        mod = math.hypot(p, 2.0 * math.sqrt(c) * big)
+        return c * big / (math.sqrt(0.5 * (mod + p)) * mod)
+
+    def integrand(s):
+        # x dx = r^2 ds / (2 s^2)
+        return angle_mean(r / math.sqrt(s)) * r * r / (2.0 * s * s)
+
+    return scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 @pytest.mark.parametrize("alpha_d", [0.0, 0.5])
 def test_kernel_keeps_its_relative_accuracy_in_the_far_tail(alpha_d):
-    # the tail nodes of the PGFL at (v, r) = (1e10, 0.2) and n_x = 48
-    # (K(97)), where the interfered fraction falls to about 1e-10: one
-    # minus the retention would keep only its leading six digits there
-    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=alpha_d))
-    two_b = sc.prop.two_b
-    x_break = (1e10 * sc.p_small_mw) ** (1.0 / two_b)  # the turnover scale, beyond r
-    s, _ = gauss_kronrod_unit(48)
-    x = x_break * s ** (-1.0 / (two_b - 2.0))
-    v = np.full(x.size, 1e10)
-    ref = _broadcast_kernel(x, v, sc, 16, 32)
-    assert ref.min() < 1e-9
-    ours = ppp_model._mean_kernel(x, v, sc, 16, 32)
-    assert np.max(np.abs(ours - ref) / ref) <= 1e-13
+    # at 2b = 4, r = 5 km and v = 1e4 the exponent is about 8e-9 and every
+    # node lies far beyond the turnover: one minus the retention would
+    # keep only its leading digits there.  The downlink term is
+    # (sqrt(c) / 2) arctan(sqrt(c) / r^2) with c = v P.
+    prop = PropagationParams(two_b=4.0, k=0.4)
+    sc = SmallCellScenario(lam=10.0, prop=prop, mix=TddMix(alpha_d=alpha_d))
+    v, r = 1e4, 5.0
+    root = math.sqrt(v * sc.p_small_mw)
+    down = 0.5 * root * math.atan(root / (r * r))
+    rho, w_rho = ppp_model._rayleigh_rule(32, sc.lam)
+    up = sum(wj * _uplink_far_tail_at_two_b_4(v, r, rj, sc) for rj, wj in zip(rho, w_rho[0]))
+    exact = alpha_d * down + (1.0 - alpha_d) * up
+    assert 1e-11 < exact < 1e-8
+    ours = ppp_model._pgfl_radial(np.array([v]), np.array([r]), sc, 24, 32)[0, 0]
+    assert abs(ours / exact - 1.0) <= 1e-13
 
 
 def test_silent_uplink_pairs_retain_exactly():
-    x = np.geomspace(0.01, 10.0, 50)
-    v = np.full(x.size, 1e9)
+    v = np.geomspace(1e6, 1e12, 50)
+    r = np.geomspace(0.01, 1.0, 50)
     with np.errstate(all="raise"):
+        downlink = ppp_model._pgfl_radial(v, r, SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=1.0)), 24, 32)
         for alpha_d in (0.5, 0.0):
             sc = SmallCellScenario(lam=10.0, p_small_star_dbm=-math.inf, mix=TddMix(alpha_d=alpha_d))
-            a_dl = v * sc.p_small_mw * x ** (-sc.prop.two_b)
-            for estimate in ppp_model._mean_kernel(x, v, sc, 16, 32):
-                np.testing.assert_array_equal(estimate, alpha_d * (a_dl / (1.0 + a_dl)))
+            np.testing.assert_array_equal(ppp_model._pgfl_radial(v, r, sc, 24, 32), alpha_d * downlink)
         # at alpha_d = 0 nothing transmits: the interference is exactly zero
         assert laplace_dl(1e9, 0.1, sc) == 1.0
         assert laplace_ul(1e9, 0.1, sc) == 1.0
@@ -227,15 +307,15 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
     orders = {}
     real = ppp_model._pgfl_radial
 
-    def spy(v, r, scenario, n_x, n_theta, n_rho):
+    def spy(v, r, scenario, n_x, n_rho):
         for vi in v:
             orders.setdefault(float(vi), []).append(n_x)
-        return real(v, r, scenario, n_x, n_theta, n_rho)
+        return real(v, r, scenario, n_x, n_rho)
 
     monkeypatch.setattr(ppp_model, "_pgfl_radial", spy)
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
     # at this tolerance (1e8, 0.02) needs one doubling (its Kronrod and
-    # Gauss values differ by 3.1e-9 at n_x 24), the others none
+    # Gauss values differ by 8.1e-9 at n_x 24), the others none
     quad = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 2e-9})
     v = np.array([1e9, 1e8, 0.0, 1e10])
     r = np.array([0.1, 0.02, 0.1, 0.1])
@@ -266,7 +346,7 @@ def test_laplace_meets_its_tolerance_against_a_fine_reference():
     sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.0))
     quad = QuadratureControl()
     v, r = 1.05e9, 0.52
-    fine = ppp_model._pgfl_radial(np.array([v]), np.array([r]), sc, 192, quad.n_theta, 1024)
+    fine = ppp_model._pgfl_radial(np.array([v]), np.array([r]), sc, 192, 1024)
     ref = math.exp(-2.0 * math.pi * sc.lam * fine[0, 0])
     assert abs(laplace_dl(v, r, sc, quad) - ref) <= quad.inner_abs_tol
 
@@ -291,9 +371,17 @@ def test_laplace_basic_properties():
         laplace_dl(-1.0, 0.1, sc)
 
 
+@pytest.mark.parametrize("v, r", [(math.nan, 0.1), (math.inf, 0.1), (1e9, math.nan), (1e9, math.inf)])
+def test_laplace_rejects_a_non_finite_input(v, r):
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    for fn in (laplace_dl, laplace_ul):
+        with pytest.raises(ValueError, match="finite"):
+            fn(v, r, sc)
+
+
 def test_laplace_directions_agree():
-    # the two reception kernels average the same composite distance over
-    # a symmetric angle grid, so their transforms coincide
+    # the typical user and the typical cell see the same field, so their
+    # transforms coincide
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.3))
     for v, r in ((1e8, 0.05), (5e9, 0.2)):
         assert abs(laplace_dl(v, r, sc) - laplace_ul(v, r, sc)) < 1e-10
@@ -491,6 +579,8 @@ def test_ase_nonconvergence_is_loud():
     assert err.discrepancy is not None and 1e-12 * err.achieved < err.discrepancy < 1e-3
     with pytest.raises(ValueError):
         ase(sc, "sideways")
+    with pytest.raises(ValueError, match="direction"):
+        ase(sc, None)
     # an uplink with no noise and silent interferers has no finite ASE
     silent = SmallCellScenario(lam=10.0, p_small_dbm=-math.inf, mix=TddMix(alpha_d=1.0),
                                prop=PropagationParams(p_noise_dbm=-math.inf))
@@ -521,12 +611,40 @@ def _ase_by_coverage(sc, direction, quad):
     ("dl", 0.0, 50.0, 130.0),
 ], ids=["ul-noise-limited", "dl-weak-interferers"])
 def test_ase_meets_its_tolerance_against_the_coverage_integral(direction, alpha_d, lam, a_db):
-    # the same kernel orders on both sides, so the unrefined angle rule
-    # errs alike; small ones keep the reference's 200-400 coverage
-    # values cheap
-    kernel = dict(FAST_QUAD, n_theta=8, n_rho=16, n_x=12)
+    # the same kernel orders on both sides; small ones keep the
+    # reference's 200-400 coverage values cheap
+    kernel = dict(FAST_QUAD, n_rho=16, n_x=12)
     sc = SmallCellScenario(lam=lam, prop=PropagationParams(k=0.4, a_db=a_db), mix=TddMix(alpha_d=alpha_d))
     quad = QuadratureControl(**kernel)
     reference = _ase_by_coverage(sc, direction, QuadratureControl(**dict(kernel, outer_abs_tol=1e-6,
                                                                            max_refinements=4)))
     assert abs(ase(sc, direction, quad) - reference) <= quad.ase_rel_tol * reference
+
+
+# Coverage at lam 10 and k 0.4, from the angle-midpoint kernel that this
+# package used before the angle was integrated in closed form, run at
+# n_theta 256, n_rho 128, n_x and n_serving 96, inner_abs_tol 1e-9 and
+# outer_abs_tol 1e-8: (alpha_d, direction) -> (threshold dB, coverage).
+# That kernel missed these by up to 4.9e-3 at FAST_QUAD and by 3.7e-4 at
+# the default quadrature, whose angle rules were never refined.
+_ANGLE_CONVERGED_COVERAGE = {
+    (0.0, "dl"): ((-4.0, 0.935042664), (0.0, 0.877944958), (4.0, 0.780640307)),
+    (0.0, "ul"): ((-12.0, 0.780512498), (-8.0, 0.619506625), (-4.0, 0.412998106)),
+    (0.5, "dl"): ((-10.0, 0.925737691), (0.0, 0.615048858), (10.0, 0.227555677)),
+    (0.5, "ul"): ((-10.0, 0.256087009), (0.0, 0.035234343), (10.0, 0.004025225)),
+}
+# the downlink ASE at lam 10, alpha_d 1/2, from the same kernel at n_theta 128
+_ANGLE_CONVERGED_ASE = 2.3187379
+
+
+@pytest.mark.parametrize("quad", [QuadratureControl(**FAST_QUAD), QuadratureControl()],
+                         ids=["fast", "default"])
+def test_coverage_and_ase_meet_their_tolerance_against_an_angle_converged_reference(quad):
+    for (alpha_d, direction), points in _ANGLE_CONVERGED_COVERAGE.items():
+        sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=alpha_d))
+        analytic = {"dl": coverage_ppp_dl, "ul": coverage_ppp_ul}[direction]
+        for gamma_db, reference in points:
+            value = analytic(gamma_db, sc, quad)
+            assert abs(value - reference) <= quad.outer_abs_tol, (alpha_d, direction, gamma_db, value)
+    value = ase(SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5)), "dl", quad)
+    assert abs(value / _ANGLE_CONVERGED_ASE - 1.0) <= quad.ase_rel_tol
