@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import hexgrid, macro_analytic, ppp_ase, ppp_model
+from . import hexgrid, macro_analytic, ppp_ase, ppp_model, rng
 from .errors import ConfigError
 from .params import (
     CoverageCurve,
@@ -420,7 +420,8 @@ def run(cfg, out_dir=None, label=None):
     explicit argument, config field, TDDGEOM_OUT, current directory.
     The sidecar records the wall time of the computation (a monotonic
     clock), and for a Monte Carlo coverage or ASE run the number of
-    draws and the draws per second.
+    draws, the draws per second and the worker threads that drew them
+    (the macro sampler runs on every core, the PPP sampler on one).
     """
     out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -448,6 +449,7 @@ def run(cfg, out_dir=None, label=None):
         draws = cfg.n_draws * (len(cfg.lambda_grid) if cfg.experiment == "ase" else 1)
         meta["mc_draws"] = draws
         meta["mc_draws_per_s"] = round(draws / wall, 1)
+        meta["mc_workers"] = rng.workers() if cfg.geometry == "macro" else 1
     with open(os.path.join(out, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=False)
         fh.write("\n")

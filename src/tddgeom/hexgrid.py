@@ -25,6 +25,7 @@ from .params import (
     MobilePolar,
     PropagationParams,
     TddMix,
+    _check_count,
     check_direction,
     check_gamma_grid,
 )
@@ -102,8 +103,9 @@ def bruteforce_isr_dl(m, net, prop, tail_correction=True):
     return total
 
 
-# elements (draws x sites) per Monte Carlo chunk: about 2 MB per array,
-# so the temporaries of one chunk stay small
+# elements (draws x sites) in flight in a Monte Carlo sampler: about
+# 2 MB per array, shared between the chunks that the workers build at
+# once, so the temporaries stay small for any worker count
 _CHUNK = 1 << 18
 
 
@@ -133,15 +135,17 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     factor E[rho**(two_b k)] = R**(two_b k) / (b k + 1).
 
     The samples are one stream, (seed, 0), read as (rho, phi) uniforms
-    per site and sample in order, in chunks of about _CHUNK elements.
+    per site and sample in order, in chunks of about _CHUNK elements
+    that the workers of :func:`rng.chunk_map` read from their own
+    offsets into the stream.  The chunk sums are added in chunk order,
+    so the result does not depend on the worker count.
 
     Returns
     -------
     (estimate, stderr) : tuple of float
         stderr covers the sampled part; the tail is deterministic.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    _check_count("n_samples", n_samples, 1)
     if m.r == 0:
         return 0.0, 0.0
     z0 = m.position()
@@ -149,26 +153,27 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     radius = net.cell_radius
     bk = prop.b * prop.k
 
-    gen = rng.stream(seed, 0)
     # each mobile's offset from the receiver, before its own displacement
     offset = lattice_points(net) - z0
     abs_w = np.abs(offset)
     half_arg_w = 0.5 * np.angle(offset)
-    chunk = max(1, _CHUNK // max(offset.size, 1))
-    u = np.empty((min(chunk, n_samples), offset.size, 2))
+    ns = offset.size
+    chunk = max(1, _CHUNK // ns)
+
+    def sums(done):
+        # the samples from `done` on: 2 ns doubles per sample, and ns
+        # = 3 R (R + 1) is even, so they start at a whole Philox block
+        u = rng.Streams(seed).at(0, done * ns // 2).random((min(chunk, n_samples - done), ns, 2))
+        rho2 = radius * radius * u[..., 0]
+        d2 = _dist2_polar(abs_w, half_arg_w, np.sqrt(rho2), u[..., 1])
+        per_draw = np.sum(rho2**bk * d2 ** (-prop.b), axis=1)
+        return float(per_draw.sum()), float((per_draw**2).sum())
+
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        cn = min(chunk, n_samples - done)
-        uc = u[:cn]
-        gen.random(out=uc)
-        rho2 = radius * radius * uc[..., 0]
-        d2 = _dist2_polar(abs_w, half_arg_w, np.sqrt(rho2), uc[..., 1])
-        per_draw = np.sum(rho2**bk * d2 ** (-prop.b), axis=1)
-        total += float(per_draw.sum())
-        total_sq += float((per_draw**2).sum())
-        done += cn
+    for part, part_sq in rng.chunk_map(sums, range(0, n_samples, chunk)):
+        total += part
+        total_sq += part_sq
     mean = total / n_samples
     var = max(total_sq / n_samples - mean**2, 0.0)
     stderr = scale * math.sqrt(var / n_samples)
@@ -180,12 +185,13 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     return estimate, stderr
 
 
-def _macro_chunk(sites, net, prop, mix, direction, streams, start, n):
+def _macro_chunk(sites, net, prop, mix, direction, seed, start, n):
     """Draws start .. start + n - 1 of the macro simulator; see
     :func:`_macro_chunks`."""
     ns = sites.size
     radius = net.cell_radius
     b = prop.b
+    streams = rng.Streams(seed)
     vals = np.empty((n, 2 + 3 * ns))
     for j in range(n):
         streams.at(start + j).random(out=vals[j])
@@ -249,18 +255,20 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed):
     user radius and angle, then per site the direction flag, the mobile
     radius and the mobile angle.  A row is filled in place from one
     re-positioned Philox, so any chunking reproduces the same numbers.
-    A chunk holds about _CHUNK site terms, and a consumer drops its
-    references to one chunk before asking for the next, so that two are
-    never held at once.
+    The chunks are built by the workers of :func:`rng.chunk_map` and
+    yielded in order; each holds about _CHUNK / workers site terms, and
+    a consumer drops its references to one chunk before asking for the
+    next, so that the chunks in flight hold about _CHUNK terms in all.
     """
     direction = check_direction(direction)
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    _check_count("n_draws", n_draws, 1)
     sites = lattice_points(net)
-    streams = rng.Streams(seed)
-    chunk = max(1, _CHUNK // sites.size)
-    for start in range(0, n_draws, chunk):
-        yield _macro_chunk(sites, net, prop, mix, direction, streams, start, min(chunk, n_draws - start))
+    chunk = max(1, _CHUNK // (rng.workers() * sites.size))
+
+    def job(start):
+        return _macro_chunk(sites, net, prop, mix, direction, seed, start, min(chunk, n_draws - start))
+
+    return rng.chunk_map(job, range(0, n_draws, chunk))
 
 
 def macro_interference_draws(net, prop, mix, direction, n_draws, seed):
@@ -290,7 +298,7 @@ def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
     The draws are those of :func:`macro_interference_draws`.  The
     average-load factor scales the interference sum, matching the
     analytic model's use of it.  Results are bit-identical for a given
-    (seed, n_draws) under any chunking.
+    (seed, n_draws) under any chunking or worker count.
     """
     grid = check_gamma_grid(gamma_grid_db)
     gamma_lin = 10.0 ** (grid / 10.0)

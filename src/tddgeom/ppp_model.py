@@ -214,8 +214,9 @@ _DEFAULT_QUAD = QuadratureControl()
 _CHUNK = 1 << 16
 
 # interfering pairs per chunk of the Monte Carlo sampler: its buffer
-# holds about 6 numbers per pair, 12 MB
-_SAMPLE_CHUNK = 1 << 18
+# holds about 6 numbers per pair, 6 MB, which leaves room for the
+# memory arenas of the macro sampler's worker threads
+_SAMPLE_CHUNK = 1 << 17
 
 
 def _rayleigh_rule(n, lam):
@@ -266,8 +267,7 @@ def _sample(scenario, direction, n_draws, seed, association="rayleigh", serving_
     arithmetic runs once per chunk.
     """
     direction = check_direction(direction)
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    _check_count("n_draws", n_draws, 1)
     if association not in ("rayleigh", "nearest"):
         raise ValueError(f"association must be 'rayleigh' or 'nearest', got {association!r}")
     lam_pi = scenario.lam * math.pi

@@ -1,17 +1,29 @@
-"""Counter-based random streams for reproducible Monte Carlo.
+"""Counter-based random streams for reproducible Monte Carlo, and the
+ordered thread map that runs a sampler's chunks on every core.
 
 Every Monte Carlo draw gets its own Philox stream identified by
 (seed, draw index), so estimates are bit-identical for any chunking or
 worker count: stream i is the Philox-4x64-10 counter sequence advanced
 to block ``i * 2**40``, giving each draw 2**42 independent doubles,
-far more than any draw consumes.
+far more than any draw consumes.  A chunk of a long stream can start at
+any block of it, which is how one stream is split between workers.
 
-A sampler holds one :class:`Streams` per seed: one Philox and one
+A sampler job holds one :class:`Streams` per seed: one Philox and one
 Generator, re-positioned at the start of each draw by writing the
 counter and emptying the output buffer.  That reads exactly the numbers
 of a fresh Philox advanced to the draw's block, at about a tenth of the
-cost of building one.
+cost of building one.  A Streams is not shared between threads: each
+job of :func:`chunk_map` builds its own.
+
+:func:`chunk_map` runs jobs on :func:`workers` threads and yields
+their results in job order.  numpy releases the GIL in its bulk
+generation and array arithmetic, so chunks that spend their time there
+run in parallel; the consumer reduces the results in order, so every
+float sum is added in the same order for any worker count.
 """
+
+import collections
+import os
 
 import numpy as np
 
@@ -41,11 +53,15 @@ class Streams:
         state["uinteger"] = 0
         self._state = state
 
-    def at(self, index):
-        """Generator on stream ``index`` (zero-based draw index)."""
+    def at(self, index, block=0):
+        """Generator on stream ``index`` (zero-based draw index), skipping
+        its first ``block`` counter blocks: the Generator then reads the
+        stream's numbers from output 4 * block on."""
         if index < 0:
             raise ValueError(f"draw index must be non-negative, got {index}")
-        block = index * _BLOCKS_PER_DRAW
+        if not 0 <= block < _BLOCKS_PER_DRAW:
+            raise ValueError(f"block offset must lie in [0, 2**40), got {block}")
+        block += index * _BLOCKS_PER_DRAW
         self._counter[0] = block & _WORD
         self._counter[1] = block >> 64
         self._bitgen.state = self._state
@@ -63,3 +79,35 @@ def stream(seed, index):
         Zero-based draw index.
     """
     return Streams(seed).at(index)
+
+
+def workers():
+    """Threads of :func:`chunk_map`: the cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def chunk_map(job, items):
+    """Yield ``job(item)`` for each item, in order, computed on
+    :func:`workers` threads.
+
+    At most that many results are in flight: the one the consumer holds
+    and the jobs queued or running behind it.  A job that raises
+    re-raises here, at its place in the order; the jobs not yet started
+    are cancelled and the threads are joined before the exception
+    leaves, as they are when the consumer stops early.
+    """
+    # imported here so that the analytic paths do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = workers()
+    pool = ThreadPoolExecutor(max_workers=n)
+    pending = collections.deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(job, item))
+            if len(pending) == n:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

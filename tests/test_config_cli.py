@@ -22,7 +22,7 @@ from tddgeom import (
     run_recipe,
     validate,
 )
-from tddgeom import acceptance
+from tddgeom import acceptance, rng
 from tddgeom.cli import main
 
 
@@ -228,13 +228,17 @@ def test_run_writes_csv_and_metadata(tmp_path):
     ("coverage", {"geometry": "macro", "macro": {"rings": 2}, "gamma_grid_db": [0.0]}, 300),
     ("ase", {"geometry": "ppp", "lambda_grid": [5.0, 10.0]}, 600),
 ])
-def test_run_records_monte_carlo_draw_rate(tmp_path, experiment, extra, draws):
+def test_run_records_monte_carlo_draw_rate(tmp_path, monkeypatch, experiment, extra, draws):
+    # the macro sampler runs on the map's workers, the PPP sampler on one
+    monkeypatch.setattr(rng, "workers", lambda: 3)
+    workers = 3 if extra["geometry"] == "macro" else 1
     data = {"experiment": experiment, "mode": "mc", "n_draws": 300, "label": "rate", **extra}
     run(config_from_dict(data), out_dir=str(tmp_path))
     meta = json.loads((tmp_path / "rate.meta.json").read_text(encoding="utf-8"))
-    assert set(meta) == {"config", "seed", "version", "wall_time_s", "mc_draws", "mc_draws_per_s"}
+    assert set(meta) == {"config", "seed", "version", "wall_time_s", "mc_draws", "mc_draws_per_s", "mc_workers"}
     assert meta["mc_draws"] == draws
     assert meta["mc_draws_per_s"] > 0
+    assert meta["mc_workers"] == workers
     # the rate is the draws over the recorded wall time, up to the
     # rounding of both (to 1 ms and to 0.1 draw/s)
     rate, wall = meta["mc_draws_per_s"], meta["wall_time_s"]

@@ -56,3 +56,35 @@ def test_negative_index_rejected():
         rng.Streams(SEED).at(-1)
     with pytest.raises(ValueError):
         rng.stream(SEED, -1)
+
+
+@pytest.mark.parametrize("index", (0, 3, 2**30))
+@pytest.mark.parametrize("block", (0, 1, 5, 777))
+def test_block_offset_reads_the_stream_from_four_outputs_per_block(index, block):
+    whole = rng.Streams(SEED).at(index).random(4 * block + 30)
+    streams = rng.Streams(SEED)
+    # a partly read stream first, so the offset must also empty the buffer
+    streams.at(index + 1).random(3)
+    assert np.array_equal(streams.at(index, block).random(30), whole[4 * block :])
+
+
+def test_block_offset_stays_inside_its_stream():
+    with pytest.raises(ValueError):
+        rng.Streams(SEED).at(0, -1)
+    with pytest.raises(ValueError):
+        rng.Streams(SEED).at(0, 2**40)
+
+
+def test_chunk_map_keeps_order_and_bounds_the_results_in_flight(monkeypatch):
+    monkeypatch.setattr(rng, "workers", lambda: 3)
+    started = []
+
+    def job(item):
+        started.append(item)
+        return item * item
+
+    for i, value in enumerate(rng.chunk_map(job, range(10))):
+        assert value == i * i
+        # the consumer holds result i; at most two more jobs were queued
+        assert len(started) <= i + 3
+    assert sorted(started) == list(range(10))

@@ -7,7 +7,9 @@ chunk buffers and do the geometry in real arithmetic, a chunk at a
 time, so every per-draw value must agree to rounding.
 """
 
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from tddgeom import (
     hexgrid,
     lattice_points,
     macro_interference_draws,
+    mc_coverage_macro,
     mc_laplace_ppp,
     mc_sinr_ppp,
     ppp_interference_draws,
@@ -220,3 +223,64 @@ def test_chunking_leaves_every_draw_bit_identical(monkeypatch):
         assert np.array_equal(a, b)
     for key, value in macro_interference_draws(net, prop, mix, "dl", 50, 9).items():
         assert np.array_equal(value, whole_macro[key])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_leaves_every_result_bit_identical(chunking, monkeypatch, workers):
+    net, prop, mix = MacroNetwork(rings=3), PropagationParams(k=0.4), TddMix(alpha_d=0.5)
+    m = MobilePolar(0.3, 0.1)
+    grid = np.linspace(-10.0, 20.0, 7)
+    expected = (macro_interference_draws(net, prop, mix, "ul", 47, 13),
+                mc_coverage_macro(net, prop, mix, "dl", grid, 47, 13).value,
+                bruteforce_isr_ul_dl(m, net, prop, 123, seed=4))
+    monkeypatch.setattr(rng, "workers", lambda: workers)
+    draws = macro_interference_draws(net, prop, mix, "ul", 47, 13)
+    assert draws.keys() == expected[0].keys()
+    for key, value in draws.items():
+        assert np.array_equal(value, expected[0][key])
+    assert np.array_equal(mc_coverage_macro(net, prop, mix, "dl", grid, 47, 13).value, expected[1])
+    assert bruteforce_isr_ul_dl(m, net, prop, 123, seed=4) == expected[2]
+
+
+# ---------------------------------------------------------------------------
+# bad draw counts and failing chunks
+
+
+_COUNT_CALLS = {
+    "macro draws": lambda n: macro_interference_draws(MacroNetwork(rings=2), PropagationParams(), TddMix(), "dl", n, 1),
+    "macro coverage": lambda n: mc_coverage_macro(MacroNetwork(rings=2), PropagationParams(), TddMix(), "dl", [0.0], n, 1),
+    "ppp draws": lambda n: ppp_interference_draws(SmallCellScenario(lam=10.0), "dl", n, 1),
+    "ppp sinr": lambda n: mc_sinr_ppp(SmallCellScenario(lam=10.0), "ul", n, 1, "nearest"),
+    "bruteforce": lambda n: bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), MacroNetwork(rings=2), PropagationParams(), n, 1),
+}
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS.values(), ids=_COUNT_CALLS.keys())
+@pytest.mark.parametrize("count, error", [(True, TypeError), (2.5, TypeError), (np.float64(3.0), TypeError),
+                                          ("10", TypeError), (0, ValueError), (-4, ValueError)])
+def test_bad_draw_counts_fail_fast(monkeypatch, call, count, error):
+    def no_pool(job, items):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(rng, "chunk_map", no_pool)
+    with pytest.raises(error):
+        call(count)
+
+
+def test_a_failing_chunk_fails_loudly_and_leaves_no_thread(monkeypatch):
+    calls = itertools.count(1)
+    build = hexgrid._macro_chunk
+    boom = RuntimeError("chunk 2 failed")
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise boom
+        return build(*args)
+
+    monkeypatch.setattr(hexgrid, "_CHUNK", 150)
+    monkeypatch.setattr(hexgrid, "_macro_chunk", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        mc_coverage_macro(MacroNetwork(rings=2), PropagationParams(), TddMix(alpha_d=0.5), "dl", [0.0], 40, 1)
+    assert info.value is boom
+    assert threading.active_count() == threads
