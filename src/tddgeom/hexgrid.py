@@ -14,6 +14,7 @@ against each other in the test suite.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -103,23 +104,36 @@ def bruteforce_isr_dl(m, net, prop, tail_correction=True):
     return total
 
 
-# elements (draws x sites) in flight in a Monte Carlo sampler: about
-# 2 MB per array, shared between the chunks that the workers build at
-# once, so the temporaries stay small for any worker count
+# elements (draws x sites) per array in a Monte Carlo sampler, about
+# 2 MB, shared between the chunks that the workers build at once.  The
+# macro sampler's workers each size one workspace of such arrays to
+# their share and reuse it for the whole call, so the memory it holds
+# is about the same for any worker count.
 _CHUNK = 1 << 18
 
 
-def _dist2_polar(abs_w, half_arg_w, rho, u):
+def _dist2_polar(abs_w, half_arg_w, rho, u, out=None, tmp=None):
     """|w + rho e^{2 pi i u}|^2, for w given by |w| and arg(w) / 2.
 
     Written as (|w| - rho)^2 + 4 |w| rho cos^2(pi u - arg(w) / 2), so
     one cosine per element replaces the complex exponential, and a
     point near -w loses no more digits than the complex difference
-    would."""
-    c = np.cos(math.pi * u - half_arg_w)
+    would.  Given ``out`` (which may be ``u``) and ``tmp`` (scratch of
+    the result's shape, which may be ``half_arg_w``), it allocates
+    nothing."""
+    c = np.multiply(u, math.pi, out=out)
+    c -= half_arg_w
+    np.cos(c, out=c)
     c *= c
-    c *= 4.0 * abs_w * rho
-    return c + (abs_w - rho) ** 2
+    if tmp is None:
+        tmp = np.empty_like(c)
+    np.multiply(abs_w, 4.0, out=tmp)
+    tmp *= rho
+    c *= tmp
+    np.subtract(abs_w, rho, out=tmp)
+    tmp *= tmp
+    c += tmp
+    return c
 
 
 def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
@@ -185,88 +199,164 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     return estimate, stderr
 
 
-def _macro_chunk(sites, net, prop, mix, direction, seed, start, n):
-    """Draws start .. start + n - 1 of the macro simulator; see
-    :func:`_macro_chunks`."""
-    ns = sites.size
+class _MacroWorkspace:
+    """One worker's buffers for chunks of up to ``n`` macro draws over
+    ``ns`` sites, reused for every chunk of a sampler call."""
+
+    def __init__(self, seed, n, ns):
+        self.streams = rng.Streams(seed)
+        self.vals = np.empty((n, 2 + 3 * ns))
+        self.is_ul = np.empty((n, ns), dtype=bool)
+        # the site terms, and a second grid for the user offsets' y and
+        # the downlink/uplink split
+        self.term = np.empty((n, ns))
+        self.spare = np.empty((n, ns))
+        # the uplink sites' indices and values, compacted to the front
+        self.at = np.empty(n * ns, dtype=np.intp)
+        self.site = np.empty(n * ns, dtype=np.intp)
+        self.ul_vals = np.empty((5, n * ns))
+
+
+def _macro_chunk(const, net, prop, mix, direction, start, n, ws, split):
+    """Draws start .. start + n - 1 of the macro simulator, computed in
+    the workspace ``ws`` and reduced to per-draw vectors; see
+    :func:`_macro_chunks`.  ``const`` holds the per-call site arrays:
+    the site coordinates for the downlink, and for the uplink each
+    site's |s|, arg(s) / 2 and downlink-site term."""
+    ns = ws.term.shape[1]
     radius = net.cell_radius
     b = prop.b
-    streams = rng.Streams(seed)
-    vals = np.empty((n, 2 + 3 * ns))
+    vals = ws.vals[:n]
     for j in range(n):
-        streams.at(start + j).random(out=vals[j])
+        ws.streams.at(start + j).random(out=vals[j])
     r = radius * np.sqrt(vals[:, 0])
     # interferer transmits downlink iff its uniform draw falls below alpha_d
-    is_dl = vals[:, 2 : 2 + ns] < mix.alpha_d
+    is_ul = np.greater_equal(vals[:, 2 : 2 + ns], mix.alpha_d, out=ws.is_ul[:n])
     # the uplink sites, as flat (draw, site) indices, and their mobiles'
-    # radius and angle uniforms in the flattened row-major vals
-    ul = np.flatnonzero(~is_dl)
-    row = np.repeat(np.arange(n), ns - np.count_nonzero(is_dl, axis=1))
-    site = ul - row * ns
-    at = ul + row * (2 + 2 * ns) + 2 + ns
+    # radius uniforms in the flattened row-major vals, at
+    # row * (2 + 3 ns) + 2 + ns + site; every index is in range, so the
+    # takes clip nothing
+    ul = np.flatnonzero(is_ul)
+    m = ul.size
+    at = np.floor_divide(ul, ns, out=ws.at[:m])
+    if direction == "ul":
+        site = np.multiply(at, ns, out=ws.site[:m])
+        np.subtract(ul, site, out=site)
+    at *= 2 + 2 * ns
+    at += ul
+    at += 2 + ns
     flat = vals.reshape(-1)
-    rho2 = radius * radius * flat[at]
-    u_phi = flat[at + ns]
-    amp = prop.p_star_mw * rho2 ** (b * prop.k)
+    rho2, u_phi, rho, p, q = ws.ul_vals[:, :m]
+    np.take(flat, at, out=rho2, mode="clip")
+    rho2 *= radius * radius
+    at += ns
+    np.take(flat, at, out=u_phi, mode="clip")
+    np.sqrt(rho2, out=rho)
+    # the mobiles' powers, in place of rho2 once rho is taken
+    amp = rho2
+    amp **= b * prop.k
+    amp *= prop.p_star_mw
+    term = ws.term[:n]
     if direction == "dl":
         # interference lands on the user: a downlink site's from the
         # cell, an uplink site's from its mobile
+        sx, sy = const
         psi = 2.0 * math.pi * vals[:, 1]
-        dx = sites.real - (r * np.cos(psi))[:, None]
-        dy = sites.imag - (r * np.sin(psi))[:, None]
-        term = dx * dx
-        term += dy * dy
-        rho = np.sqrt(rho2)
+        # the user's offsets to each site; dx then becomes the terms
+        dx = np.subtract(sx, (r * np.cos(psi))[:, None], out=term)
+        dy = np.subtract(sy, (r * np.sin(psi))[:, None], out=ws.spare[:n])
         # the mobile angle less pi: cosine and sine are cheaper on (-pi, pi)
-        phi = 2.0 * math.pi * (u_phi - 0.5)
-        mx = dx.reshape(-1)[ul] - rho * np.cos(phi)
-        my = dy.reshape(-1)[ul] - rho * np.sin(phi)
-        d2 = mx * mx
-        d2 += my * my
+        phi = u_phi
+        phi -= 0.5
+        phi *= 2.0 * math.pi
+        c = np.cos(phi, out=p)
+        c *= rho
+        mx = np.take(dx.reshape(-1), ul, out=q, mode="clip")
+        mx -= c
+        s = np.sin(phi, out=phi)
+        s *= rho
+        my = np.take(dy.reshape(-1), ul, out=p, mode="clip")
+        my -= s
+        d2 = mx
+        d2 *= mx
+        my *= my
+        d2 += my
+        # dx and dy are read; square them into the site terms
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.power(term, -b, out=term)
+        term *= prop.p_dl_mw
         with np.errstate(divide="ignore"):
             useful = prop.p_dl_mw * r ** (-prop.two_b)
     else:
         # interference lands on the origin site: a downlink site's term
         # is the same in every draw
-        abs_s = np.abs(sites)
-        term = np.empty((n, ns))
-        term[:] = abs_s * abs_s
-        d2 = _dist2_polar(abs_s[site], 0.5 * np.angle(sites)[site], np.sqrt(rho2), u_phi)
+        abs_s, half_arg_s, dl_term = const
+        term[:] = dl_term
+        h = np.take(half_arg_s, site, out=q, mode="clip")
+        d2 = _dist2_polar(np.take(abs_s, site, out=p, mode="clip"), h, rho, u_phi, u_phi, h)
         with np.errstate(divide="ignore"):
             useful = prop.p_star_mw * r ** (-prop.two_b * (1 - prop.k))
-    np.power(term, -b, out=term)
-    term *= prop.p_dl_mw
-    term.reshape(-1)[ul] = amp * d2 ** (-b)
-    return r, useful, is_dl, term
+    d2 **= -b
+    d2 *= amp
+    term.reshape(-1)[ul] = d2
+    # each row is summed as it was in a (draws x sites) array of its own
+    i_total = term.sum(axis=1)
+    if not split:
+        return r, useful, i_total
+    # the downlink-site and uplink-site parts, as np.where would give them
+    part = ws.spare[:n]
+    np.copyto(part, term)
+    np.copyto(part, 0.0, where=is_ul)
+    from_dl = part.sum(axis=1)
+    part.fill(0.0)
+    np.copyto(part, term, where=is_ul)
+    return r, useful, i_total, from_dl, part.sum(axis=1)
 
 
-def _macro_chunks(net, prop, mix, direction, n_draws, seed):
+def _macro_chunks(net, prop, mix, direction, n_draws, seed, split=False):
     """The macro Monte Carlo, in chunks of draws.
 
     Per draw: the typical user falls uniformly in the serving disk; each
     interfering site independently transmits downlink with probability
     alpha_d or hosts one uniform-disk uplink mobile under fractional
-    power control.  Yields, per chunk of n draws, the user radii and the
-    useful powers (shape (n,)), the downlink flags, and each site's
-    interference term at the receiver (shape (n, sites)): the cell's
-    for a downlink site, its mobile's for an uplink site.
+    power control.  Each site's interference term at the receiver is the
+    cell's for a downlink site and its mobile's for an uplink site.
+    Yields, per chunk of n draws, vectors of shape (n,): the user radii,
+    the useful powers and the interference totals, each draw's terms
+    summed site by site; with ``split``, also the downlink-site and the
+    uplink-site sums.
 
     Draw i reads only stream (seed, i), as 2 + 3 * sites uniforms: the
     user radius and angle, then per site the direction flag, the mobile
     radius and the mobile angle.  A row is filled in place from one
     re-positioned Philox, so any chunking reproduces the same numbers.
-    The chunks are built by the workers of :func:`rng.chunk_map` and
-    yielded in order; each holds about _CHUNK / workers site terms, and
-    a consumer drops its references to one chunk before asking for the
-    next, so that the chunks in flight hold about _CHUNK terms in all.
+    The chunks are computed by the workers of :func:`rng.chunk_map` and
+    yielded in order.  Each worker computes its chunks in one workspace
+    of (draws x sites) arrays, built on its first chunk and reused for
+    the whole call, and reduces them there: only the per-draw vectors
+    leave it, so a consumer may keep every chunk it is given.
     """
     direction = check_direction(direction)
     _check_count("n_draws", n_draws, 1)
     sites = lattice_points(net)
     chunk = max(1, _CHUNK // (rng.workers() * sites.size))
+    # the site arrays that every chunk reads, made once per call
+    if direction == "dl":
+        const = (sites.real, sites.imag)
+    else:
+        abs_s = np.abs(sites)
+        dl_term = np.power(abs_s * abs_s, -prop.b)
+        dl_term *= prop.p_dl_mw
+        const = (abs_s, 0.5 * np.angle(sites), dl_term)
+    local = threading.local()
 
     def job(start):
-        return _macro_chunk(sites, net, prop, mix, direction, seed, start, min(chunk, n_draws - start))
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _MacroWorkspace(seed, chunk, sites.size)
+        return _macro_chunk(const, net, prop, mix, direction, start, min(chunk, n_draws - start), ws, split)
 
     return rng.chunk_map(job, range(0, n_draws, chunk))
 
@@ -277,19 +367,14 @@ def macro_interference_draws(net, prop, mix, direction, n_draws, seed):
     Returns a dict of arrays of length ``n_draws``: the useful received
     power, the downlink-site and uplink-site interference sums, their
     total summed site by site, and the user radius.  The total and the
-    sum of the two parts agree up to summation-order rounding.  Draw i
+    sum of the two parts agree up to summation-order rounding.  Each
+    sum is formed in the worker that computed its chunk.  Draw i
     consumes only stream (seed, i), so any chunking of a larger run
     reproduces these numbers exactly.
     """
-    out = {key: [] for key in ("useful", "from_dl_sites", "from_ul_sites", "i_total", "r_user")}
-    for r, useful, is_dl, term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
-        out["useful"].append(useful)
-        out["from_dl_sites"].append(np.where(is_dl, term, 0.0).sum(axis=1))
-        out["from_ul_sites"].append(np.where(is_dl, 0.0, term).sum(axis=1))
-        out["i_total"].append(term.sum(axis=1))
-        out["r_user"].append(r)
-        del r, useful, is_dl, term  # release the chunk before the next is built
-    return {key: np.concatenate(parts) for key, parts in out.items()}
+    chunks = list(_macro_chunks(net, prop, mix, direction, n_draws, seed, split=True))
+    r, useful, i_total, from_dl, from_ul = (np.concatenate(parts) for parts in zip(*chunks))
+    return {"useful": useful, "from_dl_sites": from_dl, "from_ul_sites": from_ul, "i_total": i_total, "r_user": r}
 
 
 def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
@@ -303,10 +388,9 @@ def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
     grid = check_gamma_grid(gamma_grid_db)
     gamma_lin = 10.0 ** (grid / 10.0)
     counts = np.zeros(grid.size, dtype=np.int64)
-    for _, useful, _, term in _macro_chunks(net, prop, mix, direction, n_draws, seed):
-        sinr = useful / (net.load_eta * term.sum(axis=1) + prop.p_noise_mw)
+    for _, useful, i_total in _macro_chunks(net, prop, mix, direction, n_draws, seed):
+        sinr = useful / (net.load_eta * i_total + prop.p_noise_mw)
         counts += (sinr[:, None] > gamma_lin[None, :]).sum(axis=0)
-        del useful, term  # release the chunk before the next is built
     value = counts / n_draws
     half = 1.96 * np.sqrt(np.maximum(value * (1.0 - value), 0.0) / n_draws)
     return CoverageCurve(grid, value, half)

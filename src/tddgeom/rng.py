@@ -8,18 +8,26 @@ to block ``i * 2**40``, giving each draw 2**42 independent doubles,
 far more than any draw consumes.  A chunk of a long stream can start at
 any block of it, which is how one stream is split between workers.
 
-A sampler job holds one :class:`Streams` per seed: one Philox and one
+A sampler holds one :class:`Streams` per seed: one Philox and one
 Generator, re-positioned at the start of each draw by writing the
 counter and emptying the output buffer.  That reads exactly the numbers
 of a fresh Philox advanced to the draw's block, at about a tenth of the
 cost of building one.  A Streams is not shared between threads: each
-job of :func:`chunk_map` builds its own.
+job of :func:`chunk_map` builds its own, or takes the one in its
+worker's workspace.
 
 :func:`chunk_map` runs jobs on :func:`workers` threads and yields
 their results in job order.  numpy releases the GIL in its bulk
 generation and array arithmetic, so chunks that spend their time there
 run in parallel; the consumer reduces the results in order, so every
 float sum is added in the same order for any worker count.
+
+A sampler may give each worker thread a workspace of its own, built on
+the thread's first job and reused by its later jobs of the same call,
+so that a chunk allocates no large array (the macro sampler does; see
+``hexgrid._macro_chunks``).  A job then returns arrays of its own, never
+views of its workspace: the worker overwrites the workspace with its
+next job while the consumer still holds the result.
 """
 
 import collections
@@ -82,8 +90,12 @@ def stream(seed, index):
 
 
 def workers():
-    """Threads of :func:`chunk_map`: the cores this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """Threads of :func:`chunk_map`: the cores this process may run on,
+    or, where the platform cannot tell (macOS, Windows), the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def chunk_map(job, items):

@@ -1,4 +1,6 @@
-"""Tests for the re-positioned Philox streams."""
+"""Tests for the re-positioned Philox streams and the chunk map."""
+
+import os
 
 import numpy as np
 import pytest
@@ -88,3 +90,11 @@ def test_chunk_map_keeps_order_and_bounds_the_results_in_flight(monkeypatch):
         # the consumer holds result i; at most two more jobs were queued
         assert len(started) <= i + 3
     assert sorted(started) == list(range(10))
+
+
+def test_workers_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert rng.workers() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng.workers() == 1
