@@ -112,8 +112,9 @@ def _parse_grid(value, name, errors):
         except (KeyError, TypeError, ValueError):
             errors.append(f"{name}: range needs numeric start, stop, step")
             return None
-        if step <= 0:
-            errors.append(f"{name}: step must be positive")
+        # JSON takes NaN and Infinity, and the count may still overflow
+        if not (0 < step < math.inf and math.isfinite((stop - start) / step)):
+            errors.append(f"{name}: range needs a positive step and a finite start, stop, step and count")
             return None
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(np.round(start + step * np.arange(max(n, 0)), 12))
@@ -232,8 +233,8 @@ def _check_semantics(cfg, errors):
             errors.append("isr experiments require geometry=macro")
         if cfg.mode != "analytic":
             errors.append("isr experiments are analytic only")
-        if any(x <= 0 for x in cfg.x_grid):
-            errors.append("x_grid: distances must be positive")
+        if not all(0 < x < cfg.macro.delta for x in cfg.x_grid):
+            errors.append("x_grid: distances must be positive and below macro.delta")
         if list(cfg.x_grid) != sorted(set(cfg.x_grid)):
             errors.append("x_grid: must be strictly increasing")
     if cfg.experiment == "ase":
@@ -248,7 +249,7 @@ def _check_semantics(cfg, errors):
         for lam in lams:
             try:
                 dataclasses.replace(cfg, lam=float(lam)).scenario()
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 errors.append(f"{group}: {exc}")
                 break
 

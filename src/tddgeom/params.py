@@ -231,10 +231,10 @@ def check_direction(direction):
 
 
 def check_gamma_grid(gamma_grid_db):
-    """Validate a threshold grid: nonempty, 1-d, strictly increasing."""
+    """Validate a threshold grid: nonempty, 1-d, finite, strictly increasing."""
     grid = np.asarray(gamma_grid_db, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError("gamma grid must be a nonempty 1-d array")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ConfigError("gamma_grid_db must be a nonempty 1-d array of finite thresholds")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ConfigError("gamma grid must be strictly increasing")
+        raise ConfigError("gamma_grid_db must be strictly increasing")
     return grid

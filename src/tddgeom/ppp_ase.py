@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IntegrationError
 from .params import check_direction
 from .ppp_model import _DEFAULT_QUAD, _laplace, _rayleigh_rule, _serving_link
-from .quadrules import gauss_kronrod_unit
+from .quadrules import gauss_kronrod_unit, refine
 
 __all__ = ["ase"]
 
@@ -37,18 +37,14 @@ def _ase_rows(r, s_mean, a_scale, scenario, quad):
     in y it grows at least like y, whether the row is noise- or
     interference-limited, at high SINR or at low: in g alone a low-SINR
     row would keep a stretched-exponential tail.  Both parts take the
-    nested pair of coarse order n (starting at _ASE_NODES).  Each row
-    sends its nodes to :func:`_laplace` in one call; a row whose |K - G|
-    exceeds ase_rel_tol times its value is doubled on its own.  Returns
-    the Kronrod values, and the indices and |K - G| of the rows still
-    failing after max_refinements (empty when all converged)."""
+    nested pair of coarse order _ASE_NODES, and each row is refined on
+    its own to ase_rel_tol of its value (:func:`tddgeom.quadrules.refine`);
+    each level sends the nodes of all its rows to :func:`_laplace` in one
+    call.  Returns what refine returns."""
     b = scenario.prop.b
-    noise = scenario.p_noise_mw
-    out = np.empty(r.size)
-    todo = np.arange(r.size)
-    n = _ASE_NODES
-    for _ in range(quad.max_refinements + 1):
-        s, w = gauss_kronrod_unit(n)
+
+    def estimate(level, todo):
+        s, w = gauss_kronrod_unit(_ASE_NODES << level)
         a, sm = a_scale[todo, None], s_mean[todo, None]
         g_s = np.log1p(a)
         y = 1.0 + 2.0 * s / (1.0 - s)
@@ -59,21 +55,13 @@ def _ase_rows(r, s_mean, a_scale, scenario, quad):
             (np.broadcast_to(g_s, ay.shape), 2.0 / (1.0 - s) ** 2 * b * ay / (y * (1.0 + ay))),
             axis=1,
         )
-        ww = np.concatenate((w, w), axis=1)
-        val = np.exp(-noise * v)
-        for i, row in enumerate(todo):
-            # nodes where the noise factor underflows add nothing
-            live = val[i] > 0.0
-            val[i, live] *= _laplace(v[i, live], np.full(live.sum(), r[row]), scenario, quad)
-        fine, coarse = ((val * jac) @ ww.T).T
-        disc = np.abs(fine - coarse)
-        out[todo] = fine
-        keep = disc > quad.ase_rel_tol * fine
-        todo, disc = todo[keep], disc[keep]
-        if todo.size == 0:
-            break
-        n *= 2
-    return out, todo, disc
+        val = np.exp(-scenario.p_noise_mw * v)
+        # nodes where the noise factor underflows add nothing
+        live = val > 0.0
+        val[live] *= _laplace(v[live], np.broadcast_to(r[todo, None], v.shape)[live], scenario, quad)
+        return ((val * jac) @ np.concatenate((w, w), axis=1).T).T
+
+    return refine(estimate, r.size, lambda fine: quad.ase_rel_tol * fine, quad.max_refinements)
 
 
 def ase(scenario, direction, quad=None):
@@ -96,10 +84,9 @@ def ase(scenario, direction, quad=None):
     that transmit the alpha-weighted downlink and uplink powers
     alpha_d P + alpha_u P* rho_scale^{2bk}.
 
-    ase_rel_tol bounds the |K - G| of each row relative to its value and
-    the |K - G| of the r rule relative to the total; a failing row is
-    doubled on its own, a failing r rule doubles n_serving, each up to
-    max_refinements times, and then an integration error carries the
+    Each row and the r rule are refined by :func:`tddgeom.quadrules.refine`
+    to ase_rel_tol: a row relative to its value, the r rule relative to
+    the total.  When either still fails, an integration error carries the
     achieved value and the discrepancy, both in bits/s/Hz.  Each Laplace
     value meets inner_abs_tol.
     """
@@ -119,29 +106,30 @@ def ase(scenario, direction, quad=None):
         raise IntegrationError(
             "spectral efficiency is infinite: no noise and no interference", achieved=math.inf
         )
-    n = quad.n_serving
-    for _ in range(quad.max_refinements + 1):
-        r, w = _rayleigh_rule(n, scenario.lam)
+
+    def estimate(level, todo):
+        r, w = _rayleigh_rule(quad.n_serving << level, scenario.lam)
         d = np.maximum(r, rho_s)
         i_scale = power * d ** (-2.0 * b) * (d / rho_s) ** 2 / (b - 1.0)
         s_mean = p_serv * r ** (-exp_serving)
-        rows, failed, row_disc = _ase_rows(
-            r, s_mean, s_mean / (scenario.p_noise_mw + i_scale), scenario, quad
-        )
-        fine, coarse = (w @ rows / math.log(2.0)).tolist()
+        rows, failed, row_disc = _ase_rows(r, s_mean, s_mean / (scenario.p_noise_mw + i_scale),
+                                           scenario, quad)
+        total = w @ rows / math.log(2.0)
         if failed.size:
             raise IntegrationError(
                 f"spectral-efficiency row at r={r[failed[0]]} not converged to "
                 f"{quad.ase_rel_tol} of its value",
-                achieved=fine,
+                achieved=float(total[0]),
                 discrepancy=float(w[0, failed] @ row_disc) / math.log(2.0),
             )
-        disc = abs(fine - coarse)
-        if disc <= quad.ase_rel_tol * fine:
-            return fine
-        n *= 2
-    raise IntegrationError(
-        f"spectral-efficiency integral not converged to {quad.ase_rel_tol} of its value",
-        achieved=fine,
-        discrepancy=disc,
-    )
+        return total[:, None]
+
+    (value,), failed, disc = refine(estimate, 1, lambda fine: quad.ase_rel_tol * fine,
+                                    quad.max_refinements)
+    if failed.size:
+        raise IntegrationError(
+            f"spectral-efficiency integral not converged to {quad.ase_rel_tol} of its value",
+            achieved=float(value),
+            discrepancy=float(disc[0]),
+        )
+    return float(value)

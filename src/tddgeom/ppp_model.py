@@ -17,12 +17,11 @@ approximation leaves out.
 Quadrature design.  Every rule in interferer distance, offset and
 serving distance is a nested Gauss-Kronrod pair G(n) in K(2n+1) on
 (-1, 1): one evaluation on the 2n + 1 Kronrod nodes gives both
-estimates, K (exact to degree 3n + 1) and G (to 2n - 1).  A level
-accepts |K - G| <= tol and returns K; otherwise it doubles the coarse
-orders n_x and n_rho (a Laplace value, each pair on its own) or
-n_serving (a coverage value), up to max_refinements times, then raises
-an integration error with the achieved estimate.  No rule sits outside
-that comparison.  The rules come from :mod:`tddgeom.quadrules`.
+estimates, K (exact to degree 3n + 1) and G (to 2n - 1).
+:func:`tddgeom.quadrules.refine` doubles the coarse orders n_x and n_rho
+(a Laplace value, each pair on its own) or n_serving (a coverage value)
+until |K - G| <= tol, and an integration error carries the achieved
+estimate of what still fails.  No rule sits outside that comparison.
 
 The serving distance and each pair's offset are Rayleigh, and both
 take one rule (:func:`_rayleigh_rule`): the CDF u = 1 - exp(-lam pi d^2),
@@ -64,8 +63,6 @@ elements.  It skips empty pieces (r = rho happens: the serving and
 offset rules share the node t = 1/2), so no node sits at y = 0.  Its
 sums are einsum reductions, not BLAS products, so a pair's value is the
 same to the bit in any batch.
-
-The spectral efficiency's rules are in :mod:`tddgeom.ppp_ase`.
 """
 
 import math
@@ -89,7 +86,7 @@ from .params import (
     check_gamma_grid,
     dbm_to_mw,
 )
-from .quadrules import gauss_kronrod_unit
+from .quadrules import gauss_kronrod_unit, refine
 
 __all__ = [
     "SmallCellScenario",
@@ -173,16 +170,12 @@ class QuadratureControl:
     interferer distance, the offset and the serving distance (both on
     the graded Rayleigh rule); each rule evaluates its integrand at the
     2n + 1 Kronrod nodes.
-    inner_abs_tol bounds the accepted |K - G| of one Laplace-transform
-    value, outer_abs_tol the same for a coverage value, and the Kronrod
-    value is returned.  A failing comparison doubles the coarse orders
-    up to max_refinements times before raising; max_refinements=0
-    raises at the first failure.  The doubled orders are n_x and n_rho
-    (Laplace) and n_serving (coverage).  ase_rel_tol bounds the
-    |K - G| of each spectral-efficiency g integral relative to its value,
-    and that of the serving-distance rule relative to the total; a
-    failing g integral doubles its own order (from _ASE_NODES), a
-    failing serving rule n_serving (see :func:`tddgeom.ppp_ase.ase`).
+    inner_abs_tol bounds the |K - G| of one Laplace-transform value,
+    outer_abs_tol that of a coverage value, and ase_rel_tol that of each
+    spectral-efficiency g integral relative to its value and that of its
+    serving-distance rule relative to the total.  Each is met by
+    :func:`tddgeom.quadrules.refine`, with at most max_refinements
+    doublings of the orders (0 raises at the first failure).
     n_theta is validated and ignored, as the offset angle is integrated
     in closed form; it stays so that old configs and meta.json load.
     """
@@ -198,9 +191,7 @@ class QuadratureControl:
 
     def __post_init__(self):
         for name in ("inner_abs_tol", "outer_abs_tol", "ase_rel_tol"):
-            _check_real(name, getattr(self, name))
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_positive(name, getattr(self, name))
         for name in ("n_theta", "n_rho", "n_x", "n_serving"):
             _check_count(name, getattr(self, name), 2)
         _check_count("max_refinements", self.max_refinements, 0)
@@ -537,29 +528,30 @@ def _pgfl_radial(v, r, scenario, n_x, n_rho):
 
 def _laplace(v, r, scenario, quad):
     """Laplace transforms at the pairs of the 1-D arrays v and r.  Each
-    pair is refined on its own: a pair whose Kronrod and Gauss values
-    differ by more than inner_abs_tol goes on to doubled distance and
-    offset orders; the others return their Kronrod value."""
+    pair with v > 0 is refined on its own (:func:`tddgeom.quadrules.refine`)
+    to |K - G| <= inner_abs_tol, doubling the distance and offset orders;
+    v = 0 gives exactly 1."""
     if not (np.all((v >= 0) & (v < math.inf)) and np.all((r >= 0) & (r < math.inf))):
         raise ValueError("v and r must be finite and non-negative")
     out = np.ones(v.size)
-    todo = np.flatnonzero(v != 0)
+    live = np.flatnonzero(v != 0)
     pref = 2.0 * math.pi * scenario.lam
-    n_x, n_rho = quad.n_x, quad.n_rho
-    for _ in range(quad.max_refinements + 1):
-        fine, coarse = np.exp(-pref * _pgfl_radial(v[todo], r[todo], scenario, n_x, n_rho))
-        disc = np.abs(fine - coarse)
-        done = disc <= quad.inner_abs_tol
-        out[todo[done]] = fine[done]
-        todo, fine, disc = todo[~done], fine[~done], disc[~done]
-        if todo.size == 0:
-            return out
-        n_x, n_rho = 2 * n_x, 2 * n_rho
-    raise IntegrationError(
-        f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[todo[0]]}, r={r[todo[0]]}",
-        achieved=float(fine[0]),
-        discrepancy=float(disc[0]),
-    )
+
+    def estimate(level, todo):
+        at = live[todo]
+        radial = _pgfl_radial(v[at], r[at], scenario, quad.n_x << level, quad.n_rho << level)
+        return np.exp(-pref * radial)
+
+    out[live], failed, disc = refine(estimate, live.size, lambda fine: quad.inner_abs_tol,
+                                     quad.max_refinements)
+    if failed.size:
+        at = live[failed[0]]
+        raise IntegrationError(
+            f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[at]}, r={r[at]}",
+            achieved=float(out[at]),
+            discrepancy=float(disc[0]),
+        )
+    return out
 
 
 def laplace_dl(v, r, scenario, quad=None):
@@ -594,23 +586,22 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
     p_serv, exp_serving = _serving_link(scenario, direction)
     if p_serv == 0.0:
         return 0.0  # a silent serving link: the SINR is 0
-    n = quad.n_serving
-    for _ in range(quad.max_refinements + 1):
+
+    def estimate(level, todo):
         # int_0^1 e^{-vN} L_I(v, r) du over the serving CDF u, graded at
         # r -> 0, where the integrand falls steeply at high thresholds
-        r, w = _rayleigh_rule(n, scenario.lam)
+        r, w = _rayleigh_rule(quad.n_serving << level, scenario.lam)
         v = gamma * r**exp_serving / p_serv
-        val = np.exp(-v * scenario.p_noise_mw) * _laplace(v, r, scenario, quad)
-        fine, coarse = (w @ val).tolist()
-        disc = abs(fine - coarse)
-        if disc <= quad.outer_abs_tol:
-            return min(fine, 1.0)
-        n *= 2
-    raise IntegrationError(
-        f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={gamma_db}",
-        achieved=fine,
-        discrepancy=disc,
-    )
+        return (w @ (np.exp(-v * scenario.p_noise_mw) * _laplace(v, r, scenario, quad)))[:, None]
+
+    (value,), failed, disc = refine(estimate, 1, lambda fine: quad.outer_abs_tol, quad.max_refinements)
+    if failed.size:
+        raise IntegrationError(
+            f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={gamma_db}",
+            achieved=float(value),
+            discrepancy=float(disc[0]),
+        )
+    return min(float(value), 1.0)
 
 
 def coverage_ppp_dl(gamma_db, scenario, quad=None):

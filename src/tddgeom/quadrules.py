@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules and the nested Gauss-Kronrod pairs built on them.
+"""Gauss-Legendre rules, the nested Gauss-Kronrod pairs built on them, and their refinement.
 
 Every rule is built with numpy alone, on first use, and cached per
 order: the Gauss nodes by Newton's method on the Legendre recurrence
@@ -148,3 +148,23 @@ def gauss_kronrod_unit(n):
     weights sums to 1."""
     nodes, weights = gauss_kronrod(n)
     return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def refine(estimate, size, bound, max_refinements):
+    """Refine each of size items on its own: estimate(level, todo) gives
+    the Kronrod and Gauss values K and G of the items at the indices
+    todo, each coarse order n taken as n << level.  Items whose |K - G|
+    exceeds bound(K), or is NaN, go on to the next level, at most
+    max_refinements times.  Returns every item's K from its last level,
+    and the indices and |K - G| of the items still failing."""
+    values = np.empty(size)
+    todo = np.arange(size)
+    for level in range(max_refinements + 1):
+        fine, coarse = estimate(level, todo)
+        disc = np.abs(fine - coarse)
+        values[todo] = fine
+        keep = ~(disc <= bound(fine))
+        todo, disc = todo[keep], disc[keep]
+        if todo.size == 0:
+            break
+    return values, todo, disc

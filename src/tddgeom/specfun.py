@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TruncationError
-from .params import _check_count
+from .params import _check_count, _check_positive
 
 __all__ = [
     "SeriesControl",
@@ -44,8 +44,7 @@ class SeriesControl:
     max_terms: int = 200
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        _check_positive("rel_tol", self.rel_tol)
         _check_count("max_terms", self.max_terms, 1)
 
 

@@ -101,7 +101,7 @@ def test_cli_rejects_a_non_real_power_with_exit_2(tmp_path, capsys, key, value):
     ("mix", "alpha_d", True), ("propagation", "two_b", "3.5"), ("propagation", "k", True),
     ("ppp", "lam", True), ("ppp", "window_radius", math.nan),
     ("quadrature", "inner_abs_tol", True), ("quadrature", "outer_abs_tol", "x"),
-    ("quadrature", "ase_rel_tol", math.nan),
+    ("quadrature", "ase_rel_tol", math.nan), ("series", "rel_tol", True),
 ])
 def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, value):
     # a bool is not taken as 0 or 1, and a string gets a message that
@@ -125,11 +125,29 @@ def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, 
     ({"geometry": "ppp", "ppp": {"lam": 1e200}}, "ppp: lam 1e+200 is too large"),
     ({"geometry": "ppp", "experiment": "ase", "lambda_grid": [5.0, 1e200]},
      "lambda_grid: lam 1e+200 is too large"),
+    ({"geometry": "ppp", "experiment": "ase", "lambda_grid": [math.nan]},
+     "lambda_grid: lam must be a real number"),
+    ({"experiment": "isr", "x_grid": [0.1, 1.5]}, "x_grid: distances must be positive and below"),
+    ({"experiment": "isr", "x_grid": [math.nan]}, "x_grid: distances must be positive and below"),
+    ({"experiment": "isr", "x_grid": [0.1, math.inf]},
+     "x_grid: distances must be positive and below"),
+    ({"gamma_grid_db": [math.nan]}, "gamma_grid_db must be a nonempty 1-d array of finite"),
+    ({"geometry": "ppp", "gamma_grid_db": [math.nan]},
+     "gamma_grid_db must be a nonempty 1-d array of finite"),
+    ({"geometry": "ppp", "gamma_grid_db": [0.0, math.inf]},
+     "gamma_grid_db must be a nonempty 1-d array of finite"),
+    ({"experiment": "isr", "x_grid": [0.3], "series": {"rel_tol": math.inf}},
+     "series: rel_tol must be finite and positive"),
+    ({"quadrature": {"inner_abs_tol": math.inf}}, "quadrature: inner_abs_tol must be finite and positive"),
+    ({"quadrature": {"outer_abs_tol": math.inf}}, "quadrature: outer_abs_tol must be finite and positive"),
+    ({"quadrature": {"ase_rel_tol": math.inf}}, "quadrature: ase_rel_tol must be finite and positive"),
 ], ids=["delta", "cell_radius", "window_radius", "lam-inf", "lam-tiny", "lambda_grid-tiny",
-        "lam-huge", "lambda_grid-huge"])
+        "lam-huge", "lambda_grid-huge", "lambda_grid-nan", "x_grid-beyond-delta", "x_grid-nan",
+        "x_grid-inf", "gamma-macro-nan", "gamma-ppp-nan", "gamma-ppp-inf", "series-rel_tol",
+        "inner_abs_tol", "outer_abs_tol", "ase_rel_tol"])
 def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys, tree, message):
     # +-inf is a valid power (-inf dBm is a silent transmitter), but not
-    # a valid length, density or window
+    # a valid length, density, window, grid entry or tolerance
     path = _write(tmp_path / "inf.json", tree)
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert f"config error: invalid config:\n  {message}" in capsys.readouterr().err
@@ -157,6 +175,12 @@ def test_grid_range_form():
         config_from_dict({"gamma_grid_db": {"start": 0.0, "stop": 10.0, "step": 1.0, "by": 2}})
     with pytest.raises(ConfigError):
         config_from_dict({"gamma_grid_db": "everything"})
+    for bad in ({"start": math.nan, "stop": 1.0, "step": 1.0},
+                {"start": 0.0, "stop": math.inf, "step": 1.0},
+                {"start": 0.0, "stop": 1.0, "step": math.inf},
+                {"start": 0.0, "stop": 1e300, "step": 1e-300}):
+        with pytest.raises(ConfigError, match="gamma_grid_db: range needs a positive step"):
+            config_from_dict({"gamma_grid_db": bad})
 
 
 def test_semantic_cross_checks():

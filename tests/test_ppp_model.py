@@ -25,7 +25,7 @@ from tddgeom import (
     mc_sinr_ppp,
     ppp_interference_draws,
 )
-from tddgeom import ppp_model
+from tddgeom import ppp_ase, ppp_model
 from tddgeom.quadrules import gauss_kronrod_unit
 from tddgeom.config import FAST_QUAD
 
@@ -586,6 +586,24 @@ def test_ase_nonconvergence_is_loud():
                                prop=PropagationParams(p_noise_dbm=-math.inf))
     with pytest.raises(IntegrationError, match="infinite"):
         ase(silent, "ul", fast)
+
+
+def test_ase_sends_every_row_to_one_laplace_call_per_level(monkeypatch):
+    # with no refinement allowed, a converged ASE runs one level of each
+    # rule, so the rows of all 2 n_serving + 1 serving distances share
+    # one Laplace call
+    calls = []
+    real = ppp_ase._laplace
+
+    def spy(v, r, scenario, quad):
+        calls.append(np.unique(r).size)
+        return real(v, r, scenario, quad)
+
+    monkeypatch.setattr(ppp_ase, "_laplace", spy)
+    quad = QuadratureControl(**{**FAST_QUAD, "max_refinements": 0})
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    ase(sc, "dl", quad)
+    assert calls == [2 * quad.n_serving + 1]
 
 
 def _ase_by_coverage(sc, direction, quad):

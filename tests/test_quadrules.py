@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tddgeom.quadrules import gauss_kronrod, gauss_kronrod_unit, gauss_legendre
+from tddgeom.quadrules import gauss_kronrod, gauss_kronrod_unit, gauss_legendre, refine
 
 
 @pytest.mark.parametrize("n", [24, 32, 48, 64])
@@ -58,3 +58,31 @@ def test_gauss_kronrod_interlaces_and_stays_positive_at_every_order_reached():
         assert abs(weights[0].sum() - 2.0) < 1e-13 and abs(weights[1].sum() - 2.0) < 1e-13, n
         # odd moments vanish by symmetry; the even ones are 2 / (j + 1)
         assert abs(weights[0] @ nodes ** 2 - 2.0 / 3.0) < 1e-13, n
+
+
+def test_refine_doubles_only_the_failing_items_and_reports_the_last_failures():
+    # item i has |K - G| = err[i] / 4^level; a NaN discrepancy never passes
+    err = np.array([2.0**-10, 2.0**-30, 1.0, np.nan, 2.0**-17])
+    calls = []
+
+    def estimate(level, todo):
+        calls.append((level, todo.tolist()))
+        fine = 10.0 * (todo + 1) + level
+        return fine, fine + err[todo] / 4.0**level
+
+    values, failed, disc = refine(estimate, err.size, lambda fine: 2.0**-20, 2)
+    assert calls == [(0, [0, 1, 2, 3, 4]), (1, [0, 2, 3, 4]), (2, [0, 2, 3, 4])]
+    # each item keeps the Kronrod value of its last level
+    np.testing.assert_array_equal(values, [12.0, 20.0, 32.0, 42.0, 52.0])
+    np.testing.assert_array_equal(failed, [0, 2, 3])
+    np.testing.assert_array_equal(disc, [2.0**-14, 2.0**-4, np.nan])
+    # a bound relative to the Kronrod value: both items pass at once
+    calls.clear()
+    _, failed, disc = refine(estimate, 2, lambda fine: 1e-3 * fine, 5)
+    assert calls == [(0, [0, 1])] and failed.size == 0 and disc.size == 0
+    # no refinement: one level, and the failures of that level
+    calls.clear()
+    _, failed, disc = refine(estimate, 3, lambda fine: 2.0**-20, 0)
+    assert calls == [(0, [0, 1, 2])]
+    np.testing.assert_array_equal(failed, [0, 2])
+    np.testing.assert_array_equal(disc, [2.0**-10, 1.0])
