@@ -298,7 +298,8 @@ def _determinism():
     b = mc_coverage_macro(net, prop, mix, "dl", grid, 300, seed=4)
     same &= np.array_equal(a.value, b.value)
 
-    # per-draw streams make chunked and monolithic runs identical
+    # streams per draw (macro) and per chunk of draws (PPP) make a short
+    # run the prefix of a longer one
     short = macro_interference_draws(net, prop, mix, "ul", 6, seed=5)
     long = macro_interference_draws(net, prop, mix, "ul", 20, seed=5)
     same &= all(np.array_equal(short[k], long[k][:6]) for k in short)

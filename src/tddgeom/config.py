@@ -100,6 +100,11 @@ _TOP_FIELDS = tuple(
 ) + tuple(_GROUPS)
 
 
+# the most points a {start, stop, step} range may hold: far more than a
+# curve needs, and few enough that its arrays take no noticeable memory
+_MAX_RANGE_POINTS = 10_000
+
+
 def _parse_grid(value, name, errors):
     """Grids are either explicit lists or {start, stop, step} ranges."""
     if isinstance(value, dict):
@@ -117,6 +122,9 @@ def _parse_grid(value, name, errors):
             errors.append(f"{name}: range needs a positive step and a finite start, stop, step and count")
             return None
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if n > _MAX_RANGE_POINTS:
+            errors.append(f"{name}: range has {n} points, more than {_MAX_RANGE_POINTS}")
+            return None
         return tuple(np.round(start + step * np.arange(max(n, 0)), 12))
     if isinstance(value, (list, tuple)):
         try:
@@ -422,7 +430,7 @@ def run(cfg, out_dir=None, label=None):
     The sidecar records the wall time of the computation (a monotonic
     clock), and for a Monte Carlo coverage or ASE run the number of
     draws, the draws per second and the worker threads that drew them
-    (the macro sampler runs on every core, the PPP sampler on one).
+    (both samplers run on :func:`rng.workers` threads).
     """
     out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -450,7 +458,7 @@ def run(cfg, out_dir=None, label=None):
         draws = cfg.n_draws * (len(cfg.lambda_grid) if cfg.experiment == "ase" else 1)
         meta["mc_draws"] = draws
         meta["mc_draws_per_s"] = round(draws / wall, 1)
-        meta["mc_workers"] = rng.workers() if cfg.geometry == "macro" else 1
+        meta["mc_workers"] = rng.workers()
     with open(os.path.join(out, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=False)
         fh.write("\n")

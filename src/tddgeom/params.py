@@ -162,6 +162,8 @@ class MobilePolar:
     theta: float = 0.0
 
     def __post_init__(self):
+        _check_finite("r", self.r)
+        _check_finite("theta", self.theta)
         if self.r < 0:
             raise ValueError(f"r must be non-negative, got {self.r}")
 
@@ -213,6 +215,14 @@ def _check_real(name, value):
     NaN raises TypeError; -inf passes (-inf dBm is a silent transmitter)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_finite(name, value):
+    """Validate a coordinate or a spread: a real number (see _check_real)
+    that is also finite, else ValueError."""
+    _check_real(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_positive(name, value):

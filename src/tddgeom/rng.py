@@ -1,19 +1,21 @@
 """Counter-based random streams for reproducible Monte Carlo, and the
 ordered thread map that runs a sampler's chunks on every core.
 
-Every Monte Carlo draw gets its own Philox stream identified by
-(seed, draw index), so estimates are bit-identical for any chunking or
-worker count: stream i is the Philox-4x64-10 counter sequence advanced
-to block ``i * 2**40``, giving each draw 2**42 independent doubles,
-far more than any draw consumes.  A chunk of a long stream can start at
-any block of it, which is how one stream is split between workers.
+Each seed has streams identified by (seed, index): stream i is the
+Philox-4x64-10 counter sequence advanced to block ``i * 2**40``, giving
+it 2**42 independent doubles.  The macro sampler gives each draw a
+stream of its own, and the PPP sampler each chunk of a fixed number of
+draws, so their estimates are bit-identical for any worker count.  A
+read of a stream can start at any block of it, which is how one stream
+is split between workers, or split into regions for different kinds of
+number.
 
 A sampler holds one :class:`Streams` per seed: one Philox and one
-Generator, re-positioned at the start of each draw by writing the
+Generator, re-positioned at the start of each stream by writing the
 counter and emptying the output buffer.  That reads exactly the numbers
-of a fresh Philox advanced to the draw's block, at about a tenth of the
-cost of building one.  A Streams is not shared between threads: each
-job of :func:`chunk_map` builds its own, or takes the one in its
+of a fresh Philox advanced to the stream's block, at about a tenth of
+the cost of building one.  A Streams is not shared between threads:
+each job of :func:`chunk_map` builds its own, or takes the one in its
 worker's workspace.
 
 :func:`chunk_map` runs jobs on :func:`workers` threads and yields
@@ -35,13 +37,13 @@ import os
 
 import numpy as np
 
-# counter blocks reserved per draw; each block yields 4 uint64 outputs
-_BLOCKS_PER_DRAW = 1 << 40
+# counter blocks reserved per stream; each block yields 4 uint64 outputs
+_BLOCKS_PER_STREAM = 1 << 40
 _WORD = (1 << 64) - 1
 
 
 class Streams:
-    """The draw-local Philox streams of one seed.
+    """The Philox streams of one seed.
 
     ``at(i)`` returns a Generator positioned at the start of stream
     (seed, i).  The Generator is shared: positioning it again abandons
@@ -62,14 +64,14 @@ class Streams:
         self._state = state
 
     def at(self, index, block=0):
-        """Generator on stream ``index`` (zero-based draw index), skipping
+        """Generator on stream ``index`` (zero-based), skipping
         its first ``block`` counter blocks: the Generator then reads the
         stream's numbers from output 4 * block on."""
         if index < 0:
             raise ValueError(f"draw index must be non-negative, got {index}")
-        if not 0 <= block < _BLOCKS_PER_DRAW:
+        if not 0 <= block < _BLOCKS_PER_STREAM:
             raise ValueError(f"block offset must lie in [0, 2**40), got {block}")
-        block += index * _BLOCKS_PER_DRAW
+        block += index * _BLOCKS_PER_STREAM
         self._counter[0] = block & _WORD
         self._counter[1] = block >> 64
         self._bitgen.state = self._state
@@ -77,14 +79,14 @@ class Streams:
 
 
 def stream(seed, index):
-    """Return a Generator on the draw-local Philox stream.
+    """Return a Generator on Philox stream (seed, index).
 
     Parameters
     ----------
     seed : int
         Experiment seed.
     index : int
-        Zero-based draw index.
+        Zero-based stream index.
     """
     return Streams(seed).at(index)
 

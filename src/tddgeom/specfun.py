@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TruncationError
-from .params import _check_count, _check_positive
+from .params import _check_count, _check_finite, _check_positive
 
 __all__ = [
     "SeriesControl",
@@ -59,6 +59,7 @@ class ShadowingSpec:
     sigma_tilde_db: float = 0.0
 
     def __post_init__(self):
+        _check_finite("sigma_tilde_db", self.sigma_tilde_db)
         if self.sigma_tilde_db < 0:
             raise ValueError("sigma_tilde_db must be non-negative")
 

@@ -181,6 +181,9 @@ def test_grid_range_form():
                 {"start": 0.0, "stop": 1e300, "step": 1e-300}):
         with pytest.raises(ConfigError, match="gamma_grid_db: range needs a positive step"):
             config_from_dict({"gamma_grid_db": bad})
+    # a finite count too large to allocate
+    with pytest.raises(ConfigError, match="gamma_grid_db: range has 1000000000000000001 points, more than"):
+        config_from_dict({"gamma_grid_db": {"start": 0.0, "stop": 1e18, "step": 1.0}})
 
 
 def test_semantic_cross_checks():
@@ -253,16 +256,15 @@ def test_run_writes_csv_and_metadata(tmp_path):
     ("ase", {"geometry": "ppp", "lambda_grid": [5.0, 10.0]}, 600),
 ])
 def test_run_records_monte_carlo_draw_rate(tmp_path, monkeypatch, experiment, extra, draws):
-    # the macro sampler runs on the map's workers, the PPP sampler on one
+    # both samplers run on the map's workers
     monkeypatch.setattr(rng, "workers", lambda: 3)
-    workers = 3 if extra["geometry"] == "macro" else 1
     data = {"experiment": experiment, "mode": "mc", "n_draws": 300, "label": "rate", **extra}
     run(config_from_dict(data), out_dir=str(tmp_path))
     meta = json.loads((tmp_path / "rate.meta.json").read_text(encoding="utf-8"))
     assert set(meta) == {"config", "seed", "version", "wall_time_s", "mc_draws", "mc_draws_per_s", "mc_workers"}
     assert meta["mc_draws"] == draws
     assert meta["mc_draws_per_s"] > 0
-    assert meta["mc_workers"] == workers
+    assert meta["mc_workers"] == 3
     # the rate is the draws over the recorded wall time, up to the
     # rounding of both (to 1 ms and to 0.1 draw/s)
     rate, wall = meta["mc_draws_per_s"], meta["wall_time_s"]
@@ -409,6 +411,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(bad_json)]) == 2
     bad_values = _write(tmp_path / "vals.json", {"mix": {"alpha_d": 2.0}})
     assert main(["run", bad_values]) == 2
+    huge_range = _write(tmp_path / "range.json", {"gamma_grid_db": {"start": 0, "stop": 1e18, "step": 1}})
+    assert main(["run", huge_range, "--out", str(tmp_path)]) == 2
     ok = _write(tmp_path / "ok.json", {"experiment": "isr", "x_grid": [0.1]})
     assert main(["run", ok, "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert main(["recipe", "fig3-does-not-exist"]) == 2

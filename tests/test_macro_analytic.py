@@ -148,6 +148,16 @@ def test_a1_frozen_value():
     assert a1(1.75, 0.0, XR) == pytest.approx(A1_B175_K0, rel=1e-12)
 
 
+@pytest.mark.parametrize("r, theta, error", [
+    (-0.1, 0.0, ValueError), (math.inf, 0.0, ValueError), (math.nan, 0.0, TypeError),
+    (True, 0.0, TypeError), (0.3, math.nan, TypeError), (0.3, -math.inf, ValueError),
+    (0.3, True, TypeError), (0.3, "0.1", TypeError),
+])
+def test_mobile_polar_validation(r, theta, error):
+    with pytest.raises(error):
+        MobilePolar(r, theta)
+
+
 def test_a1_rejects_a_radius_outside_the_cell():
     assert a1(1.75, 0.4, 0.0) == 0.0
     # without power control the limit at the cell centre is 6 omega(b)

@@ -1,10 +1,13 @@
-"""The Monte Carlo samplers against plain per-draw references.
+"""The Monte Carlo samplers against plain references.
 
-Each reference reads the same stream (seed, i) per draw with one numpy
-call per quantity and does its geometry in complex arithmetic, draw by
-draw.  The samplers read the same numbers through merged calls into
-chunk buffers and do the geometry in real arithmetic, a chunk at a
-time, so every per-draw value must agree to rounding.
+Each reference reads the sampler's stream layout with one numpy call
+per quantity and does its geometry in complex arithmetic, draw by draw:
+the macro reference reads stream (seed, i) for draw i, and the PPP
+reference reads stream (seed, c) for the draws of chunk c from a fresh
+Philox advanced to each region of it.  The samplers read the same
+numbers through merged calls and re-positioned streams and do the
+geometry in real arithmetic, a chunk at a time, so every per-draw value
+must agree to rounding.
 """
 
 import itertools
@@ -47,8 +50,23 @@ def _assert_close(actual, expected):
 # references
 
 
+def _philox(seed, index, block=0):
+    """Stream (seed, index) from its definition, from counter block
+    ``block`` on: a fresh Philox advanced by index * 2**40 + block."""
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    bitgen.advance(index * 2**40 + block)
+    return np.random.Generator(bitgen)
+
+
 def _ppp_reference(scenario, direction, n_draws, seed, association="rayleigh", serving_r=None):
-    """useful, from_dl, from_ul and distance, one draw at a time."""
+    """useful, from_dl, from_ul and distance, one chunk at a time.
+
+    Chunk c of C draws reads stream (seed, c): C serving exponentials,
+    C serving fades and C Poisson counts, then each kind of pair number
+    from block k 2**36 on, in draw order: the position radius, position
+    angle, direction flag and offset angle uniforms (k = 1 to 4), the
+    offset and fade exponentials (k = 5, 6)."""
+    chunk = ppp_model._CHUNK_DRAWS
     lam_pi = scenario.lam * math.pi
     w = scenario.window_radius
     prop = scenario.prop
@@ -57,42 +75,45 @@ def _ppp_reference(scenario, direction, n_draws, seed, association="rayleigh", s
     p_dl, p_ul = scenario.p_small_mw, scenario.p_small_star_mw
     nearest = association == "nearest"
     out = np.empty((4, n_draws))
-    for i in range(n_draws):
-        gen = rng.stream(seed, i)
-        r = serving_r
-        if r is None and not nearest:
-            r = math.sqrt(gen.standard_exponential() / lam_pi)
-        n = gen.poisson(lam_pi * w * w)
-        pos = w * np.sqrt(gen.random(n)) * np.exp(2j * math.pi * gen.random(n))
-        is_dl = gen.random(n) < scenario.mix.alpha_d
-        rho = np.sqrt(gen.standard_exponential(n) / lam_pi)
-        phi = 2.0 * math.pi * gen.random(n)
-        if nearest:
-            rho0 = math.sqrt(gen.standard_exponential() / lam_pi)
-            gen.random()
-        serving_fade = gen.standard_exponential()
-        fades = gen.standard_exponential(n)
+    for c in range(math.ceil(n_draws / chunk)):
+        gen = _philox(seed, c)
+        serving_exp = gen.standard_exponential(chunk)
+        serving_fade = gen.standard_exponential(chunk)
+        counts = gen.poisson(lam_pi * w * w, chunk)
+        m = min(chunk, n_draws - c * chunk)
+        total = counts[:m].sum()
+        radius_u, angle_u, flag_u, phi_u = (_philox(seed, c, k * 2**36).random(total) for k in (1, 2, 3, 4))
+        offset_e, fade_e = (_philox(seed, c, k * 2**36).standard_exponential(total) for k in (5, 6))
+        first = 0
+        for j in range(m):
+            pairs = slice(first, first + counts[j])
+            first += counts[j]
+            pos = w * np.sqrt(radius_u[pairs]) * np.exp(2j * math.pi * angle_u[pairs])
+            is_dl = flag_u[pairs] < scenario.mix.alpha_d
+            rho = np.sqrt(offset_e[pairs] / lam_pi)
+            fades = fade_e[pairs]
+            # the serving distance, or for nearest association the own user's offset
+            r = math.sqrt(serving_exp[j] / lam_pi) if serving_r is None else serving_r
 
-        cell_dist = np.abs(pos)
-        if not nearest:
-            keep = cell_dist > r
-        else:
-            keep = np.ones(n, dtype=bool)
-            r = rho0
-            if direction == "dl" and n > 0:
-                j = int(np.argmin(cell_dist))
-                r = float(cell_dist[j])
-                keep[j] = False
-        on_dl = keep & is_dl
-        on_ul = keep & ~is_dl
-        user_dist = np.abs(pos[on_ul] + rho[on_ul] * np.exp(1j * phi[on_ul]))
-        from_dl = p_dl * float(np.sum(fades[on_dl] * cell_dist[on_dl] ** (-two_b)))
-        from_ul = p_ul * float(np.sum(fades[on_ul] * rho[on_ul] ** (2.0 * bk) * user_dist ** (-two_b)))
-        if direction == "dl":
-            useful = p_dl * serving_fade * r ** (-two_b)
-        else:
-            useful = p_ul * serving_fade * r ** (-two_b * (1.0 - prop.k))
-        out[:, i] = useful, from_dl, from_ul, r
+            cell_dist = np.abs(pos)
+            if not nearest:
+                keep = cell_dist > r
+            else:
+                keep = np.ones(pos.size, dtype=bool)
+                if direction == "dl" and pos.size > 0:
+                    nearest_cell = int(np.argmin(cell_dist))
+                    r = float(cell_dist[nearest_cell])
+                    keep[nearest_cell] = False
+            on_dl = keep & is_dl
+            on_ul = keep & ~is_dl
+            user_dist = np.abs(pos[on_ul] + rho[on_ul] * np.exp(2j * math.pi * phi_u[pairs][on_ul]))
+            from_dl = p_dl * float(np.sum(fades[on_dl] * cell_dist[on_dl] ** (-two_b)))
+            from_ul = p_ul * float(np.sum(fades[on_ul] * rho[on_ul] ** (2.0 * bk) * user_dist ** (-two_b)))
+            if direction == "dl":
+                useful = p_dl * serving_fade[j] * r ** (-two_b)
+            else:
+                useful = p_ul * serving_fade[j] * r ** (-two_b * (1.0 - prop.k))
+            out[:, c * chunk + j] = useful, from_dl, from_ul, r
     return out
 
 
@@ -139,9 +160,9 @@ def _bruteforce_reference(m, net, prop, n_samples, seed):
 @pytest.fixture(params=["default", "small"])
 def chunking(request, monkeypatch):
     """Run each sampler with its own chunk sizes and with tiny ones, so
-    that chunks flush mid-run, end unevenly and overflow on one draw."""
+    that a run spans several chunks and ends unevenly."""
     if request.param == "small":
-        monkeypatch.setattr(ppp_model, "_SAMPLE_CHUNK", 40)
+        monkeypatch.setattr(ppp_model, "_CHUNK_DRAWS", 8)
         monkeypatch.setattr(hexgrid, "_CHUNK", 150)
     return request.param
 
@@ -213,14 +234,10 @@ def test_bruteforce_matches_reference(chunking, x, theta):
 
 
 def test_chunking_leaves_every_draw_bit_identical(monkeypatch):
-    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    # the macro draws only: the PPP chunk size is part of its stream layout
     net, prop, mix = MacroNetwork(rings=3), PropagationParams(), TddMix(alpha_d=0.5)
-    whole_ppp = ppp_model._sample(sc, "dl", 50, 9, association="nearest")
     whole_macro = macro_interference_draws(net, prop, mix, "dl", 50, 9)
-    monkeypatch.setattr(ppp_model, "_SAMPLE_CHUNK", 70)
     monkeypatch.setattr(hexgrid, "_CHUNK", 200)
-    for a, b in zip(whole_ppp, ppp_model._sample(sc, "dl", 50, 9, association="nearest")):
-        assert np.array_equal(a, b)
     for key, value in macro_interference_draws(net, prop, mix, "dl", 50, 9).items():
         assert np.array_equal(value, whole_macro[key])
 
@@ -228,18 +245,21 @@ def test_chunking_leaves_every_draw_bit_identical(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_count_leaves_every_result_bit_identical(chunking, monkeypatch, workers):
     net, prop, mix = MacroNetwork(rings=3), PropagationParams(k=0.4), TddMix(alpha_d=0.5)
+    sc = SmallCellScenario(lam=10.0, mix=mix)
     m = MobilePolar(0.3, 0.1)
     grid = np.linspace(-10.0, 20.0, 7)
-    expected = (macro_interference_draws(net, prop, mix, "ul", 47, 13),
+
+    def results():
+        return [*macro_interference_draws(net, prop, mix, "ul", 47, 13).values(),
                 mc_coverage_macro(net, prop, mix, "dl", grid, 47, 13).value,
-                bruteforce_isr_ul_dl(m, net, prop, 123, seed=4))
+                bruteforce_isr_ul_dl(m, net, prop, 123, seed=4),
+                *ppp_interference_draws(sc, "ul", 47, 13).values(),
+                *(mc_sinr_ppp(sc, "dl", 47, 13, association) for association in ("rayleigh", "nearest"))]
+
+    expected = results()
     monkeypatch.setattr(rng, "workers", lambda: workers)
-    draws = macro_interference_draws(net, prop, mix, "ul", 47, 13)
-    assert draws.keys() == expected[0].keys()
-    for key, value in draws.items():
-        assert np.array_equal(value, expected[0][key])
-    assert np.array_equal(mc_coverage_macro(net, prop, mix, "dl", grid, 47, 13).value, expected[1])
-    assert bruteforce_isr_ul_dl(m, net, prop, 123, seed=4) == expected[2]
+    for value, reference in zip(results(), expected, strict=True):
+        assert np.array_equal(value, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -143,5 +143,7 @@ def test_shadowing_mean_factor_against_sampling():
 
 
 def test_shadowing_spec_domain():
-    with pytest.raises(ValueError):
-        ShadowingSpec(sigma_tilde_db=-1.0)
+    for sigma, error in ((-1.0, ValueError), (math.inf, ValueError), (math.nan, TypeError),
+                         (True, TypeError), ("6", TypeError)):
+        with pytest.raises(error):
+            ShadowingSpec(sigma_tilde_db=sigma)
