@@ -21,7 +21,6 @@ import numpy as np
 from . import hexgrid, macro_analytic, ppp_ase, ppp_model, rng
 from .errors import ConfigError
 from .params import (
-    CoverageCurve,
     MacroNetwork,
     MobilePolar,
     PropagationParams,
@@ -136,17 +135,17 @@ def _parse_grid(value, name, errors):
     return None
 
 
-def _build_group(name, cls, data, errors):
+def _build_group(name, cls, data, errors, parsed):
     """The fields of group ``name`` given in ``data``, and the group's
-    dataclass built from them, which validates them (None if it
-    rejects them)."""
+    dataclass built from them and from the ``parsed`` groups it holds,
+    which validates them (None if it rejects them)."""
     fields = _GROUP_FIELDS[name]
     unknown = set(data) - set(fields)
     if unknown:
         errors.append(f"{name}: unknown keys {sorted(unknown)}")
     kwargs = {key: data[key] for key in fields if key in data}
     try:
-        return kwargs, cls(**kwargs)
+        return kwargs, cls(**kwargs, **parsed)
     except (TypeError, ValueError) as exc:
         errors.append(f"{name}: {exc}")
         return kwargs, None
@@ -185,7 +184,9 @@ def config_from_dict(data):
         if not isinstance(data[name], dict):
             errors.append(f"{name}: expected an object")
             continue
-        fields, group = _build_group(name, cls, data[name], errors)
+        # the ppp group holds the propagation and mix parsed before it
+        parsed = {key: kwargs[key] for key in ("prop", "mix") if kwargs.get(key)} if target is None else {}
+        fields, group = _build_group(name, cls, data[name], errors, parsed)
         if target is None:
             kwargs.update(fields)
         else:
@@ -251,8 +252,8 @@ def _check_semantics(cfg, errors):
         if list(cfg.lambda_grid) != sorted(set(cfg.lambda_grid)):
             errors.append("lambda_grid: must be strictly increasing")
     if cfg.geometry == "ppp":
-        # the ppp group was checked against the default propagation;
-        # check each scenario the run builds with the configured one
+        # check each scenario the run builds, also where no ppp group
+        # was given and at each density of an ASE grid
         group, lams = ("lambda_grid", cfg.lambda_grid) if cfg.experiment == "ase" else ("ppp", (cfg.lam,))
         for lam in lams:
             try:
@@ -324,40 +325,38 @@ def _version_string():
     return __version__
 
 
+def _curve_table(x_name, x, value_name, columns):
+    """The CSV header and rows of a curve over x: per entry of the
+    ordered ``columns``, {"analytic": (values, halfwidths), "mc":
+    (values, halfwidths)}, a value and a 95% half-width column, each
+    named with the entry as a suffix when there are two entries."""
+    header = [x_name]
+    for name in columns:
+        suffix = f"_{name}" if len(columns) > 1 else ""
+        header += [value_name + suffix, "ci_halfwidth" + suffix]
+    return header, list(zip(x, *(part for pair in columns.values() for part in pair)))
+
+
 def _coverage_rows(cfg):
     grid = np.asarray(cfg.gamma_grid_db)
     columns = {}
-    if cfg.mode in ("analytic", "both"):
+    if cfg.mode != "mc":
         if cfg.geometry == "macro":
-            values = np.array([
-                macro_analytic.coverage_macro(
-                    g, cfg.direction, cfg.macro, cfg.prop, cfg.mix, ctrl=cfg.series)
-                for g in grid
-            ])
+            values = np.array([macro_analytic.coverage_macro(g, cfg.direction, cfg.macro, cfg.prop, cfg.mix,
+                                                             ctrl=cfg.series) for g in grid])
         else:
             fn = ppp_model.coverage_ppp_dl if cfg.direction == "dl" else ppp_model.coverage_ppp_ul
             values = np.array([fn(g, cfg.scenario(), cfg.quadrature) for g in grid])
-        columns["analytic"] = CoverageCurve(grid, values, np.zeros_like(values))
-    if cfg.mode in ("mc", "both"):
+        columns["analytic"] = (values, np.zeros_like(values))
+    if cfg.mode != "analytic":
         if cfg.geometry == "macro":
             curve = hexgrid.mc_coverage_macro(
                 cfg.macro, cfg.prop, cfg.mix, cfg.direction, grid, cfg.n_draws, cfg.seed)
         else:
             curve = ppp_model.mc_coverage_ppp(
                 cfg.scenario(), cfg.direction, grid, cfg.n_draws, cfg.seed)
-        columns["mc"] = curve
-
-    if cfg.mode == "both":
-        header = ["gamma_db", "value_analytic", "ci_halfwidth_analytic", "value_mc", "ci_halfwidth_mc"]
-        rows = [
-            (g, columns["analytic"].value[i], 0.0, columns["mc"].value[i], columns["mc"].ci_halfwidth[i])
-            for i, g in enumerate(grid)
-        ]
-    else:
-        curve = columns["analytic" if cfg.mode == "analytic" else "mc"]
-        header = ["gamma_db", "value", "ci_halfwidth"]
-        rows = [(g, curve.value[i], curve.ci_halfwidth[i]) for i, g in enumerate(grid)]
-    return header, rows
+        columns["mc"] = (curve.value, curve.ci_halfwidth)
+    return _curve_table("gamma_db", grid, "value", columns)
 
 
 def _isr_rows(cfg):
@@ -383,25 +382,19 @@ def _isr_rows(cfg):
 
 
 def _ase_rows(cfg):
-    rows = []
-    for lam in cfg.lambda_grid:
-        scenario = dataclasses.replace(cfg, lam=float(lam)).scenario()
-        if cfg.mode in ("analytic", "both"):
-            value = ppp_ase.ase(scenario, cfg.direction, cfg.quadrature)
-        if cfg.mode in ("mc", "both"):
-            sinr = ppp_model.mc_sinr_ppp(scenario, cfg.direction, cfg.n_draws, cfg.seed)
-            eff = np.log2(1.0 + sinr)
-            mc_value = float(eff.mean())
-            mc_ci = float(1.96 * eff.std(ddof=1) / math.sqrt(len(eff)))
-        if cfg.mode == "analytic":
-            rows.append((float(lam), value, 0.0))
-        elif cfg.mode == "mc":
-            rows.append((float(lam), mc_value, mc_ci))
-        else:
-            rows.append((float(lam), value, 0.0, mc_value, mc_ci))
-    if cfg.mode == "both":
-        return ["lambda", "ase_analytic", "ci_halfwidth_analytic", "ase_mc", "ci_halfwidth_mc"], rows
-    return ["lambda", "ase", "ci_halfwidth"], rows
+    lams = np.asarray(cfg.lambda_grid, dtype=float)
+    scenarios = [dataclasses.replace(cfg, lam=float(lam)).scenario() for lam in lams]
+    columns = {}
+    if cfg.mode != "mc":
+        values = np.array([ppp_ase.ase(scenario, cfg.direction, cfg.quadrature) for scenario in scenarios])
+        columns["analytic"] = (values, np.zeros_like(values))
+    if cfg.mode != "analytic":
+        means, halves = np.empty(lams.size), np.empty(lams.size)
+        for i, scenario in enumerate(scenarios):
+            eff = np.log2(1.0 + ppp_model.mc_sinr_ppp(scenario, cfg.direction, cfg.n_draws, cfg.seed))
+            means[i], halves[i] = eff.mean(), 1.96 * eff.std(ddof=1) / math.sqrt(eff.size)
+        columns["mc"] = (means, halves)
+    return _curve_table("lambda", lams, "ase", columns)
 
 
 _PLOT_TEMPLATE = """set datafile separator ","

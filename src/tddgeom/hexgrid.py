@@ -19,17 +19,7 @@ import threading
 import numpy as np
 
 from . import rng
-from .params import (
-    SQRT3,
-    CoverageCurve,
-    MacroNetwork,
-    MobilePolar,
-    PropagationParams,
-    TddMix,
-    _check_count,
-    check_direction,
-    check_gamma_grid,
-)
+from .params import SQRT3, _check_count, check_direction, check_gamma_grid, empirical_coverage
 
 __all__ = [
     "lattice_points",
@@ -378,19 +368,17 @@ def macro_interference_draws(net, prop, mix, direction, n_draws, seed):
 
 
 def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
-    """Empirical SINR CCDF for the hexagonal macro model.
+    """Empirical SINR CCDF for the hexagonal macro model, with 95%
+    binomial half-widths.
 
     The draws are those of :func:`macro_interference_draws`.  The
     average-load factor scales the interference sum, matching the
-    analytic model's use of it.  Results are bit-identical for a given
+    analytic model's use of it.  A SINR tie or NaN is not covered and
+    +inf is.  The chunks are counted one at a time, in O(chunk draws +
+    thresholds) memory.  Results are bit-identical for a given
     (seed, n_draws) under any chunking or worker count.
     """
     grid = check_gamma_grid(gamma_grid_db)
-    gamma_lin = 10.0 ** (grid / 10.0)
-    counts = np.zeros(grid.size, dtype=np.int64)
-    for _, useful, i_total in _macro_chunks(net, prop, mix, direction, n_draws, seed):
-        sinr = useful / (net.load_eta * i_total + prop.p_noise_mw)
-        counts += (sinr[:, None] > gamma_lin[None, :]).sum(axis=0)
-    value = counts / n_draws
-    half = 1.96 * np.sqrt(np.maximum(value * (1.0 - value), 0.0) / n_draws)
-    return CoverageCurve(grid, value, half)
+    chunks = _macro_chunks(net, prop, mix, direction, n_draws, seed)
+    sinrs = (useful / (net.load_eta * i_total + prop.p_noise_mw) for _, useful, i_total in chunks)
+    return empirical_coverage(grid, sinrs, n_draws)

@@ -53,8 +53,9 @@ one with arccos; [r + rho, max(r + rho, c^{1/2b})], up to where g turns
 over; and the tail beyond, mapped by s = (e/y)^{2b-2} from its start e,
 where y g(y) dy tends to a constant in s.  Each finite piece is graded
 by t^2 (3 - 2t), which smooths the square-root ends.  The downlink term
-is the same sum with W = 1 from r.  The typical user and the typical
-cell see the same field, so one transform serves both.
+is the same sum at offset 0 with c = v P: its first two pieces are
+empty, and W = 1 from r.  The typical user and the typical cell see the
+same field, so one transform serves both.
 
 The kernel forms the interfered fraction itself, never one minus the
 retention, so the far tail keeps its relative accuracy.  It takes a
@@ -76,7 +77,6 @@ from . import rng
 from .errors import IntegrationError
 from .hexgrid import _dist2_polar
 from .params import (
-    CoverageCurve,
     PropagationParams,
     TddMix,
     _check_count,
@@ -85,6 +85,7 @@ from .params import (
     check_direction,
     check_gamma_grid,
     dbm_to_mw,
+    empirical_coverage,
 )
 from .quadrules import gauss_kronrod_unit, refine
 
@@ -359,13 +360,12 @@ def mc_sinr_ppp(scenario, direction, n_draws, seed, association="rayleigh"):
 
 def mc_coverage_ppp(scenario, direction, gamma_grid_db, n_draws, seed, association="rayleigh"):
     """Empirical SINR CCDF over the threshold grid with 95% binomial
-    half-widths.  See mc_sinr_ppp for the draw model and determinism."""
+    half-widths, in O(draws + thresholds) memory.  A SINR tie or NaN is
+    not covered and +inf is.  See mc_sinr_ppp for the draw model and
+    determinism."""
     grid = check_gamma_grid(gamma_grid_db)
     sinr = mc_sinr_ppp(scenario, direction, n_draws, seed, association)
-    gamma_lin = 10.0 ** (grid / 10.0)
-    value = (sinr[:, None] > gamma_lin[None, :]).mean(axis=0)
-    half = 1.96 * np.sqrt(np.maximum(value * (1.0 - value), 0.0) / n_draws)
-    return CoverageCurve(grid, value, half)
+    return empirical_coverage(grid, [sinr], n_draws)
 
 
 def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
@@ -394,20 +394,22 @@ def _piece_rule(n, two_b):
             (t ** (-1.0 / z), w * t ** (-1.0 / z - 1.0) / z))
 
 
-def _piece_integrals(start, scale, turn, two_b, n, work, cells=None):
+def _piece_integrals(start, scale, turn, rho, r, two_b, n, work):
     """Kronrod and Gauss estimates, shape (2, R), of int y g(y) W(y) dy
     over the pieces of each of R rows, with g = 1 / (1 + (y / turn)^{2b}).
     start and scale have shape (R, Q): the finite pieces are
     [start, start + scale], and the last is the tail beyond its scale.
-    W is 1, or with cells = (rho, r), 1-D arrays of length R, it is the
-    angle weight of the module notes on piece 1.  work is three flat
-    buffers of at least R (2n + 1) elements.
+    W is 1 but on piece 1, where it is the angle weight of the module
+    notes at offset rho and ball r, 1-D arrays of length R.  work is
+    three flat buffers of at least R (2n + 1) elements.
     """
     finite, tail = _piece_rule(n, two_b)
     total = np.zeros((2, start.shape[0]))
     for q in range(start.shape[1]):
         tau, omega = tail if q == start.shape[1] - 1 else finite
         live = np.flatnonzero(scale[:, q] > 0.0)
+        if not live.size:
+            continue
         y = work[0][: live.size * tau.size].reshape(live.size, tau.size)
         den = work[1][: y.size].reshape(y.shape)
         # in units of the turnover, where g = 1/2
@@ -415,21 +417,21 @@ def _piece_integrals(start, scale, turn, two_b, n, work, cells=None):
         h = scale[live, q, None] / at
         np.multiply(h, tau, out=y)
         y += start[live, q, None] / at
-        if q == 1 and cells is not None:
-            rho, r = (c[live, None] for c in cells)
+        if q == 1:
+            rho_l, r_l = rho[live, None], r[live, None]
             # pi W = arccos(-q'), with q' = (y^2 + rho^2 - r^2) / (2 y rho)
             angle = work[2][: y.size].reshape(y.shape)
             np.multiply(y, y, out=angle)
-            angle += (rho - r) * (rho + r) / (at * at)
+            angle += (rho_l - r_l) * (rho_l + r_l) / (at * at)
             angle /= y
-            angle *= -0.5 * at / rho
+            angle *= -0.5 * at / rho_l
             np.clip(angle, -1.0, 1.0, out=angle)
             np.arccos(angle, out=angle)
         np.power(y, two_b, out=den)
         den += 1.0
         y /= den
         weight = h[:, 0] * at[:, 0] ** 2
-        if q == 1 and cells is not None:
+        if q == 1:
             y *= angle
             weight /= math.pi
         # einsum, not a matrix product, which may round a row by its
@@ -438,40 +440,42 @@ def _piece_integrals(start, scale, turn, two_b, n, work, cells=None):
     return total
 
 
-def _uplink_integrals(v, r, rho, scenario, n, work):
+def _offset_integrals(v, r, rho, power, k, two_b, n, work):
     """Per pair of the 1-D arrays v and r and per offset of the 1-D rho:
-    int_0^inf y g(y) W(y) dy, the angle average of the uplink interfered
-    fraction integrated over the cells beyond r (see the module notes),
-    on four pieces.  Returns shape (2, v.size, rho.size)."""
-    prop = scenario.prop
-    shape = (v.size, rho.size)
+    int_0^inf y g(y) W(y) dy, the angle average of the interfered
+    fraction of a transmitter of power ``power`` under power control
+    rho^{2bk}, at offset rho from a cell beyond r, integrated over the
+    cells (see the module notes), on four pieces.  A cell's own
+    downlink is the offset 0 with k = 0, whose first two pieces are
+    empty.  Returns shape (2, v.size, rho.size)."""
     r = r[:, None]
-    turn = (v[:, None] * scenario.p_small_star_mw) ** (1.0 / prop.two_b) * rho**prop.k
+    turn = (v[:, None] * power) ** (1.0 / two_b) * rho**k
     near, far = np.abs(rho - r), rho + r
     edge = np.maximum(far, turn)
     # [0, (rho - r)+] and [rho + r, edge] with W = 1, [|rho - r|, rho + r]
     # between them, and the tail
     start = np.stack(np.broadcast_arrays(0.0, near, far, 0.0), axis=-1)
     scale = np.stack((np.maximum(rho - r, 0.0), far - near, edge - far, edge), axis=-1)
-    cells = (np.broadcast_to(rho, shape).ravel(), np.broadcast_to(r, shape).ravel())
-    return _piece_integrals(start.reshape(-1, 4), scale.reshape(-1, 4), turn.ravel(), prop.two_b,
-                            n, work, cells).reshape(2, *shape)
+    return _piece_integrals(start.reshape(-1, 4), scale.reshape(-1, 4), turn.ravel(),
+                            *(c.ravel() for c in np.broadcast_arrays(rho, r)), two_b, n, work).reshape(2, *turn.shape)
 
 
 def _pgfl_radial(v, r, scenario, n_x, n_rho):
     """Per (v, r) pair of the 1-D arrays v and r: the mean interfered
     fraction of the pairs beyond r integrated against x dx, E, so that
-    the Laplace transform is exp(-2 pi lam E).  The downlink term takes
-    the pieces [r, max(r, c^{1/2b})] and the tail, the uplink term those
-    of :func:`_uplink_integrals` at each offset node of order n_rho; a
-    silent term is skipped.  Returns shape (2, v.size): the Kronrod
-    estimate (Kronrod in y and offset), then the Gauss estimate."""
-    mix = scenario.mix
-    two_b = scenario.prop.two_b
-    down = mix.alpha_d > 0.0 and scenario.p_small_mw > 0.0
-    up = mix.alpha_u > 0.0 and scenario.p_small_star_mw > 0.0
+    the Laplace transform is exp(-2 pi lam E).  The downlink term is
+    :func:`_offset_integrals` at the offset 0 without power control, the
+    uplink term at each offset node of order n_rho; a silent term is
+    skipped.  Returns shape (2, v.size): the Kronrod estimate (Kronrod
+    in y and offset), then the Gauss estimate."""
+    mix, prop = scenario.mix, scenario.prop
     rho, w_rho = _rayleigh_rule(n_rho, scenario.lam)
-    rows = rho.size if up else 1
+    # each term's share, offsets and their Kronrod and Gauss weights,
+    # power and power-control exponent
+    terms = [term for term in ((mix.alpha_d, np.zeros(1), np.ones((2, 1)), scenario.p_small_mw, 0.0),
+                               (mix.alpha_u, rho, w_rho, scenario.p_small_star_mw, prop.k))
+             if term[0] > 0.0 and term[3] > 0.0]
+    rows = max((term[1].size for term in terms), default=1)
     row_size = 2 * n_x + 1
     # pairs per chunk, and offsets per pass (all, unless one pair fills _CHUNK)
     step = max(1, _CHUNK // (rows * row_size))
@@ -481,16 +485,10 @@ def _pgfl_radial(v, r, scenario, n_x, n_rho):
     total = np.zeros((2, v.size))
     for lo in range(0, v.size, step):
         vs, rs = v[lo : lo + step], r[lo : lo + step]
-        out = total[:, lo : lo + vs.size]
-        if down:
-            turn = (vs * scenario.p_small_mw) ** (1.0 / two_b)
-            edge = np.maximum(rs, turn)
-            pieces = np.stack((rs, 0.0 * rs), axis=1), np.stack((edge - rs, edge), axis=1)
-            out += mix.alpha_d * _piece_integrals(*pieces, turn, two_b, n_x, work)
-        if up:
-            per_offset = np.concatenate([_uplink_integrals(vs, rs, rho[j : j + block], scenario, n_x, work)
-                                         for j in range(0, rows, block)], axis=2)
-            out += mix.alpha_u * np.einsum("emj,ej->em", per_offset, w_rho)
+        for share, offsets, weights, power, k in terms:
+            per_offset = np.concatenate([_offset_integrals(vs, rs, offsets[j : j + block], power, k, prop.two_b,
+                                                           n_x, work) for j in range(0, offsets.size, block)], axis=2)
+            total[:, lo : lo + vs.size] += share * np.einsum("emj,ej->em", per_offset, weights)
     return total
 
 

@@ -11,7 +11,9 @@ from tddgeom import (
     ConfigError,
     ExperimentConfig,
     MobilePolar,
+    PropagationParams,
     RECIPES,
+    SmallCellScenario,
     config_from_dict,
     coverage_macro,
     dump_config,
@@ -24,6 +26,7 @@ from tddgeom import (
 )
 from tddgeom import acceptance, rng
 from tddgeom.cli import main
+from tddgeom.config import FAST_QUAD
 
 
 def _write(path, data):
@@ -151,6 +154,16 @@ def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys,
     path = _write(tmp_path / "inf.json", tree)
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert f"config error: invalid config:\n  {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam, two_b", [(1e280, 2.1), (1e-200, 2.5)])
+def test_ppp_group_is_checked_with_the_configured_propagation(lam, two_b):
+    # each density is out of range at the default 2b = 3.5 and in range
+    # at the configured one
+    cfg = config_from_dict({"geometry": "ppp", "ppp": {"lam": lam}, "propagation": {"two_b": two_b}})
+    assert cfg.scenario() == SmallCellScenario(lam=lam, prop=PropagationParams(two_b=two_b))
+    with pytest.raises(ConfigError, match="ppp: lam"):
+        config_from_dict({"geometry": "ppp", "ppp": {"lam": lam}})
 
 
 def test_unknown_keys_reported_itemized():
@@ -355,6 +368,32 @@ def test_ase_csv_monte_carlo(tmp_path):
     eff = np.log2(1.0 + mc_sinr_ppp(scenario, "dl", 150, seed=3))
     assert value == pytest.approx(float(eff.mean()), rel=1e-12)
     assert ci == pytest.approx(float(1.96 * eff.std(ddof=1) / math.sqrt(eff.size)), rel=1e-12)
+
+
+@pytest.mark.parametrize("experiment, mode, header", [
+    ("coverage", "analytic", "gamma_db,value,ci_halfwidth"),
+    ("coverage", "mc", "gamma_db,value,ci_halfwidth"),
+    ("coverage", "both", "gamma_db,value_analytic,ci_halfwidth_analytic,value_mc,ci_halfwidth_mc"),
+    ("ase", "analytic", "lambda,ase,ci_halfwidth"),
+    ("ase", "mc", "lambda,ase,ci_halfwidth"),
+    ("ase", "both", "lambda,ase_analytic,ci_halfwidth_analytic,ase_mc,ci_halfwidth_mc"),
+])
+def test_csv_header_of_each_experiment_and_mode(tmp_path, experiment, mode, header):
+    cfg = config_from_dict({
+        "geometry": "ppp", "experiment": experiment, "mode": mode, "mix": {"alpha_d": 0.5},
+        "gamma_grid_db": [-5.0, 5.0], "lambda_grid": [10.0], "n_draws": 200, "quadrature": FAST_QUAD,
+        "label": "table",
+    })
+    run(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + (2 if experiment == "coverage" else 1)
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == len(header.split(","))
+        # an analytic column's half-width is zero
+        if mode != "mc":
+            assert fields[2] == "0.0"
 
 
 def test_recipe_catalog():

@@ -243,7 +243,8 @@ def test_offset_integral_matches_the_cell_and_angle_integral():
     rho = np.array([0.5, 1.0, 2.0, 6.0]) * r
     n = 24
     work = tuple(np.empty(4 * (2 * n + 1) * rho.size) for _ in range(3))
-    kronrod, gauss = ppp_model._uplink_integrals(np.array([v]), np.array([r]), rho, sc, n, work)[:, 0]
+    kronrod, gauss = ppp_model._offset_integrals(np.array([v]), np.array([r]), rho, sc.p_small_star_mw,
+                                                 sc.prop.k, sc.prop.two_b, n, work)[:, 0]
     for j, offset in enumerate(rho):
         ref = _uplink_by_cell_and_angle(v, r, offset, sc)
         assert abs(kronrod[j] / ref - 1.0) <= 1e-12, (offset, kronrod[j], ref)
