@@ -149,7 +149,7 @@ def _macro_analytic_vs_mc_coverage():
     gaps = {}
     for alpha_d, direction in ((1.0, "dl"), (0.5, "dl"), (0.5, "ul")):
         mix = TddMix(alpha_d=alpha_d)
-        analytic = np.array([coverage_macro(g, direction, net, prop, mix) for g in grid])
+        analytic = coverage_macro(grid, direction, net, prop, mix)
         curve = mc_coverage_macro(net, prop, mix, direction, grid, 20000, seed=13)
         gaps[(alpha_d, direction)] = float(np.max(np.abs(analytic - curve.value)))
     elapsed = time.perf_counter() - start
@@ -181,13 +181,11 @@ def _fractional_power_control_trends():
     mix = TddMix(alpha_d=0.5)
     grid = np.arange(-20.0, 10.1, 2.5)
 
-    dl = {k: np.array([coverage_macro(g, "dl", net, p, mix) for g in grid])
-          for k, p in prop_by_k.items()}
+    dl = {k: coverage_macro(grid, "dl", net, p, mix) for k, p in prop_by_k.items()}
     stacked = np.stack(list(dl.values()))
     worst_spread = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
 
-    ul = {k: np.array([coverage_macro(g, "ul", net, p, mix) for g in grid])
-          for k, p in prop_by_k.items()}
+    ul = {k: coverage_macro(grid, "ul", net, p, mix) for k, p in prop_by_k.items()}
     ks = sorted(ul)
     monotone = all(
         np.all(ul[k_lo] > ul[k_hi])

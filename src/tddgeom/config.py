@@ -251,6 +251,8 @@ def _check_semantics(cfg, errors):
             errors.append("ase experiments require geometry=ppp")
         if list(cfg.lambda_grid) != sorted(set(cfg.lambda_grid)):
             errors.append("lambda_grid: must be strictly increasing")
+        if cfg.mode != "analytic" and cfg.n_draws < 2:
+            errors.append("n_draws: an ASE Monte Carlo needs at least 2 draws for its half-width")
     if cfg.geometry == "ppp":
         # check each scenario the run builds, also where no ppp group
         # was given and at each density of an ASE grid
@@ -342,8 +344,8 @@ def _coverage_rows(cfg):
     columns = {}
     if cfg.mode != "mc":
         if cfg.geometry == "macro":
-            values = np.array([macro_analytic.coverage_macro(g, cfg.direction, cfg.macro, cfg.prop, cfg.mix,
-                                                             ctrl=cfg.series) for g in grid])
+            values = macro_analytic.coverage_macro(grid, cfg.direction, cfg.macro, cfg.prop, cfg.mix,
+                                                   ctrl=cfg.series)
         else:
             fn = ppp_model.coverage_ppp_dl if cfg.direction == "dl" else ppp_model.coverage_ppp_ul
             values = np.array([fn(g, cfg.scenario(), cfg.quadrature) for g in grid])

@@ -435,7 +435,7 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
         raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
     maps = _downlink_maps(net, prop, mix, ctrl)
     if method == "series":
-        f, c1f = maps.mean_far[:2, 0] + maps.mobile[:2, 0]
+        f, c1f = (maps.mean_far[:2] + maps.mobile[:2]).real
         if f == 0:
             raise ValueError("zero interference and noise: map is identically zero")
         v = (y / f) ** (1.0 / (2.0 * prop.b))
@@ -443,14 +443,17 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
     edge = maps(np.array([net.x_edge]))
     if y > edge[0][0]:
         raise ValueError(f"value {y} exceeds the map's maximum {edge[0][0]} at the cell edge")
-    return float(_crossing_radii(y, maps, (), edge, 1e-15 * net.x_edge)[0])
+    return float(_crossing_radii(np.array([float(y)]), maps, None, edge, 1e-15 * net.x_edge)[0])
 
 
 def _taylor_table(coefficient, x_max, ctrl, scale):
-    """Columns scale * c_h and the coefficients of their derivative in
-    x^2, for the series sum_h c_h x^{2h} cut where :func:`sum_series`
-    accepts it at x = x_max.  The terms are positive, so the cut holds
-    at every smaller x too."""
+    """The coefficients scale * c_h + i d_h, with d_h those of the
+    derivative in x^2, of the series sum_h c_h x^{2h} cut where
+    :func:`sum_series` accepts it at x = x_max.  The terms are positive,
+    so the cut holds at every smaller x too.  One Horner pass in a real
+    variable gives the series and its derivative as the real and
+    imaginary parts: multiplying by a real number keeps them apart
+    exactly."""
     coeffs = []
 
     def terms():
@@ -462,7 +465,7 @@ def _taylor_table(coefficient, x_max, ctrl, scale):
 
     sum_series(terms(), ctrl)
     c = scale * np.array(coeffs)
-    return np.stack([c, np.append(np.polynomial.polynomial.polyder(c), 0.0)], axis=1)
+    return c + 1j * np.append(np.polynomial.polynomial.polyder(c), 0.0)
 
 
 class _DownlinkMaps:
@@ -483,12 +486,13 @@ class _DownlinkMaps:
     every omega, and the rest converges for x < sqrt(3).  Every ring-1
     term increases with x because |s| >= sqrt(3) x on the cell, so
     every d_p is increasing.  For alpha_d in {0, 1} the one row, of
-    weight 1, is the mean map.
+    weight 1, is the mean map, and ``cosines`` and ``patterns`` are None.
 
-    One row per (angle node, pattern) pair: ``cosines`` holds
-    cos(angle of site j - theta), ``patterns`` the 0/1 downlink
-    indicators, ``weights`` alpha_d^n alpha_u^(6-n) over the number of
-    angle nodes, and ``edge`` the maps and their slopes at the cell edge.
+    Row 64 t + p is angle node t with pattern p.  ``cosines`` and
+    ``patterns``, of shape (6, rows), hold per site j cos(angle of site
+    j - theta) and the 0/1 downlink indicator; ``weights`` holds
+    alpha_d^n alpha_u^(6-n) over the number of angle nodes, and ``edge``
+    the maps and their slopes at the cell edge.
     """
 
     def __init__(self, net, prop, mix, ctrl):
@@ -503,47 +507,67 @@ class _DownlinkMaps:
                 lambda h: 6.0 * math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
                 * (omega(b + h) - ring1), self.x_edge, ctrl, self.eta * mix.alpha_d)
             # y0 = P_N delta^{2b} / P, the noise term of d(x) = ... + y0 x^{2b}
-            table[0, 0] += prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw
+            table[0] += prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw
             return table
         # with no cell in uplink the mobile series is zero and is cut at once
         self.mobile = _taylor_table(
             lambda h: beta_h(h, b, prop.k, self.x_edge, ctrl), self.x_clamp if mix.alpha_u > 0 else 0.0, ctrl,
             self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k))
+        # the frozen mobile term, from x_clamp on
+        self.mobile_clamped = self._power_series(np.array([self.x_clamp]), self.mobile)[0][0]
         self.mean_far = self.far = far(0.0)
-        self.cosines = self.patterns = np.zeros((1, 6))
+        self.cosines = self.patterns = None
         self.weights = np.ones(1)
         if 0.0 < mix.alpha_d < 1.0:
             self.far = far(1.0)
             theta = (np.arange(_SECTOR_ANGLES) + 0.5) * (math.pi / 6.0 / _SECTOR_ANGLES)
-            self.cosines = np.repeat(np.cos(_RING1_ANGLES[None, :] - theta[:, None]), 64, axis=0)
-            self.patterns = np.tile(_RING1_PATTERNS, (_SECTOR_ANGLES, 1))
-            n_dl = self.patterns.sum(axis=1)
+            self.cosines = np.repeat(np.cos(_RING1_ANGLES[:, None] - theta[None, :]), 64, axis=1)
+            self.patterns = np.tile(_RING1_PATTERNS.T, (1, _SECTOR_ANGLES))
+            n_dl = self.patterns.sum(axis=0)
             self.weights = mix.alpha_d**n_dl * mix.alpha_u ** (6.0 - n_dl) / _SECTOR_ANGLES
-        self.edge = self(np.full(self.weights.size, self.x_edge), self.cosines, self.patterns)
+        rows = None if self.patterns is None else np.arange(self.weights.size)
+        self.edge = self(np.full(self.weights.size, self.x_edge), rows)
 
-    def _power_series(self, x, pair):
-        # x^{2b} P(x^2) and its slope x^{2b-1} (2b P + 2 x^2 P')
+    def _power_series(self, x, table):
+        # x^{2b} P(x^2) and its slope x^{2b-1} (2b P + 2 x^2 P'), P + i P'
+        # by Horner's rule
         b = self.b
         u = x * x
-        p, dp = (np.vander(u, pair.shape[0], increasing=True) @ pair).T
+        u_complex = u.astype(complex)
+        z = np.full(x.size, table[-1])
+        for c in table[-2::-1].tolist():
+            z *= u_complex
+            z += c
+        p, dp = z.real, z.imag
         xb = x ** (2.0 * b)
         return xb * p, xb / x * (2.0 * b * p + 2.0 * u * dp)
 
-    def __call__(self, x, cosines=None, patterns=None):
+    def __call__(self, x, rows=None):
         """d_p and its slope in x at radii 0 < x <= x_edge of shape (n,),
-        for the rows ``cosines`` and ``patterns`` of shape (n, 6); the
-        mean map d and its slope without rows."""
-        value = slope = 0.0
-        if patterns is not None:
-            xx = x[:, None]
-            q = 1.0 - 2.0 * xx * cosines + xx * xx
-            ring1 = (xx * xx / q) ** self.b * patterns
-            value = self.eta * ring1.sum(axis=1)
-            slope = self.eta * (2.0 * self.b * ring1 * (1.0 - xx * cosines) / (xx * q)).sum(axis=1)
-        far_value, far_slope = self._power_series(x, self.mean_far if patterns is None else self.far)
-        mobile_value, mobile_slope = self._power_series(np.minimum(x, self.x_clamp), self.mobile)
-        return (value + far_value + mobile_value,
-                slope + far_slope + np.where(x < self.x_clamp, mobile_slope, 0.0))
+        for the map rows of index ``rows`` (n,); the mean map d and its
+        slope without rows, as on a one-row map.  Each entry depends on
+        its own radius and row alone."""
+        value, slope = self._power_series(x, self.mean_far if rows is None else self.far)
+        if rows is not None:
+            b = self.b
+            xx = x * x
+            ring1 = np.zeros(x.size)
+            ring1_slope = np.zeros(x.size)
+            # site by site, with the site's cosine c and downlink
+            # indicator gathered per entry; q = |s - x e^{i theta}|^2
+            for cosines, patterns in zip(self.cosines, self.patterns):
+                xc = x * cosines[rows]
+                q = 1.0 - 2.0 * xc + xx
+                term = (xx / q) ** b * patterns[rows]
+                ring1 += term
+                ring1_slope += term * (1.0 - xc) / (x * q)
+            value += self.eta * ring1
+            slope += (self.eta * 2.0 * b) * ring1_slope
+        below = x < self.x_clamp
+        mobile_value = np.full(x.size, self.mobile_clamped)
+        mobile_slope = np.zeros(x.size)
+        mobile_value[below], mobile_slope[below] = self._power_series(x[below], self.mobile)
+        return value + mobile_value, slope + mobile_slope
 
 
 @lru_cache(maxsize=32)
@@ -553,14 +577,19 @@ def _downlink_maps(net, prop, mix, ctrl):
 
 
 def _crossing_radii(y, maps, rows, edge, tol):
-    """Radii where the increasing maps ``maps(x, *rows)`` cross y, found
-    to ``tol``; x_edge where they stay at or below y.  ``edge`` holds
-    their values and slopes at x_edge."""
-    x_gamma = np.full(edge[0].size, maps.x_edge)
+    """Radii where increasing maps cross values, one unknown per entry
+    of ``y``: unknown i is where map row ``rows[i]`` (the mean map where
+    ``rows`` is None) crosses y[i], x_edge where the row stays at or
+    below y[i].  ``edge`` holds each unknown's map value and slope at
+    x_edge.  Each unknown iterates until its own last step is at most
+    ``tol``, so its radius does not depend on the other unknowns."""
+    x_gamma = np.full(y.size, maps.x_edge)
     d, slope = edge
-    todo = d > y
-    rows = [row[todo] for row in rows]
-    x, d, slope = x_gamma[todo], d[todo], slope[todo]
+    todo = np.flatnonzero(d > y)
+    y, d, slope = y[todo], d[todo], slope[todo]
+    if rows is not None:
+        rows = rows[todo]
+    x = x_gamma[todo]
     # Newton on log d_p against log x, where every term is close to a
     # power law, inside the bracket [lo, hi] around the single crossing.
     # As in Numerical Recipes' rtsafe, a step longer than the tolerance
@@ -569,7 +598,7 @@ def _crossing_radii(y, maps, rows, edge, tol):
     lo = np.zeros(x.size)
     hi = x.copy()
     last = before_last = hi - lo
-    while x.size:
+    while todo.size:
         above = d >= y
         hi = np.where(above, x, hi)
         lo = np.where(above, lo, x)
@@ -579,23 +608,59 @@ def _crossing_radii(y, maps, rows, edge, tol):
         x_next = np.where(newton, x_next, 0.5 * (lo + hi))
         last, before_last = np.abs(x_next - x), last
         x = x_next
-        if np.max(last) <= tol:
-            break
-        d, slope = maps(x, *rows)
-    x_gamma[todo] = x
+        done = last <= tol
+        if done.any():
+            x_gamma[todo[done]] = x[done]
+            going = ~done
+            todo, y, x, lo, hi, last, before_last = (
+                a[going] for a in (todo, y, x, lo, hi, last, before_last))
+            if rows is not None:
+                rows = rows[going]
+            if not todo.size:
+                break
+        d, slope = maps(x, rows)
     return x_gamma
 
 
-def _pattern_averaged_coverage(y, maps):
-    """Downlink coverage averaged over the rows of ``maps``, ring-1
-    patterns and user angles or the one mean-map row; see :func:`coverage_macro`."""
-    x_gamma = _crossing_radii(y, maps, (maps.cosines, maps.patterns), maps.edge, 1e-10 * maps.x_edge)
-    return float(np.sum(maps.weights * (x_gamma / maps.x_edge) ** 2))
+# unknowns per block of a downlink coverage solve: whole thresholds of
+# about this many rows, so the memory does not grow with the grid
+_BLOCK_ROWS = 4096
+
+
+def _downlink_coverage(y, maps):
+    """Downlink coverage at the map values y, averaged over the rows of
+    ``maps``, ring-1 patterns and user angles or the one mean-map row;
+    see :func:`coverage_macro`."""
+    n_rows = maps.weights.size
+    per_block = max(1, _BLOCK_ROWS // n_rows)
+    # a one-row map is the mean map, which takes no row indices
+    rows = None if maps.patterns is None else np.tile(np.arange(n_rows), per_block)
+    edge = [np.tile(e, per_block) for e in maps.edge]
+    coverage = np.empty(y.size)
+    for start in range(0, y.size, per_block):
+        block = y[start:start + per_block]
+        n = block.size * n_rows
+        x_gamma = _crossing_radii(np.repeat(block, n_rows), maps, None if rows is None else rows[:n],
+                                  [e[:n] for e in edge], 1e-10 * maps.x_edge)
+        share = maps.weights * ((x_gamma / maps.x_edge) ** 2).reshape(block.size, n_rows)
+        coverage[start:start + block.size] = share.sum(axis=1)
+    return coverage
+
+
+def _uplink_coverage(y, net, prop, mix, ctrl):
+    """Uplink coverage at the map value y, by the closed-form inverse
+    :func:`inv_u`; see :func:`coverage_macro`."""
+    x_edge = net.x_edge
+    if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:
+        return 1.0
+    if prop.k == 1:
+        return 0.0
+    return (min(inv_u(y, net, prop, mix, ctrl), x_edge) / x_edge) ** 2
 
 
 def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     """Probability that the SINR of a uniformly placed user exceeds the
-    threshold ``gamma_db``.
+    threshold ``gamma_db``, a float or a 1-D grid.
 
     Users are uniform in the serving disk, so on a ray at angle theta a
     user is covered out to the radius x_gamma where the SINR map
@@ -616,25 +681,36 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     where the angle-averaged map :func:`downlink_inverse_sinr` crosses
     1/gamma, found by the same iteration to the same tolerance.
 
+    A downlink grid is solved as one set of (threshold, row) unknowns,
+    in blocks of whole thresholds of about 4,096 rows, so the memory
+    stays that of one block for any grid length.  Each unknown iterates
+    until its own last step is within the tolerance, so a threshold
+    gets the same value, to the bit, in any grid and in any order.
+
     Uplink: mean-field, x_gamma from the closed-form inverse
-    :func:`inv_u`.  For k = 1 the uplink SINR is radius-free and
-    coverage is a step function.
+    :func:`inv_u`, one threshold at a time.  For k = 1 the uplink
+    SINR is radius-free and coverage is a step function.
 
     Every map is built from ``net``, ``prop`` and ``mix`` alone, the load
     factor eta included; ``ctrl`` truncates its series.  The downlink
     maps and the uplink coefficient are cached per model, so a curve
     pays for them once.
+
+    Returns
+    -------
+    float or numpy.ndarray
+        A float for a scalar threshold, else one value per threshold.
     """
     direction = check_direction(direction)
-    gamma = 10.0 ** (gamma_db / 10.0)
-    y = 1.0 / gamma
-    x_edge = net.x_edge
-
+    grid = np.asarray(gamma_db, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"gamma_db must be a number or a 1-D grid, got shape {grid.shape}")
+    # 1 / gamma by Python's float power, as for a float threshold: numpy's
+    # array power can differ from it in the last bit, and a threshold
+    # must give the same value in any grid
+    y = [1.0 / 10.0 ** (g / 10.0) for g in grid.reshape(-1).tolist()]
     if direction == "dl":
-        return _pattern_averaged_coverage(y, _downlink_maps(net, prop, mix, ctrl))
-    if prop.k == 1:
-        return 1.0 if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y else 0.0
-    if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:
-        return 1.0
-    x_gamma = inv_u(y, net, prop, mix, ctrl)
-    return (min(x_gamma, x_edge) / x_edge) ** 2
+        coverage = _downlink_coverage(np.array(y), _downlink_maps(net, prop, mix, ctrl))
+    else:
+        coverage = [_uplink_coverage(v, net, prop, mix, ctrl) for v in y]
+    return float(coverage[0]) if grid.ndim == 0 else np.asarray(coverage, dtype=float)

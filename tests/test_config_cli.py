@@ -454,6 +454,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", huge_range, "--out", str(tmp_path)]) == 2
     ok = _write(tmp_path / "ok.json", {"experiment": "isr", "x_grid": [0.1]})
     assert main(["run", ok, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    # one draw has no sample standard deviation for the ASE half-width
+    for mode in ("mc", "both"):
+        one_draw = _write(tmp_path / f"ase-{mode}.json", {
+            "geometry": "ppp", "experiment": "ase", "mode": mode, "n_draws": 1, "lambda_grid": [10.0],
+            "quadrature": FAST_QUAD})
+        assert main(["run", one_draw, "--out", str(tmp_path)]) == 2
     assert main(["recipe", "fig3-does-not-exist"]) == 2
     capsys.readouterr()
 

@@ -20,6 +20,7 @@ from tddgeom import (
     macro_interference_draws,
     mc_coverage_macro,
 )
+from tddgeom.hexgrid import _dist2_polar
 
 DELTA = 1.0
 
@@ -93,6 +94,40 @@ def test_isr_dl_power_level_cancels():
     a = bruteforce_isr_dl(m, net, PropagationParams(p_dl_dbm=60.0))
     b = bruteforce_isr_dl(m, net, PropagationParams(p_dl_dbm=40.0))
     assert a == b
+
+
+def test_dist2_polar_matches_the_complex_distance():
+    rng = np.random.default_rng(7)
+    n = 2000
+    abs_w = rng.uniform(0.5, 3.0, n)
+    half_arg_w = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n)
+    rho = abs_w * rng.uniform(0.0, 1.5, n)
+    u = rng.random(n)
+    # a quarter lies near -w: rho within 1% of |w| and the angle
+    # pi u - arg(w) / 2 within 0.02 to 0.05 of +-pi/2, where cos^2 nears
+    # 0.  Nearer still, the rounding of that angle alone exceeds the
+    # bound, in the cosine's square as in the complex difference.  A
+    # last quarter puts the angle within 1e-7 of +-pi/2, where the
+    # tangent nears 1e7, at any rho.
+    near = slice(n // 2, 3 * n // 4)
+    rho[near] = abs_w[near] * (1.0 + rng.uniform(-0.01, 0.01, n // 4))
+    off = rng.uniform(0.04, 0.1, n // 4) * rng.choice([-1.0, 1.0], n // 4)
+    u[near] = np.mod((2.0 * half_arg_w[near] + math.pi + off) / (2.0 * math.pi), 1.0)
+    steep = slice(3 * n // 4, n)
+    off = rng.uniform(-2e-7, 2e-7, n // 4)
+    u[steep] = np.mod((2.0 * half_arg_w[steep] + math.pi + off) / (2.0 * math.pi), 1.0)
+    # the complex distance in extended precision, so its own rounding near
+    # -w stays far below the bound
+    wide = np.longdouble
+    w = abs_w.astype(wide) * np.exp(2j * half_arg_w.astype(wide))
+    mobile = rho.astype(wide) * np.exp(2j * wide(math.pi) * u.astype(wide))
+    reference = np.abs(w + mobile) ** 2
+    got = _dist2_polar(abs_w, half_arg_w, rho, u)
+    assert np.max(np.abs(got - reference) / reference) <= 1e-13
+    # in place, on the buffers the samplers pass
+    u_buf, tmp_buf = u.copy(), half_arg_w.copy()
+    assert _dist2_polar(abs_w, tmp_buf, rho, u_buf, u_buf, tmp_buf) is u_buf
+    np.testing.assert_array_equal(u_buf, got)
 
 
 def test_isr_ul_dl_edge_cases_and_determinism():

@@ -27,6 +27,9 @@ for direction in ("dl", "ul"):
     tg.coverage_macro(0.0, direction, net, prop, mix)
 for alpha_d in (0.0, 1.0):
     tg.coverage_macro(0.0, "dl", net, prop, tg.TddMix(alpha_d=alpha_d))
+for direction in ("dl", "ul"):
+    for grid in ([-10.0, 0.0, 10.0], [10.0, 0.0, -10.0]):
+        tg.coverage_macro(grid, direction, net, prop, mix)
 y = tg.downlink_inverse_sinr(0.3, net, prop, mix)
 for method in ("exact", "series"):
     tg.inv_d(y, net, prop, mix, method=method)

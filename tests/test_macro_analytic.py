@@ -6,6 +6,7 @@ and in the acceptance criteria."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,48 @@ def test_coverage_macro_validation():
     prop = PropagationParams()
     with pytest.raises(ValueError):
         coverage_macro(0.0, "sideways", net, prop, TddMix())
+    with pytest.raises(ValueError):
+        coverage_macro(np.zeros((2, 2)), "dl", net, prop, TddMix())
+
+
+@pytest.mark.parametrize("alpha_d", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("k", [0.0, 0.4])
+def test_a_coverage_grid_gives_each_threshold_its_one_threshold_value(alpha_d, k):
+    # every (threshold, row) unknown converges on its own, so a value
+    # does not depend on the grid or the block it is solved in
+    net = MacroNetwork()
+    prop = PropagationParams(k=k)
+    mix = TddMix(alpha_d=alpha_d)
+    grid = np.arange(-30.0, 30.1, 2.5)
+    for direction in ("dl", "ul"):
+        curve = coverage_macro(grid, direction, net, prop, mix)
+        assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
+        single = [coverage_macro(float(g), direction, net, prop, mix) for g in grid]
+        assert all(isinstance(v, float) for v in single)
+        assert [v.hex() for v in curve.tolist()] == [v.hex() for v in single], direction
+        backward = coverage_macro(grid[::-1], direction, net, prop, mix)[::-1]
+        assert [v.hex() for v in backward.tolist()] == [v.hex() for v in single], direction
+    assert coverage_macro(np.array([]), "dl", net, prop, mix).shape == (0,)
+
+
+def test_a_long_downlink_grid_is_solved_in_bounded_memory():
+    # the unknowns are solved in blocks of whole thresholds, so 400
+    # thresholds hold no more than 4 do
+    net, prop, mix = MacroNetwork(), PropagationParams(), TddMix(alpha_d=0.5)
+    coverage_macro(0.0, "dl", net, prop, mix)  # build the maps outside the trace
+
+    def peak_mb(grid):
+        tracemalloc.start()
+        try:
+            coverage_macro(grid, "dl", net, prop, mix)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    # from 0 dB up, every row of every threshold crosses inside the cell
+    few = peak_mb(np.linspace(0.0, 20.0, 4))
+    many = peak_mb(np.linspace(0.0, 20.0, 400))
+    assert many - few < 0.5, (few, many)
 
 
 def test_coverage_macro_mixed_downlink_matches_monte_carlo():
@@ -451,22 +494,20 @@ def test_pattern_maps_increase_with_radius_and_split_the_lattice_sum():
     xs = np.linspace(0.01, net.x_edge, 60)
     for theta_node in (0, 7, 15):
         for pattern in (0, 1, 0b101010, 63):
-            row = 64 * theta_node + pattern
-            cos = np.repeat(maps.cosines[row : row + 1], xs.size, axis=0)
-            pat = np.repeat(maps.patterns[row : row + 1], xs.size, axis=0)
-            value, slope = maps(xs, cos, pat)
+            rows = np.full(xs.size, 64 * theta_node + pattern)
+            value, slope = maps(xs, rows)
             assert np.all(np.diff(value) > 0) and np.all(slope > 0), (theta_node, pattern)
             h = 1e-6
-            numeric = (maps(xs + h, cos, pat)[0] - maps(xs - h, cos, pat)[0]) / (2.0 * h)
+            numeric = (maps(xs + h, rows)[0] - maps(xs - h, rows)[0]) / (2.0 * h)
             assert np.allclose(slope, numeric, rtol=1e-6), (theta_node, pattern)
 
     # with the uplink pairs silent, no noise and alpha_d = 1/2: the
     # all-uplink map is F/2 and the all-downlink map adds ring 1, so
     # their sum, averaged over the sector nodes, is the full lattice sum
-    all_ul = maps.patterns.sum(axis=1) == 0
-    all_dl = maps.patterns.sum(axis=1) == 6
+    all_ul = maps.patterns.sum(axis=0) == 0
+    all_dl = maps.patterns.sum(axis=0) == 6
     for x in (0.1, 0.3, 0.5, net.x_edge):
         at = np.full(maps.weights.size, x)
-        value = maps(at, maps.cosines, maps.patterns)[0]
+        value = maps(at, np.arange(maps.weights.size))[0]
         split = float(np.mean(value[all_dl]) + np.mean(value[all_ul]))
         assert split == pytest.approx(isr_dl_dl(x, prop.b), rel=1e-10), x
