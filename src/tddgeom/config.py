@@ -348,7 +348,7 @@ def _coverage_rows(cfg):
                                                    ctrl=cfg.series)
         else:
             fn = ppp_model.coverage_ppp_dl if cfg.direction == "dl" else ppp_model.coverage_ppp_ul
-            values = np.array([fn(g, cfg.scenario(), cfg.quadrature) for g in grid])
+            values = fn(grid, cfg.scenario(), cfg.quadrature)
         columns["analytic"] = (values, np.zeros_like(values))
     if cfg.mode != "analytic":
         if cfg.geometry == "macro":

@@ -19,9 +19,10 @@ serving distance is a nested Gauss-Kronrod pair G(n) in K(2n+1) on
 (-1, 1): one evaluation on the 2n + 1 Kronrod nodes gives both
 estimates, K (exact to degree 3n + 1) and G (to 2n - 1).
 :func:`tddgeom.quadrules.refine` doubles the coarse orders n_x and n_rho
-(a Laplace value, each pair on its own) or n_serving (a coverage value)
-until |K - G| <= tol, and an integration error carries the achieved
-estimate of what still fails.  No rule sits outside that comparison.
+(a Laplace value, each pair on its own) or n_serving (a coverage value,
+each threshold on its own) until |K - G| <= tol, and an integration
+error carries the achieved estimate of what still fails.  No rule sits
+outside that comparison.
 
 The serving distance and each pair's offset are Rayleigh, and both
 take one rule (:func:`_rayleigh_rule`): the CDF u = 1 - exp(-lam pi d^2),
@@ -57,12 +58,22 @@ is the same sum at offset 0 with c = v P: its first two pieces are
 empty, and W = 1 from r.  The typical user and the typical cell see the
 same field, so one transform serves both.
 
+Only g depends on v: g = v / (v + a), a = (y / u)^{2b}, with the unit
+u = P^{1/2b} for a cell and P*^{1/2b} rho^k for a user.  So the kernel
+sorts its (v, r) pairs by r and builds, per r and block of offsets, one
+table of the nodes of pieces 0 and 1 and of the tail from r + rho: a,
+and the weights times scale y W.  A pair then costs one v / (v + a) per
+node and one einsum; where its turnover passes r + rho, it drops that
+tail and takes pieces 2 and 3.  A build holds at most _CHUNK / 4 nodes,
+several small tables at once, and the pairs run in chunks of one _CHUNK
+buffer, so a batch adds no memory.
+
 The kernel forms the interfered fraction itself, never one minus the
-retention, so the far tail keeps its relative accuracy.  It takes a
-batch of (v, r) pairs in chunks that reuse three buffers of _CHUNK
-elements.  It skips empty pieces (r = rho happens: the serving and
-offset rules share the node t = 1/2), so no node sits at y = 0.  Its
-sums are einsum reductions, not BLAS products, so a pair's value is the
+retention, so the far tail keeps its relative accuracy.  Empty pieces
+0 and 1 have no nodes (r = rho happens: the serving and offset rules
+share t = 1/2), so the angle weight never sees y = 0.  A pair's value
+reads only its own (v, r) and the tables of its r, through einsum
+reductions (not BLAS products) and sums in a fixed order, so it is the
 same to the bit in any batch.
 """
 
@@ -201,9 +212,9 @@ class QuadratureControl:
 
 _DEFAULT_QUAD = QuadratureControl()
 
-# elements (8 bytes each) of each of the three Laplace-kernel buffers,
-# 512 KB, so that the in-place passes over them stay in cache and a
-# large batch adds no memory
+# elements (8 bytes each) of the Laplace kernel's buffer, 512 KB, and
+# four times the nodes of one build of its tables, so that the passes
+# over them stay in cache and a large batch adds no memory
 _CHUNK = 1 << 16
 
 # draws per chunk of the Monte Carlo sampler.  Chunk c holds draws
@@ -385,111 +396,160 @@ def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
 @lru_cache(maxsize=64)
 def _piece_rule(n, two_b):
     """Nodes and (2, 2n + 1) Kronrod and Gauss weights of the finite
-    pieces of :func:`_piece_integrals`, at u = t^2 (3 - 2t), and of the
-    tail beyond e, at y = e s^{-1/z} with z = 2b - 2 (see the module
-    notes), on the nested pair of coarse order n."""
+    pieces of the kernel, at u = t^2 (3 - 2t), and of the tail beyond
+    e, at y = e s^{-1/z} with z = 2b - 2 (see the module notes), on the
+    nested pair of coarse order n."""
     t, w = gauss_kronrod_unit(n)
     z = two_b - 2.0
     return ((t * t * (3.0 - 2.0 * t), w * (6.0 * t * (1.0 - t))),
             (t ** (-1.0 / z), w * t ** (-1.0 / z - 1.0) / z))
 
 
-def _piece_integrals(start, scale, turn, rho, r, two_b, n, work):
-    """Kronrod and Gauss estimates, shape (2, R), of int y g(y) W(y) dy
-    over the pieces of each of R rows, with g = 1 / (1 + (y / turn)^{2b}).
-    start and scale have shape (R, Q): the finite pieces are
-    [start, start + scale], and the last is the tail beyond its scale.
-    W is 1 but on piece 1, where it is the angle weight of the module
-    notes at offset rho and ball r, 1-D arrays of length R.  work is
-    three flat buffers of at least R (2n + 1) elements.
-    """
-    finite, tail = _piece_rule(n, two_b)
-    total = np.zeros((2, start.shape[0]))
-    for q in range(start.shape[1]):
-        tau, omega = tail if q == start.shape[1] - 1 else finite
-        live = np.flatnonzero(scale[:, q] > 0.0)
-        if not live.size:
-            continue
-        y = work[0][: live.size * tau.size].reshape(live.size, tau.size)
-        den = work[1][: y.size].reshape(y.shape)
-        # in units of the turnover, where g = 1/2
-        at = turn[live, None]
-        h = scale[live, q, None] / at
-        np.multiply(h, tau, out=y)
-        y += start[live, q, None] / at
-        if q == 1:
-            rho_l, r_l = rho[live, None], r[live, None]
-            # pi W = arccos(-q'), with q' = (y^2 + rho^2 - r^2) / (2 y rho)
-            angle = work[2][: y.size].reshape(y.shape)
-            np.multiply(y, y, out=angle)
-            angle += (rho_l - r_l) * (rho_l + r_l) / (at * at)
-            angle /= y
-            angle *= -0.5 * at / rho_l
-            np.clip(angle, -1.0, 1.0, out=angle)
-            np.arccos(angle, out=angle)
+def _offset_tables(radii, rho, wo, unit, two_b, rules):
+    """What no pair's v changes, per r of radii and offset of rho: the
+    rows of 2n + 1 nodes of [0, (rho - r)+], [|r - rho|, r + rho] and
+    the tail beyond r + rho.  An empty piece 0 or 1 has none, so the
+    angle weight never divides by y = 0; a tail from r + rho = 0 weighs
+    0, and every pair drops it.  wo (2, 2J, 2n + 1) is each offset's weights times those of
+    the finite rule, then of the tail rule.  Returns a = (y / unit)^{2b}
+    and the weights wo scale y W, (2, nodes), each r's rows piece by
+    piece with its J tails last; each r's node bounds; and r + rho."""
+    (tau, _), (tau_t, _) = rules
+    near, far = np.abs(rho - radii[:, None]), rho + radii[:, None]
+    scale = np.stack((np.maximum(rho - radii[:, None], 0.0), far - near, far))
+    live = scale > 0.0
+    live[2] = True
+    p, i, j = np.nonzero(live)
+    s = scale[p, i, j]
+    cut, end = np.searchsorted(p, (1, 2)).tolist()
+    # y / unit, and a in place at the end
+    a, per_unit = np.empty((p.size, tau.size)), s / unit[j]
+    np.multiply(per_unit[:end, None], tau, out=a[:end])
+    np.multiply(per_unit[end:, None], tau_t, out=a[end:])
+    mid = slice(cut, end)
+    rm, om, um = radii[i[mid]], rho[j[mid]], unit[j[mid]]
+    a[mid] += (near[i[mid], j[mid]] / um)[:, None]
+    wt = np.take(wo, (p == 2) * rho.size + j, axis=1)
+    wt *= (s * unit[j])[:, None] * a
+    # pi W = arccos(-q) on piece 1, with q = (y^2 + rho^2 - r^2) / (2 y rho)
+    angle = a[mid] * a[mid]
+    angle += ((om - rm) * (om + rm) / (um * um))[:, None]
+    angle /= a[mid]
+    angle *= (-0.5 * um / om)[:, None]
+    np.clip(angle, -1.0, 1.0, out=angle)
+    np.arccos(angle, out=angle)
+    wt[:, mid] *= angle / math.pi
+    np.power(a, two_b, out=a)
+    if radii.size > 1:
+        rows = np.argsort(i, kind="stable")
+        a, wt = a[rows], wt[:, rows]
+    bounds = (np.concatenate(([0], np.cumsum(live.sum(axis=(0, 2))))) * tau.size).tolist()
+    return a.ravel(), wt.reshape(2, -1), bounds, far
+
+
+def _beyond_turnover(far, turn, two_b, rules, work):
+    """Kronrod and Gauss estimates, (2, R), of int y g(y) dy from
+    far < turn on, g = 1 / (1 + (y / turn)^{2b}): [far, turn] and the
+    tail beyond, in units of turn.  work is a buffer of at least
+    2R (2n + 1) elements."""
+    total = np.zeros((2, far.size))
+    for (tau, omega), start, scale in zip(rules, (far, 0.0), (turn - far, turn)):
+        y, den = work[: 2 * far.size * tau.size].reshape(2, far.size, tau.size)
+        h = scale / turn
+        np.multiply(h[:, None], tau, out=y)
+        y += (start / turn)[:, None]
         np.power(y, two_b, out=den)
         den += 1.0
         y /= den
-        weight = h[:, 0] * at[:, 0] ** 2
-        if q == 1:
-            y *= angle
-            weight /= math.pi
-        # einsum, not a matrix product, which may round a row by its
-        # place in the batch
-        total[:, live] += np.einsum("rk,ek->er", y, omega) * weight
+        total += np.einsum("rk,ek->er", y, omega) * (h * turn * turn)
     return total
 
 
-def _offset_integrals(v, r, rho, power, k, two_b, n, work):
-    """Per pair of the 1-D arrays v and r and per offset of the 1-D rho:
-    int_0^inf y g(y) W(y) dy, the angle average of the interfered
-    fraction of a transmitter of power ``power`` under power control
-    rho^{2bk}, at offset rho from a cell beyond r, integrated over the
-    cells (see the module notes), on four pieces.  A cell's own
-    downlink is the offset 0 with k = 0, whose first two pieces are
-    empty.  Returns shape (2, v.size, rho.size)."""
-    r = r[:, None]
-    turn = (v[:, None] * power) ** (1.0 / two_b) * rho**k
-    near, far = np.abs(rho - r), rho + r
-    edge = np.maximum(far, turn)
-    # [0, (rho - r)+] and [rho + r, edge] with W = 1, [|rho - r|, rho + r]
-    # between them, and the tail
-    start = np.stack(np.broadcast_arrays(0.0, near, far, 0.0), axis=-1)
-    scale = np.stack((np.maximum(rho - r, 0.0), far - near, edge - far, edge), axis=-1)
-    return _piece_integrals(start.reshape(-1, 4), scale.reshape(-1, 4), turn.ravel(),
-                            *(c.ravel() for c in np.broadcast_arrays(rho, r)), two_b, n, work).reshape(2, *turn.shape)
+def _offset_sum(v, r, rho, weight, unit, two_b, n):
+    """Per pair of the 1-D arrays v > 0 and r, (2, v.size): the Kronrod
+    and Gauss estimates of sum_j weight_j int y g_j W_j dy over the
+    offsets rho_j, g_j = v / (v + (y / unit_j)^{2b}), on the pieces of
+    order n (see the module notes)."""
+    rules = _piece_rule(n, two_b)
+    size = rules[0][0].size
+    # offsets per block, and serving distances per build of tables
+    block = max(1, _CHUNK // (12 * size))
+    per_build = max(1, _CHUNK // (12 * size * min(block, rho.size)))
+    omegas = np.stack([omega for _, omega in rules], axis=1)
+    order = np.argsort(r, kind="stable")
+    v, r = v[order], r[order]
+    radii, first = np.unique(r, return_index=True)
+    spans = list(zip(first.tolist(), first[1:].tolist() + [r.size]))
+    root = v ** (1.0 / two_b)
+    work = np.empty(min(_CHUNK, v.size * 3 * size * min(block, rho.size)))
+    total, beyond = np.zeros((2, v.size)), np.zeros((2, v.size))
+    pending, held = [], 0  # rows beyond their turnover: pair, offset, r + rho, turnover
+
+    def settle():
+        at, j, far, turn = map(np.concatenate, zip(*pending))
+        pending.clear()
+        terms = _beyond_turnover(far, turn, two_b, rules, work) * weight[:, j]
+        for e in range(2):  # row by row, wherever other pairs' rows fall
+            np.add.at(beyond[e], at, terms[e])
+
+    for lo in range(0, rho.size, block):
+        part = slice(lo, lo + block)
+        wo = (weight[:, None, part, None] * omegas[:, :, None, :]).reshape(2, -1, size)
+        unit_b = unit[part]
+        for k0 in range(0, radii.size, per_build):
+            a, wt, bounds, far = _offset_tables(radii[k0 : k0 + per_build], rho[part], wo, unit_b, two_b, rules)
+            for k, (start, stop) in enumerate(spans[k0 : k0 + per_build]):
+                a_k, wt_k, far_k = a[bounds[k] : bounds[k + 1]], wt[:, bounds[k] : bounds[k + 1]], far[k]
+                # pairs per chunk, whose rows beyond the turnover also fit
+                # half of the buffer, as _beyond_turnover takes them
+                step = work.size // max(a_k.size, 2 * size * far_k.size)
+                for i in range(start, stop, step):
+                    at = slice(i, min(i + step, stop))
+                    va = v[at, None]
+                    g = work[: va.size * a_k.size].reshape(va.size, a_k.size)
+                    np.add(va, a_k, out=g)
+                    np.divide(va, g, out=g)
+                    turn = root[at, None] * unit_b
+                    over = turn > far_k
+                    hit = over.any()
+                    if hit:
+                        g[:, a_k.size - far_k.size * size :].reshape(va.size, far_k.size, size)[over] = 0.0
+                    # einsum, not a matrix product, which may round a row
+                    # by its place in the batch
+                    total[:, at] += np.einsum("mk,ek->em", g, wt_k)
+                    if hit:
+                        m, j = np.nonzero(over)
+                        if held + m.size > work.size // (2 * size):
+                            settle()
+                            held = 0
+                        pending.append((i + m, lo + j, far_k[j], turn[m, j]))
+                        held += m.size
+    if pending:
+        settle()
+    total += beyond
+    out = np.empty((2, v.size))
+    out[:, order] = total
+    return out
 
 
 def _pgfl_radial(v, r, scenario, n_x, n_rho):
-    """Per (v, r) pair of the 1-D arrays v and r: the mean interfered
-    fraction of the pairs beyond r integrated against x dx, E, so that
-    the Laplace transform is exp(-2 pi lam E).  The downlink term is
-    :func:`_offset_integrals` at the offset 0 without power control, the
-    uplink term at each offset node of order n_rho; a silent term is
-    skipped.  Returns shape (2, v.size): the Kronrod estimate (Kronrod
-    in y and offset), then the Gauss estimate."""
+    """Per (v, r) pair of the 1-D arrays v > 0 and r: E, the mean
+    interfered fraction of the pairs beyond r against x dx, so that the
+    Laplace transform is exp(-2 pi lam E).  The downlink term is the
+    offset 0 of unit P^{1/2b}, the uplink one each offset node of order
+    n_rho, of unit P*^{1/2b} rho^k; a silent term is skipped.  Returns
+    (2, v.size): the Kronrod estimate (in y and offset), then Gauss."""
     mix, prop = scenario.mix, scenario.prop
     rho, w_rho = _rayleigh_rule(n_rho, scenario.lam)
-    # each term's share, offsets and their Kronrod and Gauss weights,
-    # power and power-control exponent
+    # each term's share, offsets and their weights, power and exponent k
     terms = [term for term in ((mix.alpha_d, np.zeros(1), np.ones((2, 1)), scenario.p_small_mw, 0.0),
                                (mix.alpha_u, rho, w_rho, scenario.p_small_star_mw, prop.k))
              if term[0] > 0.0 and term[3] > 0.0]
-    rows = max((term[1].size for term in terms), default=1)
-    row_size = 2 * n_x + 1
-    # pairs per chunk, and offsets per pass (all, unless one pair fills _CHUNK)
-    step = max(1, _CHUNK // (rows * row_size))
-    block = max(1, _CHUNK // (step * row_size))
-    size = min(step, v.size) * min(block, rows) * row_size
-    work = [np.empty(size) for _ in range(3)]
-    total = np.zeros((2, v.size))
-    for lo in range(0, v.size, step):
-        vs, rs = v[lo : lo + step], r[lo : lo + step]
-        for share, offsets, weights, power, k in terms:
-            per_offset = np.concatenate([_offset_integrals(vs, rs, offsets[j : j + block], power, k, prop.two_b,
-                                                           n_x, work) for j in range(0, offsets.size, block)], axis=2)
-            total[:, lo : lo + vs.size] += share * np.einsum("emj,ej->em", per_offset, weights)
-    return total
+    if not terms:
+        return np.zeros((2, v.size))
+    offsets, weights, units = (np.concatenate(parts, axis=-1) for parts in zip(
+        *((rho_t, share * w, power ** (1.0 / prop.two_b) * rho_t**k) for share, rho_t, w, power, k in terms)))
+    return _offset_sum(v, r, offsets, weights, units, prop.two_b, n_x)
 
 
 def _laplace(v, r, scenario, quad):
@@ -548,37 +608,50 @@ def _serving_link(scenario, direction):
 
 
 def _coverage_analytic(gamma_db, scenario, quad, direction):
-    gamma = 10.0 ** (gamma_db / 10.0)
+    grid = np.asarray(gamma_db, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"gamma_db must be a number or a 1-D grid, got shape {grid.shape}")
+    thresholds = grid.reshape(-1).tolist()
+    # gamma by Python's float power, the same for a threshold in any grid
+    gamma = np.array([10.0 ** (g / 10.0) for g in thresholds])
     p_serv, exp_serving = _serving_link(scenario, direction)
-    if p_serv == 0.0:
-        return 0.0  # a silent serving link: the SINR is 0
+    values = np.zeros(gamma.size)  # a silent serving link: the SINR is 0
+    if p_serv > 0.0 and gamma.size:
+        def estimate(level, todo):
+            # int_0^1 e^{-vN} L_I(v, r) du over the serving CDF u, graded at
+            # r -> 0, where the integrand falls steeply at high thresholds
+            r, w = _rayleigh_rule(quad.n_serving << level, scenario.lam)
+            v = gamma[todo, None] * r**exp_serving / p_serv
+            laplace = _laplace(v.ravel(), np.broadcast_to(r, v.shape).ravel(), scenario, quad)
+            return np.einsum("tn,en->et", np.exp(-v * scenario.p_noise_mw) * laplace.reshape(v.shape), w)
 
-    def estimate(level, todo):
-        # int_0^1 e^{-vN} L_I(v, r) du over the serving CDF u, graded at
-        # r -> 0, where the integrand falls steeply at high thresholds
-        r, w = _rayleigh_rule(quad.n_serving << level, scenario.lam)
-        v = gamma * r**exp_serving / p_serv
-        return (w @ (np.exp(-v * scenario.p_noise_mw) * _laplace(v, r, scenario, quad)))[:, None]
-
-    (value,), failed, disc = refine(estimate, 1, lambda fine: quad.outer_abs_tol, quad.max_refinements)
-    if failed.size:
-        raise IntegrationError(
-            f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={gamma_db}",
-            achieved=float(value),
-            discrepancy=float(disc[0]),
-        )
-    return min(float(value), 1.0)
+        values, failed, disc = refine(estimate, gamma.size, lambda fine: quad.outer_abs_tol,
+                                      quad.max_refinements)
+        if failed.size:
+            raise IntegrationError(
+                f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={thresholds[failed[0]]}",
+                achieved=float(values[failed[0]]),
+                discrepancy=float(disc[0]),
+            )
+        np.minimum(values, 1.0, out=values)
+    return float(values[0]) if grid.ndim == 0 else values
 
 
 def coverage_ppp_dl(gamma_db, scenario, quad=None):
-    """Coverage probability of the typical downlink: the serving fade is
-    exponential, so coverage is the Rayleigh-weighted integral of the
-    noise factor times the interference Laplace transform at
-    v = gamma r^{2b} / P_small."""
+    """Coverage probability of the typical downlink at the threshold
+    ``gamma_db``, a float (giving a float) or a 1-D grid.  The serving
+    fade is exponential, so coverage is the Rayleigh-weighted integral
+    of the noise factor times the interference Laplace transform at
+    v = gamma r^{2b} / P_small.  Each threshold refines its serving rule
+    on its own to outer_abs_tol, and each level sends the nodes of all
+    open thresholds to one Laplace batch, where they share the work of
+    each serving distance.  A threshold gets the same value, to the bit,
+    in any grid; the first that fails raises the error it raises alone."""
     return _coverage_analytic(gamma_db, scenario, quad or _DEFAULT_QUAD, "dl")
 
 
 def coverage_ppp_ul(gamma_db, scenario, quad=None):
-    """Uplink coverage probability; identical structure with the uplink
-    serving power and the power-controlled serving exponent 2b(1-k)."""
+    """Uplink coverage probability, as :func:`coverage_ppp_dl` with the
+    uplink serving power and the power-controlled serving exponent
+    2b(1-k)."""
     return _coverage_analytic(gamma_db, scenario, quad or _DEFAULT_QUAD, "ul")

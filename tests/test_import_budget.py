@@ -35,6 +35,9 @@ for method in ("exact", "series"):
     tg.inv_d(y, net, prop, mix, method=method)
 scenario = tg.SmallCellScenario(lam=10.0, mix=mix)
 tg.coverage_ppp_dl(0.0, scenario, tg.QuadratureControl(**FAST_QUAD))
+for coverage in (tg.coverage_ppp_dl, tg.coverage_ppp_ul):
+    for grid in ([-10.0, 0.0, 10.0], [10.0, 0.0, -10.0]):
+        coverage(grid, scenario, tg.QuadratureControl(**FAST_QUAD))
 tg.ase(scenario, "dl", tg.QuadratureControl(**FAST_QUAD))
 print("concurrent.futures" in sys.modules)
 tg.mc_coverage_macro(net, prop, mix, "dl", [0.0], 50, seed=1)

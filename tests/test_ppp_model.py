@@ -4,6 +4,7 @@ coverage, and spectral efficiency."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,49 @@ def test_kernel_matches_the_broadcast_reference(n, k, alpha_d):
     assert np.max(np.abs(ours - ref) / ref) <= 1e-13
 
 
+@pytest.mark.parametrize("n_x, n_rho", [(12, 16), (24, 32), (48, 64)])
+def test_kernel_gives_a_pair_the_same_bits_in_any_batch(n_x, n_rho):
+    # the orders build the tables of several serving distances at once
+    # (12, 16), of one (24, 32), and in three blocks of offsets (48, 64)
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.5))
+    rho, _ = ppp_model._rayleigh_rule(n_rho, sc.lam)
+    gen = np.random.default_rng(5)
+    # r = 0, r on an offset node and an r between them; at v = 1e11 the
+    # downlink turnover passes r, and the uplink one r + rho at the small
+    # offsets, so those rows integrate beyond their turnover
+    for v, r in ((1e11, 0.0), (1e11, rho[n_rho]), (1e11, 0.13), (1e8, 0.13)):
+        if v == 1e11:
+            assert (v * sc.p_small_mw) ** (1.0 / sc.prop.two_b) > r
+            assert np.any((v * sc.p_small_star_mw) ** (1.0 / sc.prop.two_b) * rho**0.4 > r + rho)
+        alone = ppp_model._pgfl_radial(np.array([v]), np.array([r]), sc, n_x, n_rho)[:, 0]
+        beside = ppp_model._pgfl_radial(np.insert(10.0 ** gen.uniform(6.0, 11.0, 20), 7, v), np.full(21, r),
+                                        sc, n_x, n_rho)[:, 7]
+        among = ppp_model._pgfl_radial(np.insert(10.0 ** gen.uniform(6.0, 11.0, 30), 11, v),
+                                       np.insert(gen.uniform(0.0, 0.6, 30), 11, r), sc, n_x, n_rho)[:, 11]
+        assert [x.hex() for x in alone] == [x.hex() for x in beside] == [x.hex() for x in among], (v, r)
+
+
+def test_kernel_memory_does_not_grow_with_the_batch():
+    # 2,000 pairs over the 49 serving distances of a coverage level run
+    # through the same buffers and tables as 49 pairs do
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.5))
+    r, _ = ppp_model._rayleigh_rule(24, sc.lam)
+    gen = np.random.default_rng(8)
+    ppp_model._pgfl_radial(np.array([1e9]), r[:1], sc, 24, 32)  # build the rules outside the trace
+
+    def peak_mb(size):
+        v, rs = 10.0 ** gen.uniform(6.0, 11.0, size), np.resize(r, size)
+        tracemalloc.start()
+        try:
+            ppp_model._pgfl_radial(v, rs, sc, 24, 32)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak_mb(49), peak_mb(2000)
+    assert many - few <= 0.5, (few, many)
+
+
 def _uplink_by_cell_and_angle(v, r, rho, scenario):
     """The left side of the per-offset identity of the module notes:
     scipy's adaptive quadrature over the cell distance x beyond r of x
@@ -241,14 +285,15 @@ def test_offset_integral_matches_the_cell_and_angle_integral():
     sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=0.4), mix=TddMix(alpha_d=0.5))
     v, r = 1e9, 0.1
     rho = np.array([0.5, 1.0, 2.0, 6.0]) * r
-    n = 24
-    work = tuple(np.empty(4 * (2 * n + 1) * rho.size) for _ in range(3))
-    kronrod, gauss = ppp_model._offset_integrals(np.array([v]), np.array([r]), rho, sc.p_small_star_mw,
-                                                 sc.prop.k, sc.prop.two_b, n, work)[:, 0]
-    for j, offset in enumerate(rho):
+    two_b = sc.prop.two_b
+    for offset in rho:
+        # one offset of unit weight: its own Kronrod and Gauss estimates in y
+        unit = sc.p_small_star_mw ** (1.0 / two_b) * offset**sc.prop.k
+        kronrod, gauss = ppp_model._offset_sum(np.array([v]), np.array([r]), np.array([offset]),
+                                               np.ones((2, 1)), np.array([unit]), two_b, 24)[:, 0]
         ref = _uplink_by_cell_and_angle(v, r, offset, sc)
-        assert abs(kronrod[j] / ref - 1.0) <= 1e-12, (offset, kronrod[j], ref)
-        assert abs(kronrod[j] - ref) <= abs(kronrod[j] - gauss[j])
+        assert abs(kronrod / ref - 1.0) <= 1e-12, (offset, kronrod, ref)
+        assert abs(kronrod - ref) <= abs(kronrod - gauss)
 
 
 def _uplink_far_tail_at_two_b_4(v, r, rho, scenario):
@@ -472,6 +517,58 @@ def test_coverage_ppp_monotone_and_bounded():
     assert coverage_ppp_dl(-60.0, sc) > 0.999
     ul_vals = [coverage_ppp_ul(g, sc) for g in (-10.0, 0.0)]
     assert ul_vals[0] > ul_vals[1]
+
+
+@pytest.mark.parametrize("k", [0.0, 0.4])
+@pytest.mark.parametrize("alpha_d", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_a_coverage_grid_gives_each_threshold_its_one_threshold_value(direction, alpha_d, k):
+    # the thresholds of a grid share the Laplace batch of each level, and
+    # each is refined on its own: at this tolerance some refine and some
+    # do not, and every value is the one-threshold call's in any order
+    sc = SmallCellScenario(lam=10.0, prop=PropagationParams(k=k), mix=TddMix(alpha_d=alpha_d))
+    quad = QuadratureControl(**{**FAST_QUAD, "outer_abs_tol": 1e-7})
+    coverage = {"dl": coverage_ppp_dl, "ul": coverage_ppp_ul}[direction]
+    grid = np.arange(-20.0, 20.1, 10.0)
+    curve = coverage(grid, sc, quad)
+    assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
+    single = [coverage(float(g), sc, quad) for g in grid]
+    assert all(isinstance(value, float) for value in single)
+    assert [value.hex() for value in curve.tolist()] == [value.hex() for value in single]
+    backward = coverage(grid[::-1], sc, quad)[::-1]
+    assert [value.hex() for value in backward.tolist()] == [value.hex() for value in single]
+    assert coverage(np.array([]), sc, quad).shape == (0,)
+    with pytest.raises(ValueError, match="1-D"):
+        coverage(np.zeros((2, 2)), sc, quad)
+
+
+def test_a_long_grid_whose_every_row_passes_its_turnover():
+    # every pair in downlink and every threshold above 0 dB: each pair's
+    # turnover passes r, so all its rows go beyond the turnover, and 1,500
+    # thresholds put 1,500 such pairs at each serving distance
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=1.0))
+    quad = QuadratureControl(**FAST_QUAD)
+    grid = np.linspace(1.0, 30.0, 1500)
+    curve = coverage_ppp_dl(grid, sc, quad)
+    for g in (0, 777, 1499):
+        assert curve[g].hex() == coverage_ppp_dl(float(grid[g]), sc, quad).hex()
+
+
+def test_a_coverage_grid_raises_the_error_of_its_unconverged_threshold():
+    # without refinement only -10 dB misses this tolerance (|K - G| is
+    # 2.9e-7 there, 7.6e-8 at -20 dB and below 1e-9 elsewhere)
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    strict = QuadratureControl(**{**FAST_QUAD, "outer_abs_tol": 1e-7, "max_refinements": 0})
+    with pytest.raises(IntegrationError) as scalar:
+        coverage_ppp_dl(-10.0, sc, strict)
+    assert scalar.value.discrepancy > 1e-7
+    for grid in ([-20.0, -10.0, 0.0, 10.0, 20.0], [20.0, 10.0, 0.0, -10.0, -20.0]):
+        with pytest.raises(IntegrationError) as batched:
+            coverage_ppp_dl(np.array(grid), sc, strict)
+        assert str(batched.value) == str(scalar.value)
+        assert batched.value.achieved == scalar.value.achieved
+        assert batched.value.discrepancy == scalar.value.discrepancy
+    assert coverage_ppp_dl(np.array([-20.0, 0.0, 10.0, 20.0]), sc, strict).shape == (4,)
 
 
 def _coverage_by_serving_quad(gamma_db, sc, direction, quad):
