@@ -21,7 +21,7 @@ from .macro_analytic import (
     a1, beta_h, coverage_macro, downlink_inverse_sinr, inv_d, inv_u, isr_ul_dl,
     uplink_inverse_sinr,
 )
-from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix
+from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix, thresholds
 from .ppp_ase import ase
 from .ppp_model import (
     QuadratureControl, SmallCellScenario, coverage_ppp_dl, coverage_ppp_ul, mc_coverage_ppp,
@@ -222,7 +222,7 @@ def _closed_form_anchor():
         mix=TddMix(alpha_d=1.0),
     )
     grid = np.array([0.0, 5.0])
-    rg = np.sqrt(10.0 ** (grid / 10.0))
+    rg = np.sqrt(thresholds(grid)[0])
     closed = 1.0 / (1.0 + rg * (math.pi / 2.0 - np.arctan(1.0 / rg)))
     worst = float(np.max(np.abs(coverage_ppp_dl(grid, sc) - closed)))
     ok = worst <= 0.01

@@ -43,15 +43,11 @@ def main(argv=None):
         if args.command == "run":
             cfg = config_mod.load_config(args.config)
             if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError("--seed must be non-negative")
-                cfg = dataclasses.replace(cfg, seed=args.seed)
+                cfg = dataclasses.replace(cfg, seed=config_mod.config_from_dict({"seed": args.seed}).seed)
             path = config_mod.run(cfg, out_dir=args.out)
             print(path)
             return 0
         if args.command == "recipe":
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
             for path in config_mod.run_recipe(args.name, out_dir=args.out, seed=args.seed):
                 print(path)
             return 0

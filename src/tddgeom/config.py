@@ -198,16 +198,15 @@ def config_from_dict(data):
             if grid is not None:
                 kwargs[key] = grid
 
-    for key, kind in (("n_draws", int), ("seed", int)):
+    # the streams take a seed as one 64-bit key word: 2**64 would repeat the streams of 0
+    for key, low, high, bounds in (("n_draws", 1, math.inf, "at least 1"), ("seed", 0, 2**64, "in [0, 2**64)")):
         if key in data:
             if isinstance(data[key], bool) or not isinstance(data[key], int):
                 errors.append(f"{key}: must be an integer")
+            elif not low <= data[key] < high:
+                errors.append(f"{key}: must be {bounds}")
             else:
-                kwargs[key] = kind(data[key])
-    if "n_draws" in kwargs and kwargs["n_draws"] < 1:
-        errors.append("n_draws: must be at least 1")
-    if "seed" in kwargs and kwargs["seed"] < 0:
-        errors.append("seed: must be non-negative")
+                kwargs[key] = data[key]
 
     for key in ("out", "label"):
         if key in data:
@@ -411,8 +410,6 @@ plot {plots}
 def _plot_script_text(csv_name, header):
     value_cols = [i + 1 for i, name in enumerate(header[1:], start=1) if "ci_" not in name and name != "isr_component"]
     plots = ", ".join(f'"{csv_name}" using 1:{c} with lines' for c in value_cols)
-    if not plots:
-        plots = f'"{csv_name}" using 1:2 with lines'
     ylabel = {"gamma_db": "coverage probability", "x": "interference to signal ratio", "lambda": "ASE (bit/s/Hz)"}
     return _PLOT_TEMPLATE.format(xlabel=header[0], ylabel=ylabel.get(header[0], "value"), plots=plots)
 

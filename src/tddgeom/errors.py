@@ -43,10 +43,4 @@ class IntegrationError(TddgeomError):
 
 
 class ConfigError(TddgeomError):
-    """Invalid experiment configuration; carries itemized messages."""
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+    """Invalid experiment configuration."""

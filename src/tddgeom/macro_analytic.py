@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError
-from .params import check_direction
+from .params import check_direction, thresholds
 from .specfun import SeriesControl, ShadowingSpec, omega, shadowing_mean_factor, sum_series
 
 __all__ = [
@@ -660,7 +660,7 @@ def _uplink_coverage(y, net, prop, mix, ctrl):
 
 def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     """Probability that the SINR of a uniformly placed user exceeds the
-    threshold ``gamma_db``, a float or a 1-D grid.
+    threshold ``gamma_db``, a float or a 1-D grid (see params.thresholds).
 
     Users are uniform in the serving disk, so on a ray at angle theta a
     user is covered out to the radius x_gamma where the SINR map
@@ -702,15 +702,9 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
         A float for a scalar threshold, else one value per threshold.
     """
     direction = check_direction(direction)
-    grid = np.asarray(gamma_db, dtype=float)
-    if grid.ndim > 1:
-        raise ValueError(f"gamma_db must be a number or a 1-D grid, got shape {grid.shape}")
-    # 1 / gamma by Python's float power, as for a float threshold: numpy's
-    # array power can differ from it in the last bit, and a threshold
-    # must give the same value in any grid
-    y = [1.0 / 10.0 ** (g / 10.0) for g in grid.reshape(-1).tolist()]
+    gamma, scalar = thresholds(gamma_db)
     if direction == "dl":
-        coverage = _downlink_coverage(np.array(y), _downlink_maps(net, prop, mix, ctrl))
+        coverage = _downlink_coverage(1.0 / gamma, _downlink_maps(net, prop, mix, ctrl))
     else:
-        coverage = [_uplink_coverage(v, net, prop, mix, ctrl) for v in y]
-    return float(coverage[0]) if grid.ndim == 0 else np.asarray(coverage, dtype=float)
+        coverage = [_uplink_coverage(v, net, prop, mix, ctrl) for v in (1.0 / gamma).tolist()]
+    return float(coverage[0]) if scalar else np.asarray(coverage, dtype=float)

@@ -206,7 +206,7 @@ def empirical_coverage(grid, sinr_parts, n_draws):
     half-widths.  Each array is sorted and bisected once, in
     O(draws + thresholds) memory.  A tie or a NaN is not covered and
     +inf is, as ``sinr > gamma`` gives."""
-    gamma_lin = 10.0 ** (grid / 10.0)
+    gamma_lin, _ = thresholds(grid)
     counts = np.zeros(grid.size, dtype=np.int64)
     for sinr in sinr_parts:
         ordered = np.sort(sinr)
@@ -258,11 +258,33 @@ def check_direction(direction):
     return direction.lower()
 
 
+def thresholds(gamma_db):
+    """The linear values of the SINR thresholds ``gamma_db`` (dB), a
+    number or a 1-D grid in any order, and whether it is a number.  Each
+    threshold must be finite and within +-1,000 dB (1e-100 to 1e100, far
+    beyond any SINR a link can have; the coverage routes overflow near
+    +2,975 dB), else ValueError.  Each is converted alone, by Python's
+    float power, so it gets the same value and coverage in any grid."""
+    grid = np.asarray(gamma_db, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"gamma_db must be a number or a 1-D grid, got shape {grid.shape}")
+    db = grid.reshape(-1).tolist()
+    for g in db:
+        if not abs(g) <= 1000.0:
+            raise ValueError(f"gamma_db must be finite and in [-1000, 1000] dB, got {g}")
+    return np.array([10.0 ** (g / 10.0) for g in db]), grid.ndim == 0
+
+
 def check_gamma_grid(gamma_grid_db):
-    """Validate a threshold grid: nonempty, 1-d, finite, strictly increasing."""
+    """Validate a threshold grid (dB) for a Monte Carlo curve or a config:
+    nonempty, strictly increasing, and as :func:`thresholds` takes it."""
+    try:
+        gamma, scalar = thresholds(gamma_grid_db)
+    except ValueError:
+        gamma, scalar = None, True
+    if scalar or gamma.size == 0:
+        raise ConfigError("gamma_grid_db must be a nonempty 1-d array of finite thresholds in [-1000, 1000] dB")
     grid = np.asarray(gamma_grid_db, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ConfigError("gamma_grid_db must be a nonempty 1-d array of finite thresholds")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+    if not np.all(np.diff(grid) > 0):
         raise ConfigError("gamma_grid_db must be strictly increasing")
     return grid

@@ -97,6 +97,7 @@ from .params import (
     check_gamma_grid,
     dbm_to_mw,
     empirical_coverage,
+    thresholds,
 )
 from .quadrules import gauss_kronrod_unit, refine
 
@@ -608,12 +609,7 @@ def _serving_link(scenario, direction):
 
 
 def _coverage_analytic(gamma_db, scenario, quad, direction):
-    grid = np.asarray(gamma_db, dtype=float)
-    if grid.ndim > 1:
-        raise ValueError(f"gamma_db must be a number or a 1-D grid, got shape {grid.shape}")
-    thresholds = grid.reshape(-1).tolist()
-    # gamma by Python's float power, the same for a threshold in any grid
-    gamma = np.array([10.0 ** (g / 10.0) for g in thresholds])
+    gamma, scalar = thresholds(gamma_db)
     p_serv, exp_serving = _serving_link(scenario, direction)
     values = np.zeros(gamma.size)  # a silent serving link: the SINR is 0
     if p_serv > 0.0 and gamma.size:
@@ -629,12 +625,12 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
                                       quad.max_refinements)
         if failed.size:
             raise IntegrationError(
-                f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={thresholds[failed[0]]}",
+                f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={np.ravel(gamma_db)[failed[0]]}",
                 achieved=float(values[failed[0]]),
                 discrepancy=float(disc[0]),
             )
         np.minimum(values, 1.0, out=values)
-    return float(values[0]) if grid.ndim == 0 else values
+    return float(values[0]) if scalar else values
 
 
 def coverage_ppp_dl(gamma_db, scenario, quad=None):
@@ -646,7 +642,8 @@ def coverage_ppp_dl(gamma_db, scenario, quad=None):
     on its own to outer_abs_tol, and each level sends the nodes of all
     open thresholds to one Laplace batch, where they share the work of
     each serving distance.  A threshold gets the same value, to the bit,
-    in any grid; the first that fails raises the error it raises alone."""
+    in any grid; the first that fails raises the error it raises alone.
+    The thresholds it takes are those of params.thresholds."""
     return _coverage_analytic(gamma_db, scenario, quad or _DEFAULT_QUAD, "dl")
 
 

@@ -156,6 +156,58 @@ def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys,
     assert f"config error: invalid config:\n  {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tree, message", [
+    ([1.0, 2.0], "config error: config root must be a JSON object"),
+    ({"mix": 0.5}, "mix: expected an object"),
+    ({"gamma_grid_db": {"start": "a", "stop": 1.0, "step": 1.0}},
+     "gamma_grid_db: range needs numeric start, stop, step"),
+    ({"gamma_grid_db": {"start": 0.0, "stop": 1.0}}, "gamma_grid_db: range needs numeric start, stop, step"),
+    ({"experiment": "isr", "x_grid": [0.1, "x"]}, "x_grid: entries must be numbers"),
+    ({"n_draws": 2.5}, "n_draws: must be an integer"),
+    ({"seed": "1"}, "seed: must be an integer"),
+    ({"seed": True}, "seed: must be an integer"),
+    ({"n_draws": 0}, "n_draws: must be at least 1"),
+    ({"seed": -1}, "seed: must be in [0, 2**64)"),
+    ({"seed": 2**64}, "seed: must be in [0, 2**64)"),
+    ({"out": 3}, "out: must be a string"),
+    ({"label": ["a"]}, "label: must be a string"),
+    ({"plot_script": 1}, "plot_script: must be true or false"),
+    ({"propagation": {"two_b": 2.0}}, "propagation: two_b must exceed 2"),
+    ({"propagation": {"k": 1.5}}, "propagation: k must lie in [0, 1]"),
+    ({"macro": {"cell_radius": 0.6}}, "macro: cell_radius must lie in (0, delta/sqrt(3)]"),
+    ({"macro": {"load_eta": 0.0}}, "macro: load_eta must lie in (0, 1]"),
+], ids=["root", "group", "range-key", "range-missing-key", "list-entry", "n_draws-float", "seed-string",
+        "seed-bool", "n_draws-zero", "seed-negative", "seed-2**64", "out", "label", "plot_script", "two_b", "k",
+        "cell_radius", "load_eta"])
+def test_cli_rejects_a_malformed_config_with_exit_2(tmp_path, capsys, tree, message):
+    path = _write(tmp_path / "bad.json", tree)
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_a_seed_must_name_the_stream_it_uses(tmp_path, capsys):
+    # the streams take a seed as one 64-bit key word, so a seed of 2**64
+    # would silently reuse the streams of seed 0
+    assert config_from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
+    ok = _write(tmp_path / "ok.json", {"experiment": "isr", "x_grid": [0.1]})
+    assert main(["run", ok, "--seed", "18446744073709551616", "--out", str(tmp_path)]) == 2
+    assert main(["recipe", "fig1-isr-dl", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("seed: must be in [0, 2**64)") == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_recipe_runs_at_the_seed_it_is_given(tmp_path, monkeypatch):
+    data = {"geometry": "macro", "experiment": "coverage", "mode": "mc", "macro": {"rings": 2},
+            "gamma_grid_db": [0.0, 5.0], "n_draws": 150}
+    monkeypatch.setitem(RECIPES, "tiny", [("tiny", data)])
+    run_recipe("tiny", out_dir=str(tmp_path / "recipe"), seed=5)
+    run(config_from_dict(dict(data, seed=5)), out_dir=str(tmp_path / "config"), label="tiny")
+    read = lambda d: (tmp_path / d / "tiny.csv").read_bytes()
+    assert read("recipe") == read("config")
+    assert json.loads((tmp_path / "recipe" / "tiny.meta.json").read_text(encoding="utf-8"))["seed"] == 5
+
+
 @pytest.mark.parametrize("lam, two_b", [(1e280, 2.1), (1e-200, 2.5)])
 def test_ppp_group_is_checked_with_the_configured_propagation(lam, two_b):
     # each density is out of range at the default 2b = 3.5 and in range
@@ -327,22 +379,26 @@ def test_plot_script_emission(tmp_path):
 
 
 def test_isr_csv_long_format(tmp_path):
-    cfg = config_from_dict({
-        "experiment": "isr",
-        "direction": "dl",
-        "mix": {"alpha_d": 0.5},
-        "x_grid": [0.1, 0.2],
-        "label": "isr",
-    })
-    run(cfg, out_dir=str(tmp_path))
-    lines = (tmp_path / "isr.csv").read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "x,isr_component,value"
-    assert len(lines) == 7
-    components = [line.split(",")[1] for line in lines[1:4]]
-    assert components == ["dl_to_dl", "ul_to_dl", "total"]
-    x, name, value = lines[1].split(",")
-    parts = isr_total(MobilePolar(0.1), cfg.macro, cfg.prop, cfg.mix, ctrl=cfg.series)
-    assert float(value) == pytest.approx(parts.dl_to_dl, rel=1e-12)
+    for direction, components in (("dl", ["dl_to_dl", "ul_to_dl", "total"]),
+                                  ("ul", ["ul_to_ul", "dl_to_ul", "total"])):
+        cfg = config_from_dict({
+            "experiment": "isr",
+            "direction": direction,
+            "mix": {"alpha_d": 0.5},
+            "x_grid": [0.1, 0.2],
+            "label": f"isr-{direction}",
+        })
+        run(cfg, out_dir=str(tmp_path))
+        lines = (tmp_path / f"isr-{direction}.csv").read_text(encoding="utf-8").strip().split("\n")
+        assert lines[0] == "x,isr_component,value"
+        assert len(lines) == 7
+        assert [line.split(",")[1] for line in lines[1:4]] == components
+        parts = isr_total(MobilePolar(0.1), cfg.macro, cfg.prop, cfg.mix, ctrl=cfg.series)
+        totals = {"dl": parts.total_dl, "ul": parts.total_ul}
+        for line in lines[1:4]:
+            x, name, value = line.split(",")
+            expected = totals[direction] if name == "total" else getattr(parts, name)
+            assert float(value) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ase_csv_monte_carlo(tmp_path):

@@ -147,9 +147,10 @@ def _broadcast_kernel(v, r, scenario, n, n_rho):
     """The piece rule of the module notes as one broadcast over (pair,
     offset, node) in kilometres, with g = c / (c + y^{2b}) and
     W = 1 - arccos(q) / pi written out, and nodes at y = 0 where a piece
-    is empty: the reference for the kernel, which works in chunks, in
-    units of the turnover and in place.  Returns the Kronrod and the
-    Gauss estimates, shape (2, v.size)."""
+    is empty: the reference for the kernel, which works in chunks on
+    tables of nodes in kilometres, built once per serving distance, and
+    in units of the turnover only for the rows beyond it.  Returns the
+    Kronrod and the Gauss estimates, shape (2, v.size)."""
     prop, mix = scenario.prop, scenario.mix
     two_b, z = prop.two_b, prop.two_b - 2.0
     t, w = gauss_kronrod_unit(n)
@@ -675,6 +676,14 @@ def test_ase_nonconvergence_is_loud():
     # the discrepancy is in bit/s/Hz, far above the 1e-12 asked for
     assert err.achieved == pytest.approx(ase(sc, "dl", fast), rel=fast.ase_rel_tol)
     assert err.discrepancy is not None and 1e-12 * err.achieved < err.discrepancy < 1e-3
+    # at n_serving 2 without a refinement every row converges, and only
+    # the serving rule misses its tolerance: its |K - G| bounds the error
+    coarse = QuadratureControl(**dict(FAST_QUAD, n_serving=2, max_refinements=0))
+    with pytest.raises(IntegrationError, match="spectral-efficiency integral") as excinfo:
+        ase(sc, "dl", coarse)
+    err = excinfo.value
+    assert coarse.ase_rel_tol * err.achieved < err.discrepancy
+    assert abs(err.achieved - ase(sc, "dl", fast)) < err.discrepancy
     with pytest.raises(ValueError):
         ase(sc, "sideways")
     with pytest.raises(ValueError, match="direction"):
@@ -705,18 +714,23 @@ def test_ase_sends_every_row_to_one_laplace_call_per_level(monkeypatch):
 
 
 def _ase_by_coverage(sc, direction, quad):
-    """E[log2(1 + SINR)] as scipy's adaptive quadrature of the coverage
-    CCDF against d gamma / (1 + gamma), in u = ln gamma, with each
-    coverage value held to outer_abs_tol."""
+    """E[log2(1 + SINR)] as the integral of the coverage CCDF against
+    d gamma / (1 + gamma), in u = ln gamma over [-40, 0] and [0, 40],
+    with each coverage value held to outer_abs_tol.  Level l takes the
+    Gauss-Legendre rule of 16 * 2^l nodes on each half and sends all of
+    its thresholds to one coverage call; the levels double until two
+    agree to 1e-5 relative.  Returns the last two levels."""
     coverage = {"dl": coverage_ppp_dl, "ul": coverage_ppp_ul}[direction]
-
-    def integrand(u):
+    levels = []
+    for n in (16, 32, 64, 128, 256):
+        x, w = np.polynomial.legendre.leggauss(n)
+        u = 20.0 * np.concatenate((x - 1.0, x + 1.0))
         # d gamma / (1 + gamma) = du / (1 + e^{-u})
-        return coverage(10.0 * u / math.log(10.0), sc, quad) * 0.5 * (1.0 + math.tanh(0.5 * u))
-
-    nats = sum(scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-4, limit=50)[0]
-               for lo, hi in ((-40.0, 0.0), (0.0, 40.0)))
-    return nats / math.log(2.0)
+        integrand = coverage(10.0 * u / math.log(10.0), sc, quad) * 0.5 * (1.0 + np.tanh(0.5 * u))
+        levels.append(20.0 * np.concatenate((w, w)) @ integrand / math.log(2.0))
+        if len(levels) > 1 and abs(levels[-1] - levels[-2]) <= 1e-5 * levels[-1]:
+            break
+    return levels[-1], levels[-2]
 
 
 @pytest.mark.parametrize("direction, alpha_d, lam, a_db", [
@@ -728,12 +742,13 @@ def _ase_by_coverage(sc, direction, quad):
 ], ids=["ul-noise-limited", "dl-weak-interferers"])
 def test_ase_meets_its_tolerance_against_the_coverage_integral(direction, alpha_d, lam, a_db):
     # the same kernel orders on both sides; small ones keep the
-    # reference's 200-400 coverage values cheap
+    # reference's 96-224 coverage values cheap
     kernel = dict(FAST_QUAD, n_rho=16, n_x=12)
     sc = SmallCellScenario(lam=lam, prop=PropagationParams(k=0.4, a_db=a_db), mix=TddMix(alpha_d=alpha_d))
     quad = QuadratureControl(**kernel)
-    reference = _ase_by_coverage(sc, direction, QuadratureControl(**dict(kernel, outer_abs_tol=1e-6,
-                                                                           max_refinements=4)))
+    reference, coarser = _ase_by_coverage(sc, direction, QuadratureControl(**dict(kernel, outer_abs_tol=1e-6,
+                                                                                    max_refinements=4)))
+    assert abs(reference - coarser) <= 1e-5 * reference
     assert abs(ase(sc, direction, quad) - reference) <= quad.ase_rel_tol * reference
 
 
