@@ -25,7 +25,9 @@ from .params import (
     MobilePolar,
     PropagationParams,
     TddMix,
+    _is_real,
     check_gamma_grid,
+    check_grid,
 )
 from .ppp_model import QuadratureControl, SmallCellScenario
 from .specfun import SeriesControl
@@ -55,8 +57,8 @@ class ExperimentConfig:
     p_small_star_dbm: float = 20.0
     series: SeriesControl = SeriesControl()
     quadrature: QuadratureControl = QuadratureControl()
-    gamma_grid_db: tuple = tuple(np.arange(-30.0, 30.5, 1.0))
-    x_grid: tuple = tuple(np.round(np.arange(0.02, 0.401, 0.02), 10))
+    gamma_grid_db: tuple = tuple(np.arange(-30.0, 30.5, 1.0).tolist())
+    x_grid: tuple = tuple(np.round(np.arange(0.02, 0.401, 0.02), 10).tolist())
     lambda_grid: tuple = (5.0, 10.0, 20.0, 50.0)
     n_draws: int = 20000
     seed: int = 1
@@ -104,35 +106,29 @@ _TOP_FIELDS = tuple(
 _MAX_RANGE_POINTS = 10_000
 
 
-def _parse_grid(value, name, errors):
-    """Grids are either explicit lists or {start, stop, step} ranges."""
+def _parse_grid(value, name):
+    """A grid is a list or a {start, stop, step} range, whose points are
+    rounded to 12 decimals; either form must pass params.check_grid."""
     if isinstance(value, dict):
         unknown = set(value) - {"start", "stop", "step"}
         if unknown:
-            errors.append(f"{name}: unknown range keys {sorted(unknown)}")
-            return None
-        try:
-            start, stop, step = float(value["start"]), float(value["stop"]), float(value["step"])
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"{name}: range needs numeric start, stop, step")
-            return None
+            raise ConfigError(f"{name}: unknown range keys {sorted(unknown)}")
+        keys = [value.get(key) for key in ("start", "stop", "step")]
+        if not all(map(_is_real, keys)):
+            raise ConfigError(f"{name}: range needs numeric start, stop, step")
+        start, stop, step = map(float, keys)
         # JSON takes NaN and Infinity, and the count may still overflow
         if not (0 < step < math.inf and math.isfinite((stop - start) / step)):
-            errors.append(f"{name}: range needs a positive step and a finite start, stop, step and count")
-            return None
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+            raise ConfigError(f"{name}: range needs a positive step and a finite start, stop, step and count")
+        n = math.floor((stop - start) / step + 1e-9) + 1
         if n > _MAX_RANGE_POINTS:
-            errors.append(f"{name}: range has {n} points, more than {_MAX_RANGE_POINTS}")
-            return None
-        return tuple(np.round(start + step * np.arange(max(n, 0)), 12))
-    if isinstance(value, (list, tuple)):
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            errors.append(f"{name}: entries must be numbers")
-            return None
-    errors.append(f"{name}: expected a list or a start/stop/step object")
-    return None
+            raise ConfigError(f"{name}: range has {n} points, more than {_MAX_RANGE_POINTS}")
+        # a stop below start gives no point, and np.arange refuses a
+        # count far below zero
+        value = np.round(start + step * np.arange(max(n, 0)), 12)
+    elif not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name}: expected a list or a start/stop/step object")
+    return check_grid(value, name)
 
 
 def _build_group(name, cls, data, errors, parsed):
@@ -194,9 +190,10 @@ def config_from_dict(data):
 
     for key in ("gamma_grid_db", "x_grid", "lambda_grid"):
         if key in data:
-            grid = _parse_grid(data[key], key, errors)
-            if grid is not None:
-                kwargs[key] = grid
+            try:
+                kwargs[key] = _parse_grid(data[key], key)
+            except ConfigError as exc:
+                errors.append(str(exc))
 
     # the streams take a seed as one 64-bit key word: 2**64 would repeat the streams of 0
     for key, low, high, bounds in (("n_draws", 1, math.inf, "at least 1"), ("seed", 0, 2**64, "in [0, 2**64)")):
@@ -233,7 +230,7 @@ def config_from_dict(data):
 def _check_semantics(cfg, errors):
     if cfg.experiment == "coverage":
         try:
-            check_gamma_grid(np.asarray(cfg.gamma_grid_db))
+            check_gamma_grid(cfg.gamma_grid_db)
         except ConfigError as exc:
             errors.append(str(exc))
     if cfg.experiment == "isr":
@@ -243,13 +240,9 @@ def _check_semantics(cfg, errors):
             errors.append("isr experiments are analytic only")
         if not all(0 < x < cfg.macro.delta for x in cfg.x_grid):
             errors.append("x_grid: distances must be positive and below macro.delta")
-        if list(cfg.x_grid) != sorted(set(cfg.x_grid)):
-            errors.append("x_grid: must be strictly increasing")
     if cfg.experiment == "ase":
         if cfg.geometry != "ppp":
             errors.append("ase experiments require geometry=ppp")
-        if list(cfg.lambda_grid) != sorted(set(cfg.lambda_grid)):
-            errors.append("lambda_grid: must be strictly increasing")
         if cfg.mode != "analytic" and cfg.n_draws < 2:
             errors.append("n_draws: an ASE Monte Carlo needs at least 2 draws for its half-width")
     if cfg.geometry == "ppp":
@@ -258,7 +251,7 @@ def _check_semantics(cfg, errors):
         group, lams = ("lambda_grid", cfg.lambda_grid) if cfg.experiment == "ase" else ("ppp", (cfg.lam,))
         for lam in lams:
             try:
-                dataclasses.replace(cfg, lam=float(lam)).scenario()
+                dataclasses.replace(cfg, lam=lam).scenario()
             except (TypeError, ValueError) as exc:
                 errors.append(f"{group}: {exc}")
                 break
@@ -339,7 +332,7 @@ def _curve_table(x_name, x, value_name, columns):
 
 
 def _coverage_rows(cfg):
-    grid = np.asarray(cfg.gamma_grid_db)
+    grid = cfg.gamma_grid_db
     columns = {}
     if cfg.mode != "mc":
         if cfg.geometry == "macro":
@@ -363,34 +356,24 @@ def _coverage_rows(cfg):
 def _isr_rows(cfg):
     rows = []
     for x in cfg.x_grid:
-        m = MobilePolar(r=float(x))
-        parts = macro_analytic.isr_total(m, cfg.macro, cfg.prop, cfg.mix, ctrl=cfg.series)
+        parts = macro_analytic.isr_total(MobilePolar(r=x), cfg.macro, cfg.prop, cfg.mix, ctrl=cfg.series)
         if cfg.direction == "dl":
-            components = (
-                ("dl_to_dl", parts.dl_to_dl),
-                ("ul_to_dl", parts.ul_to_dl),
-                ("total", parts.total_dl),
-            )
+            components = (("dl_to_dl", parts.dl_to_dl), ("ul_to_dl", parts.ul_to_dl), ("total", parts.total_dl))
         else:
-            components = (
-                ("ul_to_ul", parts.ul_to_ul),
-                ("dl_to_ul", parts.dl_to_ul),
-                ("total", parts.total_ul),
-            )
-        for name, value in components:
-            rows.append((float(x), name, value))
+            components = (("ul_to_ul", parts.ul_to_ul), ("dl_to_ul", parts.dl_to_ul), ("total", parts.total_ul))
+        rows += [(x, name, value) for name, value in components]
     return ["x", "isr_component", "value"], rows
 
 
 def _ase_rows(cfg):
-    lams = np.asarray(cfg.lambda_grid, dtype=float)
-    scenarios = [dataclasses.replace(cfg, lam=float(lam)).scenario() for lam in lams]
+    lams = cfg.lambda_grid
+    scenarios = [dataclasses.replace(cfg, lam=lam).scenario() for lam in lams]
     columns = {}
     if cfg.mode != "mc":
         values = np.array([ppp_ase.ase(scenario, cfg.direction, cfg.quadrature) for scenario in scenarios])
         columns["analytic"] = (values, np.zeros_like(values))
     if cfg.mode != "analytic":
-        means, halves = np.empty(lams.size), np.empty(lams.size)
+        means, halves = np.empty(len(lams)), np.empty(len(lams))
         for i, scenario in enumerate(scenarios):
             eff = np.log2(1.0 + ppp_model.mc_sinr_ppp(scenario, cfg.direction, cfg.n_draws, cfg.seed))
             means[i], halves[i] = eff.mean(), 1.96 * eff.std(ddof=1) / math.sqrt(eff.size)

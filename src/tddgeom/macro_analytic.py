@@ -84,7 +84,8 @@ def isr_dl_dl(x, b, ctrl=None):
     Parameters
     ----------
     x : float
-        User distance over lattice spacing, 0 <= x < 1/sqrt(3).
+        User distance over lattice spacing, 0 <= x < 1, where the
+        series converges.
     b : float
         Half the path-loss exponent, b > 1.
     ctrl : SeriesControl, optional

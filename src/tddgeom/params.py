@@ -11,7 +11,7 @@ feel it.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,26 +177,19 @@ class CoverageCurve:
 
     gamma_db : thresholds in dB.
     value : coverage probabilities in [0, 1].
-    ci_halfwidth : 95% half-widths for Monte Carlo estimates; zeros for
-        analytic curves.
+    ci_halfwidth : 95% half-widths of the Monte Carlo estimates.
     """
 
     gamma_db: np.ndarray
     value: np.ndarray
-    ci_halfwidth: np.ndarray = field(default=None)
+    ci_halfwidth: np.ndarray
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma_db, dtype=float)
-        value = np.asarray(self.value, dtype=float)
-        object.__setattr__(self, "gamma_db", gamma)
-        object.__setattr__(self, "value", value)
-        if self.ci_halfwidth is None:
-            object.__setattr__(self, "ci_halfwidth", np.zeros_like(value))
-        else:
-            object.__setattr__(self, "ci_halfwidth", np.asarray(self.ci_halfwidth, dtype=float))
-        if gamma.ndim != 1 or gamma.size == 0:
+        for name in ("gamma_db", "value", "ci_halfwidth"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.gamma_db.ndim != 1 or self.gamma_db.size == 0:
             raise ValueError("gamma_db must be a nonempty 1-d grid")
-        if value.shape != gamma.shape or self.ci_halfwidth.shape != gamma.shape:
+        if self.value.shape != self.gamma_db.shape or self.ci_halfwidth.shape != self.gamma_db.shape:
             raise ValueError("value and ci_halfwidth must match the grid shape")
 
 
@@ -231,7 +224,7 @@ def _check_count(name, value, minimum):
 def _check_real(name, value):
     """Validate a real field of a dataclass: a bool, a non-real value or
     NaN raises TypeError; -inf passes (-inf dBm is a silent transmitter)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+    if not _is_real(value) or math.isnan(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
@@ -258,33 +251,59 @@ def check_direction(direction):
     return direction.lower()
 
 
+def _is_real(value):
+    """Whether value is a real number: a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_grid(points, name):
+    """The curve grid ``name``, a list or a 1-d array of real numbers that
+    holds a point and rises strictly, as a tuple of floats, else
+    ConfigError.  NaN compares with nothing: each domain check refuses it."""
+    points = points.tolist() if isinstance(points, np.ndarray) else points
+    if not isinstance(points, (list, tuple)):
+        raise ConfigError(f"{name}: expected a list or a 1-d array")
+    if not all(map(_is_real, points)):
+        raise ConfigError(f"{name}: entries must be numbers")
+    points = tuple(map(float, points))
+    if not points:
+        raise ConfigError(f"{name}: must hold at least one point")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ConfigError(f"{name}: must be strictly increasing")
+    return points
+
+
 def thresholds(gamma_db):
     """The linear values of the SINR thresholds ``gamma_db`` (dB), a
     number or a 1-D grid in any order, and whether it is a number.  Each
-    threshold must be finite and within +-1,000 dB (1e-100 to 1e100, far
-    beyond any SINR a link can have; the coverage routes overflow near
-    +2,975 dB), else ValueError.  Each is converted alone, by Python's
-    float power, so it gets the same value and coverage in any grid."""
-    grid = np.asarray(gamma_db, dtype=float)
+    threshold must be a real number (a bool or a string is not one),
+    finite and within +-1,000 dB (1e-100 to 1e100, far beyond any SINR
+    a link can have; the coverage routes overflow near +2,975 dB), else
+    ValueError.  Each is converted alone, by Python's float power, so it
+    gets the same value and coverage in any grid."""
+    grid = np.asarray(gamma_db, dtype=object)
     if grid.ndim > 1:
         raise ValueError(f"gamma_db must be a number or a 1-D grid, got shape {grid.shape}")
     db = grid.reshape(-1).tolist()
     for g in db:
+        if not _is_real(g):
+            raise ValueError(f"gamma_db must be real numbers, got {g!r}")
         if not abs(g) <= 1000.0:
             raise ValueError(f"gamma_db must be finite and in [-1000, 1000] dB, got {g}")
-    return np.array([10.0 ** (g / 10.0) for g in db]), grid.ndim == 0
+    return np.array([10.0 ** (float(g) / 10.0) for g in db]), grid.ndim == 0
 
 
 def check_gamma_grid(gamma_grid_db):
-    """Validate a threshold grid (dB) for a Monte Carlo curve or a config:
-    nonempty, strictly increasing, and as :func:`thresholds` takes it."""
-    try:
-        gamma, scalar = thresholds(gamma_grid_db)
-    except ValueError:
-        gamma, scalar = None, True
-    if scalar or gamma.size == 0:
-        raise ConfigError("gamma_grid_db must be a nonempty 1-d array of finite thresholds in [-1000, 1000] dB")
-    grid = np.asarray(gamma_grid_db, dtype=float)
-    if not np.all(np.diff(grid) > 0):
-        raise ConfigError("gamma_grid_db must be strictly increasing")
-    return grid
+    """The threshold grid (dB) of a Monte Carlo curve or a config as an
+    array: a grid by :func:`check_grid` of thresholds that
+    :func:`thresholds` takes, else ConfigError naming the first that
+    it refuses."""
+    grid = check_grid(gamma_grid_db, "gamma_grid_db")
+    for g in grid:
+        try:
+            thresholds(g)
+        except ValueError:
+            raise ConfigError(
+                f"gamma_grid_db must be a nonempty 1-d array of finite thresholds in [-1000, 1000] dB, got {g}"
+            ) from None
+    return np.array(grid)

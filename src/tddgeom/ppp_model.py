@@ -333,11 +333,8 @@ def _sample_chunk(scenario, direction, nearest, serving_r, streams, c, m):
             keep[hit[np.r_[True, owner[1:] != owner[:-1]]]] = False
     from_dl = scenario.p_small_mw * np.bincount(draw, np.where(keep & is_dl, term, 0.0), m)
     from_ul = scenario.p_small_star_mw * np.bincount(draw, np.where(keep & ~is_dl, term, 0.0), m)
-    if direction == "dl":
-        useful = scenario.p_small_mw * serving_fade * r ** (-prop.two_b)
-    else:
-        useful = scenario.p_small_star_mw * serving_fade * r ** (-prop.two_b * (1.0 - prop.k))
-    return useful, from_dl, from_ul, r
+    p_serv, exp_serving = _serving_link(scenario, direction)
+    return p_serv * serving_fade * r ** (-exp_serving), from_dl, from_ul, r
 
 
 def ppp_interference_draws(scenario, direction, n_draws, seed):

@@ -231,6 +231,54 @@ def test_unknown_keys_reported_itemized():
     assert len([ln for ln in message.split("\n") if ln.strip().startswith(("unknown", "propagation"))]) >= 2
 
 
+# one valid grid of each kind, in the experiment that reads it
+_GRIDS = {
+    "gamma_grid_db": ({"experiment": "coverage"}, -5.0, 5.0),
+    "x_grid": ({"experiment": "isr"}, 0.1, 0.2),
+    "lambda_grid": ({"geometry": "ppp", "experiment": "ase", "quadrature": FAST_QUAD}, 5.0, 10.0),
+}
+_BAD_GRIDS = {
+    "bool-entry": (lambda lo, hi: [True, hi], "entries must be numbers"),
+    "string-entry": (lambda lo, hi: [lo, str(hi)], "entries must be numbers"),
+    "empty": (lambda lo, hi: [], "must hold at least one point"),
+    "descending": (lambda lo, hi: [hi, lo], "must be strictly increasing"),
+    "repeated": (lambda lo, hi: [lo, lo, hi], "must be strictly increasing"),
+    "range-bool-key": (lambda lo, hi: {"start": lo, "stop": hi, "step": True},
+                       "range needs numeric start, stop, step"),
+    "range-string-key": (lambda lo, hi: {"start": str(lo), "stop": hi, "step": hi - lo},
+                         "range needs numeric start, stop, step"),
+    "range-stop-below-start": (lambda lo, hi: {"start": hi, "stop": lo, "step": hi - lo},
+                               "must hold at least one point"),
+    "range-stop-far-below-start": (lambda lo, hi: {"start": lo, "stop": -1e300, "step": hi - lo},
+                                   "must hold at least one point"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_GRIDS))
+@pytest.mark.parametrize("key", list(_GRIDS))
+def test_cli_refuses_a_bad_grid_with_exit_2(tmp_path, capsys, key, case):
+    # every grid, given as a list or as a range, takes real numbers only
+    # (a bool is not 1 and a string is not a number), holds a point and
+    # rises strictly, whichever experiment reads it
+    tree, lo, hi = _GRIDS[key]
+    make, message = _BAD_GRIDS[case]
+    path = _write(tmp_path / "grid.json", dict(tree, **{key: make(lo, hi)}))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid config:\n  {key}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", list(_GRIDS))
+def test_a_grid_loads_to_the_same_floats_as_a_list_or_a_range(key):
+    tree, lo, hi = _GRIDS[key]
+    from_range = getattr(config_from_dict(dict(tree, **{key: {"start": lo, "stop": hi, "step": hi - lo}})), key)
+    from_list = getattr(config_from_dict(dict(tree, **{key: [lo, hi]})), key)
+    assert from_range == from_list == (lo, hi)
+    assert all(type(v) is float for v in from_range + from_list)
+
+
 def test_grid_range_form():
     cfg = config_from_dict({"gamma_grid_db": {"start": -10.0, "stop": 10.0, "step": 5.0}})
     assert cfg.gamma_grid_db == (-10.0, -5.0, 0.0, 5.0, 10.0)

@@ -432,6 +432,49 @@ def test_coverage_macro_validation():
         coverage_macro(np.zeros((2, 2)), "dl", net, prop, TddMix())
 
 
+def test_full_power_control_makes_uplink_coverage_a_step():
+    # at k = 1 the power control cancels the path loss of the own link
+    # and of every interfering mobile, so the uplink SINR is -46.4 dB at
+    # every radius and coverage is 1 below it and 0 above it
+    net, prop, mix = MacroNetwork(), PropagationParams(k=1.0), TddMix(alpha_d=0.5)
+    sinr_db = {10.0 * math.log10(sinr_ul(x, net, prop, mix)) for x in (0.01, 0.2, net.x_edge)}
+    assert len(sinr_db) == 1 and -46.5 < min(sinr_db) < -46.4
+    assert coverage_macro(-50.0, "ul", net, prop, mix) == 1.0
+    assert coverage_macro(-40.0, "ul", net, prop, mix) == 0.0
+    grid = np.arange(-60.0, -30.0, 0.5)
+    values = coverage_macro(grid, "ul", net, prop, mix).tolist()
+    assert values == [coverage_macro(g, "ul", net, prop, mix) for g in grid.tolist()]
+    assert values == [1.0 if g < min(sinr_db) else 0.0 for g in grid.tolist()]
+
+
+# a model whose uplink map is identically zero: no noise, and no
+# interferer, since every other cell is a downlink cell of zero power
+_SILENT_UPLINK = (MacroNetwork(), PropagationParams(p_dl_dbm=-math.inf, p_noise_dbm=-math.inf), TddMix(alpha_d=1.0))
+# and one whose downlink map is: every other cell is an uplink cell of
+# zero power
+_SILENT_DOWNLINK = (MacroNetwork(), PropagationParams(p_star_dbm=-math.inf, p_noise_dbm=-math.inf),
+                    TddMix(alpha_d=0.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: beta_h(0, 1.0, 0.4, 0.5), "b must exceed 1, got 1.0"),
+    (lambda: a2(0.9, 0.4, 1e4), "b must exceed 1, got 0.9"),
+    (lambda: a1(1.0, 0.4, 0.5), "b must exceed 1, got 1.0"),
+    (lambda: a1(1.75, 1.5, 0.5), r"power-control fraction must lie in \[0, 1\], got 1.5"),
+    (lambda: a1(1.75, -0.1, 0.5), r"power-control fraction must lie in \[0, 1\], got -0.1"),
+    (lambda: isr_ul_dl(1.0, 1.75, 0.4, 0.5, 1e-4), r"normalized radius must be in \[0, 1\), got 1.0"),
+    (lambda: isr_ul_dl(-0.1, 1.75, 0.4, 0.5, 1e-4), r"normalized radius must be in \[0, 1\), got -0.1"),
+    (lambda: inv_u(1.0, *_SILENT_UPLINK), "zero interference and noise: map is identically zero"),
+    (lambda: inv_d(0.0, MacroNetwork(), PropagationParams(), TddMix()), "map value must be positive, got 0.0"),
+    (lambda: inv_d(-1.0, MacroNetwork(), PropagationParams(), TddMix()), "map value must be positive, got -1.0"),
+    (lambda: inv_d(1.0, *_SILENT_DOWNLINK, method="series"), "zero interference and noise: map is identically zero"),
+], ids=["beta_h-b", "a2-b", "a1-b", "a1-k-high", "a1-k-low", "isr_ul_dl-x-one", "isr_ul_dl-x-negative",
+        "inv_u-silent", "inv_d-zero", "inv_d-negative", "inv_d-series-silent"])
+def test_public_inputs_outside_their_domain_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("alpha_d", [0.2, 0.5, 1.0])
 @pytest.mark.parametrize("k", [0.0, 0.4])
 def test_a_coverage_grid_gives_each_threshold_its_one_threshold_value(alpha_d, k):

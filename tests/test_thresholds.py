@@ -64,8 +64,23 @@ def test_every_route_refuses_a_bad_threshold_alike(bad):
                 route(gamma_db)
             assert str(excinfo.value) == message
     for sampler in _MONTE_CARLO.values():
-        with pytest.raises(ConfigError, match=r"finite thresholds in \[-1000, 1000\] dB"):
+        with pytest.raises(ConfigError) as excinfo:
             sampler([0.0, bad] if bad > 0 else [bad, 0.0])
+        assert str(excinfo.value) == (
+            f"gamma_grid_db must be a nonempty 1-d array of finite thresholds in [-1000, 1000] dB, got {bad}")
+
+
+@pytest.mark.parametrize("bad", [True, "5", np.array([True]), [0.0, True], (-5.0, "5")],
+                         ids=["bool", "string", "bool-array", "bool-entry", "string-entry"])
+def test_every_route_refuses_a_bool_or_a_string(bad):
+    # a bool is not 1 dB and a string is not a number, as in every other
+    # numeric input
+    for route in (thresholds, *_ANALYTIC.values()):
+        with pytest.raises(ValueError, match="gamma_db must be real numbers, got "):
+            route(bad)
+    for sampler in _MONTE_CARLO.values():
+        with pytest.raises(ConfigError, match="gamma_grid_db: "):
+            sampler(bad)
 
 
 @pytest.mark.filterwarnings("error")
