@@ -25,6 +25,7 @@ from .params import (
     MobilePolar,
     PropagationParams,
     TddMix,
+    _check_not_silent,
     _is_real,
     check_gamma_grid,
     check_grid,
@@ -240,6 +241,10 @@ def _check_semantics(cfg, errors):
             errors.append("isr experiments are analytic only")
         if not all(0 < x < cfg.macro.delta for x in cfg.x_grid):
             errors.append("x_grid: distances must be positive and below macro.delta")
+        try:
+            _check_not_silent(cfg.prop)  # each ISR is a ratio to a serving power
+        except ValueError as exc:
+            errors.append(f"propagation: {exc}")
     if cfg.experiment == "ase":
         if cfg.geometry != "ppp":
             errors.append("ase experiments require geometry=ppp")

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 
 from . import rng
-from .params import SQRT3, _check_count, check_direction, check_gamma_grid, empirical_coverage
+from .params import SQRT3, _check_count, _check_real, check_direction, check_gamma_grid, empirical_coverage
 
 __all__ = [
     "lattice_points",
@@ -65,10 +65,9 @@ def lattice_sum(net, exponent, tail_correction=True):
 
     With ``tail_correction`` the continuum tail beyond the kept rings is
     added, which makes the result converge to 6 * omega(exponent / 2) as
-    rings grow.  Requires exponent > 2.
+    rings grow.  Requires a finite exponent > 2, where the sum converges.
     """
-    if exponent <= 2:
-        raise ValueError(f"lattice sum diverges for exponent <= 2, got {exponent}")
+    _check_real("exponent", exponent, 2.0, math.inf)
     sites = lattice_points(net)
     total = float(np.sum(np.abs(sites) ** (-exponent)))
     if tail_correction:

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError
-from .params import check_direction, thresholds
+from .params import MAX_X_EDGE, _check_count, _check_not_silent, _check_real, check_direction, thresholds
 from .specfun import SeriesControl, ShadowingSpec, omega, shadowing_mean_factor, sum_series
 
 __all__ = [
@@ -76,6 +76,7 @@ _RING1_PATTERNS = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(float)
 # doubling them moves downlink coverage by at most 2.5e-5 (alpha_d in
 # {0.2, 0.5, 0.9}, k in {0, 0.4, 1}, -20 to +20 dB)
 _SECTOR_ANGLES = 16
+_DEFAULT_SERIES = SeriesControl()
 
 
 def isr_dl_dl(x, b, ctrl=None):
@@ -87,7 +88,7 @@ def isr_dl_dl(x, b, ctrl=None):
         User distance over lattice spacing, 0 <= x < 1, where the
         series converges.
     b : float
-        Half the path-loss exponent, b > 1.
+        Half the path-loss exponent, finite and above 1.
     ctrl : SeriesControl, optional
         Truncation policy for the hypergeometric-type series.
 
@@ -103,12 +104,10 @@ def isr_dl_dl(x, b, ctrl=None):
     TruncationError
         If the series has not converged within ``ctrl.max_terms``.
     """
+    _check_real("x", x, 0.0, 1.0, "[)")
+    _check_real("b", b, 1.0, math.inf)
     if x == 0:
         return 0.0
-    if not 0 < x < 1:
-        raise ValueError(f"normalized radius must be in [0, 1), got {x}")
-    if b <= 1:
-        raise ValueError(f"b must exceed 1, got {b}")
 
     def terms():
         t = omega(b)
@@ -120,11 +119,6 @@ def isr_dl_dl(x, b, ctrl=None):
             h += 1
 
     return 6.0 * x ** (2.0 * b) * sum_series(terms(), ctrl)
-
-
-def _check_r_over_delta(r_over_delta):
-    if not 0 < r_over_delta <= 1 / math.sqrt(3.0) * (1 + 1e-12):
-        raise ValueError(f"r_over_delta must lie in (0, 1/sqrt(3)], got {r_over_delta}")
 
 
 @lru_cache(maxsize=None)
@@ -157,10 +151,10 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
     Parameters
     ----------
     h : int
-        Series index, h >= 0.
+        Series index, an integer h >= 0.
     b, k : float
-        Half path-loss exponent (b > 1) and power-control fraction
-        (0 <= k <= 1).
+        Half path-loss exponent (finite, b > 1) and power-control
+        fraction (0 <= k <= 1).
     r_over_delta : float
         User-disk radius over lattice spacing, in (0, 1/sqrt(3)].
     ctrl : SeriesControl, optional
@@ -185,15 +179,11 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
         If the coefficient exceeds the double-precision range (from
         h = 412 on at b = 1.75, k = 0.4, r_over_delta = 1/sqrt(3)).
     """
-    if h < 0:
-        raise ValueError(f"series index must be non-negative, got {h}")
-    if b <= 1:
-        raise ValueError(f"b must exceed 1, got {b}")
-    if not 0 <= k <= 1:
-        raise ValueError(f"power-control fraction must lie in [0, 1], got {k}")
-    _check_r_over_delta(r_over_delta)
-    rel_tol = SeriesControl().rel_tol if ctrl is None else ctrl.rel_tol
-    return _beta_h_cached(int(h), float(b), float(k), float(r_over_delta), rel_tol)
+    _check_count("h", h, 0)
+    _check_real("b", b, 1.0, math.inf)
+    _check_real("k", k, 0.0, 1.0, "[]")
+    _check_real("r_over_delta", r_over_delta, 0.0, MAX_X_EDGE, "(]")
+    return _beta_h_cached(int(h), float(b), float(k), float(r_over_delta), (ctrl or _DEFAULT_SERIES).rel_tol)
 
 
 def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
@@ -202,15 +192,15 @@ def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
     Parameters
     ----------
     x : float
-        User distance over lattice spacing.
+        User distance over lattice spacing, 0 <= x < 1.
     b, k, r_over_delta : float
         As in :func:`beta_h`.
     p_star_over_p : float
-        Uplink-to-downlink power ratio P*/P.
+        Uplink-to-downlink power ratio P*/P, finite and non-negative.
     ctrl : SeriesControl, optional
     delta : float, optional
-        Lattice spacing; enters only through the power-control factor
-        R^{2bk} with R = r_over_delta * delta.
+        Lattice spacing, finite and positive; enters only through the
+        power-control factor R^{2bk} with R = r_over_delta * delta.
 
     Returns
     -------
@@ -226,20 +216,26 @@ def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
         where interfering mobiles can come arbitrarily close to the
         typical user and the mean diverges, it is raised at once.
     """
+    _check_real("x", x, 0.0, 1.0, "[)")
+    _check_real("b", b, 1.0, math.inf)
+    _check_real("k", k, 0.0, 1.0, "[]")
+    _check_real("r_over_delta", r_over_delta, 0.0, MAX_X_EDGE, "(]")
+    _check_real("p_star_over_p", p_star_over_p, 0.0, math.inf, "[)")
+    _check_real("delta", delta, 0.0, math.inf)
     if x == 0:
         return 0.0
-    if not 0 < x < 1:
-        raise ValueError(f"normalized radius must be in [0, 1), got {x}")
     if x >= 1.0 - r_over_delta:
         raise TruncationError(
             f"the mobile-to-mobile series diverges at x = {x} >= 1 - R/delta = {1.0 - r_over_delta}",
             terms=0,
         )
+    # beta_h's coefficients, from its cache: the arguments are checked
+    key = (float(b), float(k), float(r_over_delta), (ctrl or _DEFAULT_SERIES).rel_tol)
 
     def terms():
         h = 0
         while True:
-            yield beta_h(h, b, k, r_over_delta, ctrl) * x ** (2 * h)
+            yield _beta_h_cached(h, *key) * x ** (2 * h)
             h += 1
 
     big_r = r_over_delta * delta
@@ -253,16 +249,14 @@ def a1(b, k, r_over_delta, ctrl=None):
     The uplink ISR caused by interfering mobiles is a1 * x^{2b(1-k)},
     a1 = 6 (R/delta)^{2bk} beta_0.  Its series is the h = 0 case of
     :func:`beta_h`, summed here by its own copy, which acceptance
-    criterion 02 checks.  At r_over_delta = 0 it takes its limit:
-    6 omega(b) without power control (k = 0), 0 with it.
+    criterion 02 checks.  r_over_delta lies in [0, 1/sqrt(3)]; at 0 it
+    takes its limit, 6 omega(b) without power control (k = 0), 0 with it.
     """
-    if b <= 1:
-        raise ValueError(f"b must exceed 1, got {b}")
-    if not 0 <= k <= 1:
-        raise ValueError(f"power-control fraction must lie in [0, 1], got {k}")
+    _check_real("b", b, 1.0, math.inf)
+    _check_real("k", k, 0.0, 1.0, "[]")
+    _check_real("r_over_delta", r_over_delta, 0.0, MAX_X_EDGE, "[]")
     if r_over_delta == 0:
         return 6.0 * omega(b) if k == 0 else 0.0
-    _check_r_over_delta(r_over_delta)
     bk = b * k
     xr2 = r_over_delta * r_over_delta
 
@@ -287,17 +281,20 @@ def a2(b, k, p_over_pstar, delta=1.0):
 
     The uplink ISR caused by downlink cells is a2 * x^{2b(1-k)}: the
     full-lattice sum 6 omega(b) delta^{-2b} of cell powers P, divided by
-    the power-controlled useful signal P* r^{-2b(1-k)}.
+    the power-controlled useful signal P* r^{-2b(1-k)}.  b and k are as
+    in :func:`beta_h`, P/P* is finite and non-negative, delta positive.
     """
-    if b <= 1:
-        raise ValueError(f"b must exceed 1, got {b}")
+    _check_real("b", b, 1.0, math.inf)
+    _check_real("k", k, 0.0, 1.0, "[]")
+    _check_real("p_over_pstar", p_over_pstar, 0.0, math.inf, "[)")
+    _check_real("delta", delta, 0.0, math.inf)
     return 6.0 * p_over_pstar * omega(b) * delta ** (-2.0 * b * k)
 
 
 @dataclass(frozen=True)
 class IsrBreakdown:
     """The four interference-to-signal components at one user radius and
-    their duplexing-weighted totals."""
+    their duplexing-weighted totals; no component is NaN or negative."""
 
     dl_to_dl: float
     ul_to_dl: float
@@ -308,8 +305,7 @@ class IsrBreakdown:
 
     def __post_init__(self):
         for name in ("dl_to_dl", "ul_to_dl", "ul_to_ul", "dl_to_ul"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _check_real(name, getattr(self, name), 0.0, math.inf, "[]")
 
 
 def isr_total(m, net, prop, mix, shadowing=None, ctrl=None):
@@ -319,8 +315,10 @@ def isr_total(m, net, prop, mix, shadowing=None, ctrl=None):
     cell_term.
 
     Lognormal shadowing, when given, multiplies every mean component by
-    the common lognormal mean factor.
+    the common lognormal mean factor.  A silent serving power raises
+    ValueError, as each ISR is a ratio to one.
     """
+    _check_not_silent(prop)
     x = m.r / net.delta
     xr = net.cell_radius / net.delta
     b = prop.b
@@ -345,6 +343,7 @@ def _uplink_coefficient(net, prop, mix, ctrl):
     """c = eta (alpha_u a1 + alpha_d a2) + y0_prime of the uplink map
     u(x) = c x^{2b(1-k)}, with y0_prime = P_N delta^{2b(1-k)} / P* the
     uplink noise ratio."""
+    _check_not_silent(prop, "p_star_dbm")
     b = prop.b
     a1_value = a1(b, prop.k, net.cell_radius / net.delta, ctrl)
     a2_value = a2(b, prop.k, 1.0 / prop.p_star_over_p, net.delta)
@@ -365,13 +364,14 @@ def downlink_inverse_sinr(x, net, prop, mix, ctrl=None):
     its magnitude is still negligible against the cell term for any
     realistic power ratio, so freezing it keeps the map finite, strictly
     increasing and invertible on the whole cell.  Its Taylor tables
-    are cut at the cell edge, so x must lie in [0, R/delta].
+    are cut at the cell edge, so x must lie in [0, R/delta].  A silent
+    serving power raises ValueError, here and in every map and inverse.
     """
-    if not 0 <= x <= net.x_edge:
-        raise ValueError(f"normalized radius must lie in [0, {net.x_edge}], got {x}")
+    _check_real("x", x, 0.0, net.x_edge, "[]")
+    maps = _downlink_maps(net, prop, mix, ctrl)
     if x == 0:
         return 0.0
-    return float(_downlink_maps(net, prop, mix, ctrl)(np.array([float(x)]))[0][0])
+    return float(maps(np.array([float(x)]))[0][0])
 
 
 def uplink_inverse_sinr(x, net, prop, mix, ctrl=None):
@@ -380,8 +380,9 @@ def uplink_inverse_sinr(x, net, prop, mix, ctrl=None):
     u(x) = (eta (alpha_u a1 + alpha_d a2) + y0_prime) x^{2b(1-k)}, with
     eta = ``net.load_eta`` and y0_prime = P_N delta^{2b(1-k)} / P*; the
     uplink SINR at radius x is 1 / u(x).  For k = 1 the power control
-    removes all x dependence and u is constant.
+    removes all x dependence and u is constant.  x lies in [0, R/delta].
     """
+    _check_real("x", x, 0.0, net.x_edge, "[]")
     return _uplink_coefficient(net, prop, mix, ctrl) * x ** (2.0 * prop.b * (1.0 - prop.k))
 
 
@@ -393,8 +394,8 @@ def sinr_dl(x, net, prop, mix, ctrl=None):
 
 
 def sinr_ul(x, net, prop, mix, ctrl=None):
-    """Uplink SINR at normalized radius x; inf at x = 0 when k < 1,
-    where both interference and noise vanish."""
+    """Uplink SINR at normalized radius x in [0, R/delta]; inf at x = 0
+    when k < 1, where both interference and noise vanish."""
     u = uplink_inverse_sinr(x, net, prop, mix, ctrl)
     return math.inf if u == 0 else 1.0 / u
 
@@ -404,16 +405,12 @@ def inv_u(y, net, prop, mix, ctrl=None):
     takes the value y.
 
     Closed form: x = (y / (eta (alpha_u a1 + alpha_d a2) + y0_prime))
-    ^ {1 / (2b(1-k))}.
+    ^ {1 / (2b(1-k))}.  As for :func:`inv_d`, y lies in (0, u(R/delta)].
     """
-    if y <= 0:
-        raise ValueError(f"map value must be positive, got {y}")
+    _check_real("y", y, 0.0, uplink_inverse_sinr(net.x_edge, net, prop, mix, ctrl), "(]")
     if prop.k == 1:
         raise ValueError("k = 1: power control removes the radius dependence, map not invertible")
-    coeff = _uplink_coefficient(net, prop, mix, ctrl)
-    if coeff == 0:
-        raise ValueError("zero interference and noise: map is identically zero")
-    return (y / coeff) ** (1.0 / (2.0 * prop.b * (1.0 - prop.k)))
+    return (y / _uplink_coefficient(net, prop, mix, ctrl)) ** (1.0 / (2.0 * prop.b * (1.0 - prop.k)))
 
 
 def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
@@ -428,22 +425,18 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
         x = V / sqrt(1/2 + sqrt(1/4 + (c1/b) V^2)),
 
     which is cheap, accurate at small radius, and degrades to a few
-    percent toward mid-cell (quantified in the test suite).
+    percent toward mid-cell (quantified in the test suite).  Either way
+    y lies in (0, d(R/delta)], the map's values on the cell.
     """
-    if y <= 0:
-        raise ValueError(f"map value must be positive, got {y}")
     if method not in ("exact", "series"):
         raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
     maps = _downlink_maps(net, prop, mix, ctrl)
+    edge = maps(np.array([net.x_edge]))
+    _check_real("y", y, 0.0, edge[0][0], "(]")
     if method == "series":
         f, c1f = (maps.mean_far[:2] + maps.mobile[:2]).real
-        if f == 0:
-            raise ValueError("zero interference and noise: map is identically zero")
         v = (y / f) ** (1.0 / (2.0 * prop.b))
         return v / math.sqrt(0.5 + math.sqrt(0.25 + (c1f / f / prop.b) * v * v))
-    edge = maps(np.array([net.x_edge]))
-    if y > edge[0][0]:
-        raise ValueError(f"value {y} exceeds the map's maximum {edge[0][0]} at the cell edge")
     return float(_crossing_radii(np.array([float(y)]), maps, None, edge, 1e-15 * net.x_edge)[0])
 
 
@@ -512,7 +505,8 @@ class _DownlinkMaps:
             return table
         # with no cell in uplink the mobile series is zero and is cut at once
         self.mobile = _taylor_table(
-            lambda h: beta_h(h, b, prop.k, self.x_edge, ctrl), self.x_clamp if mix.alpha_u > 0 else 0.0, ctrl,
+            lambda h: _beta_h_cached(h, b, prop.k, self.x_edge, (ctrl or _DEFAULT_SERIES).rel_tol),
+            self.x_clamp if mix.alpha_u > 0 else 0.0, ctrl,
             self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k))
         # the frozen mobile term, from x_clamp on
         self.mobile_clamped = self._power_series(np.array([self.x_clamp]), self.mobile)[0][0]
@@ -574,6 +568,7 @@ class _DownlinkMaps:
 @lru_cache(maxsize=32)
 def _downlink_maps(net, prop, mix, ctrl):
     # the maps depend on the model but not on the threshold
+    _check_not_silent(prop, "p_dl_dbm")
     return _DownlinkMaps(net, prop, mix, ctrl)
 
 
@@ -695,7 +690,7 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     Every map is built from ``net``, ``prop`` and ``mix`` alone, the load
     factor eta included; ``ctrl`` truncates its series.  The downlink
     maps and the uplink coefficient are cached per model, so a curve
-    pays for them once.
+    pays for them once.  A silent serving power gives coverage 0.
 
     Returns
     -------
@@ -704,7 +699,9 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     """
     direction = check_direction(direction)
     gamma, scalar = thresholds(gamma_db)
-    if direction == "dl":
+    if (prop.p_dl_mw if direction == "dl" else prop.p_star_mw) == 0.0:
+        coverage = np.zeros(gamma.size)  # a silent serving link: the SINR is 0
+    elif direction == "dl":
         coverage = _downlink_coverage(1.0 / gamma, _downlink_maps(net, prop, mix, ctrl))
     else:
         coverage = [_uplink_coverage(v, net, prop, mix, ctrl) for v in (1.0 / gamma).tolist()]

@@ -11,6 +11,7 @@ feel it.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ConfigError
 
 SQRT3 = math.sqrt(3.0)
+# the largest R/delta: the hexagon circumradius, with room for rounding
+MAX_X_EDGE = 1.0 / SQRT3 * (1 + 1e-12)
 
 __all__ = [
     "SQRT3",
@@ -39,9 +42,9 @@ def dbm_to_mw(p_dbm):
 class PropagationParams:
     """Path loss, power control, and power levels.
 
-    two_b : path-loss exponent 2b, must exceed 2 for the interference
-        series to converge.
-    a_db : propagation factor in dB at 1 km (includes antenna gains).
+    two_b : path-loss exponent 2b, finite and above 2, so that the
+        interference series converge.
+    a_db : finite propagation factor in dB at 1 km (antenna gains included).
     k : fractional power-control compensation in [0, 1].  An uplink
         transmitter at distance d from its cell sends p_star * d**(two_b k)
         in the link budget normalised by a, so a receiver at distance D
@@ -52,7 +55,8 @@ class PropagationParams:
         a_db = 130, k = 0.4).
     p_dl_dbm, p_star_dbm : downlink transmit power and uplink target
         power, dBm.
-    p_noise_dbm : thermal noise power at the receiver, dBm.
+    p_noise_dbm : thermal noise power at the receiver, dBm.  Each power
+        is finite, or -inf for a silent transmitter, never +inf.
     """
 
     two_b: float = 3.5
@@ -63,12 +67,11 @@ class PropagationParams:
     p_noise_dbm: float = -93.0
 
     def __post_init__(self):
-        for name in ("two_b", "k", "a_db", "p_dl_dbm", "p_star_dbm", "p_noise_dbm"):
-            _check_real(name, getattr(self, name))
-        if not self.two_b > 2:
-            raise ValueError(f"two_b must exceed 2, got {self.two_b}")
-        if not 0.0 <= self.k <= 1.0:
-            raise ValueError(f"k must lie in [0, 1], got {self.k}")
+        _check_real("two_b", self.two_b, 2.0, math.inf)
+        _check_real("a_db", self.a_db)
+        _check_real("k", self.k, 0.0, 1.0, "[]")
+        for name in ("p_dl_dbm", "p_star_dbm", "p_noise_dbm"):
+            _check_real(name, getattr(self, name), -math.inf, math.inf, "[)")
 
     @property
     def b(self):
@@ -111,19 +114,12 @@ class MacroNetwork:
     load_eta: float = 1.0
 
     def __post_init__(self):
-        _check_positive("delta", self.delta)
-        _check_real("load_eta", self.load_eta)
+        _check_real("delta", self.delta, 0.0, math.inf)
         if self.cell_radius is None:
             object.__setattr__(self, "cell_radius", self.delta / SQRT3)
-        _check_positive("cell_radius", self.cell_radius)
-        if not self.cell_radius <= self.delta / SQRT3 * (1 + 1e-12):
-            raise ValueError(
-                f"cell_radius must lie in (0, delta/sqrt(3)] = (0, {self.delta / SQRT3:.6f}], "
-                f"got {self.cell_radius}"
-            )
+        _check_real("cell_radius", self.cell_radius, 0.0, self.delta * MAX_X_EDGE, "(]")
         _check_count("rings", self.rings, 1)
-        if not 0 < self.load_eta <= 1:
-            raise ValueError(f"load_eta must lie in (0, 1], got {self.load_eta}")
+        _check_real("load_eta", self.load_eta, 0.0, 1.0, "(]")
 
     @property
     def x_edge(self):
@@ -142,9 +138,7 @@ class TddMix:
     alpha_d: float = 1.0
 
     def __post_init__(self):
-        _check_real("alpha_d", self.alpha_d)
-        if not 0.0 <= self.alpha_d <= 1.0:
-            raise ValueError(f"alpha_d must lie in [0, 1], got {self.alpha_d}")
+        _check_real("alpha_d", self.alpha_d, 0.0, 1.0, "[]")
 
     @property
     def alpha_u(self):
@@ -155,17 +149,16 @@ class TddMix:
 class MobilePolar:
     """User position in polar coordinates about its serving site.
 
-    r is in km and must not exceed the cell radius; theta in radians.
+    r is in km, finite and non-negative, and not checked against the cell
+    radius (the isr experiment runs it to delta); theta in radians, finite.
     """
 
     r: float
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_finite("r", self.r)
-        _check_finite("theta", self.theta)
-        if self.r < 0:
-            raise ValueError(f"r must be non-negative, got {self.r}")
+        _check_real("r", self.r, 0.0, math.inf, "[)")
+        _check_real("theta", self.theta)
 
     def position(self):
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
@@ -211,37 +204,34 @@ def empirical_coverage(grid, sinr_parts, n_draws):
     return CoverageCurve(grid, value, half)
 
 
-def _check_count(name, value, minimum):
-    """Validate an integer field of a dataclass: a bool or a
-    non-integer raises TypeError, a value below ``minimum``
-    ValueError."""
+def _check_count(name, value, minimum, limit=math.inf):
+    """Validate an integer argument: a bool or a non-integer raises
+    TypeError, a value outside [minimum, limit) ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    if not minimum <= value < limit:
+        raise ValueError(f"{name} must lie in [{minimum}, {limit}), got {value}")
 
 
-def _check_real(name, value):
-    """Validate a real field of a dataclass: a bool, a non-real value or
-    NaN raises TypeError; -inf passes (-inf dBm is a silent transmitter)."""
+def _check_real(name, value, low=-math.inf, high=math.inf, ends="()"):
+    """Validate a real argument: TypeError if it is not a real number (see
+    _is_real) or is NaN, ValueError outside the interval from ``low`` to
+    ``high`` with ends as ``ends`` says (a power lies in [-inf, inf))."""
     if not _is_real(value) or math.isnan(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
+    above = value >= low if ends[0] == "[" else value > low
+    below = value <= high if ends[1] == "]" else value < high
+    if not (above and below):
+        raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value}")
 
 
-def _check_finite(name, value):
-    """Validate a coordinate or a spread: a real number (see _check_real)
-    that is also finite, else ValueError."""
-    _check_real(name, value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_positive(name, value):
-    """Validate a length or a density: a real number (see _check_real)
-    that is also finite and positive, else ValueError."""
-    _check_real(name, value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+def _check_not_silent(prop, *names):
+    """ValueError naming each serving power of ``names`` (by default both)
+    that is 0 mW with a folded in, as at -inf dBm: the maps and each ISR
+    divide by it."""
+    for name in names or ("p_dl_dbm", "p_star_dbm"):
+        if dbm_to_mw(getattr(prop, name) - prop.a_db) == 0.0:
+            raise ValueError(f"{name} is {getattr(prop, name)} dBm: the serving link is silent")
 
 
 def check_direction(direction):
@@ -252,8 +242,13 @@ def check_direction(direction):
 
 
 def _is_real(value):
-    """Whether value is a real number: a bool or a string is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a real number that a double holds: a bool, a
+    string or an integer beyond the double range is not one."""
+    if isinstance(value, float):  # the common case, before the slower ABC checks
+        return True
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real)
 
 
 def check_grid(points, name):
@@ -304,6 +299,6 @@ def check_gamma_grid(gamma_grid_db):
             thresholds(g)
         except ValueError:
             raise ConfigError(
-                f"gamma_grid_db must be a nonempty 1-d array of finite thresholds in [-1000, 1000] dB, got {g}"
+                f"gamma_grid_db: thresholds must be finite and within [-1000, 1000] dB, got {g}"
             ) from None
     return np.array(grid)

@@ -91,7 +91,6 @@ from .params import (
     PropagationParams,
     TddMix,
     _check_count,
-    _check_positive,
     _check_real,
     check_direction,
     check_gamma_grid,
@@ -141,8 +140,8 @@ class SmallCellScenario:
 
     def __post_init__(self):
         for name in ("p_small_dbm", "p_small_star_dbm"):
-            _check_real(name, getattr(self, name))
-        _check_positive("lam", self.lam)
+            _check_real(name, getattr(self, name), -math.inf, math.inf, "[)")
+        _check_real("lam", self.lam, 0.0, math.inf)
         try:
             (10.0 * self.rho_scale) ** self.prop.two_b
         except OverflowError:
@@ -155,7 +154,7 @@ class SmallCellScenario:
                              f"{self.rho_scale:.3g} km underflows when raised to two_b")
         if self.window_radius is None:
             object.__setattr__(self, "window_radius", 5.0 / math.sqrt(self.lam))
-        _check_positive("window_radius", self.window_radius)
+        _check_real("window_radius", self.window_radius, 0.0, math.inf)
 
     @property
     def p_small_mw(self):
@@ -205,7 +204,7 @@ class QuadratureControl:
 
     def __post_init__(self):
         for name in ("inner_abs_tol", "outer_abs_tol", "ase_rel_tol"):
-            _check_positive(name, getattr(self, name))
+            _check_real(name, getattr(self, name), 0.0, math.inf)
         for name in ("n_theta", "n_rho", "n_x", "n_serving"):
             _check_count(name, getattr(self, name), 2)
         _check_count("max_refinements", self.max_refinements, 0)
@@ -380,6 +379,8 @@ def mc_coverage_ppp(scenario, direction, gamma_grid_db, n_draws, seed, associati
 def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
     """Monte Carlo estimate of E[exp(-v I) | serving distance = r] in
     the Rayleigh-serving model; returns (estimate, standard error)."""
+    _check_real("v", v, 0.0, math.inf, "[)")
+    _check_real("r", r, 0.0, math.inf, "[)")
     _, from_dl, from_ul, _ = _sample(scenario, direction, n_draws, seed, serving_r=r)
     val = np.exp(-v * (from_dl + from_ul))
     mean = float(val.sum()) / n_draws
@@ -581,9 +582,11 @@ def _laplace(v, r, scenario, quad):
 def laplace_dl(v, r, scenario, quad=None):
     """Laplace transform of the downlink-reception interference
     conditioned on serving distance r, via the Poisson PGFL over
-    interfering pairs outside the exclusion ball.  Returns a value in
-    (0, 1]; v=0 or vanishing density give exactly 1.
+    interfering pairs outside the exclusion ball, at finite v, r >= 0.
+    Returns a value in (0, 1]; v=0 or vanishing density give exactly 1.
     """
+    _check_real("v", v, 0.0, math.inf, "[)")
+    _check_real("r", r, 0.0, math.inf, "[)")
     values = _laplace(np.array([v], float), np.array([r], float), scenario, quad or _DEFAULT_QUAD)
     return float(values[0])
 

@@ -37,13 +37,15 @@ import os
 
 import numpy as np
 
+from .params import _check_count
+
 # counter blocks reserved per stream; each block yields 4 uint64 outputs
 _BLOCKS_PER_STREAM = 1 << 40
 _WORD = (1 << 64) - 1
 
 
 class Streams:
-    """The Philox streams of one seed.
+    """The Philox streams of one seed, an integer in [0, 2**64).
 
     ``at(i)`` returns a Generator positioned at the start of stream
     (seed, i).  The Generator is shared: positioning it again abandons
@@ -52,7 +54,8 @@ class Streams:
     """
 
     def __init__(self, seed):
-        self._bitgen = np.random.Philox(key=np.uint64(seed & _WORD))
+        _check_count("seed", seed, 0, 1 << 64)
+        self._bitgen = np.random.Philox(key=np.uint64(seed))
         self._gen = np.random.Generator(self._bitgen)
         state = self._bitgen.state
         self._counter = state["state"]["counter"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TruncationError
-from .params import _check_count, _check_finite, _check_positive
+from .params import _check_count, _check_real
 
 __all__ = [
     "SeriesControl",
@@ -44,7 +44,7 @@ class SeriesControl:
     max_terms: int = 200
 
     def __post_init__(self):
-        _check_positive("rel_tol", self.rel_tol)
+        _check_real("rel_tol", self.rel_tol, 0.0, math.inf)
         _check_count("max_terms", self.max_terms, 1)
 
 
@@ -59,9 +59,7 @@ class ShadowingSpec:
     sigma_tilde_db: float = 0.0
 
     def __post_init__(self):
-        _check_finite("sigma_tilde_db", self.sigma_tilde_db)
-        if self.sigma_tilde_db < 0:
-            raise ValueError("sigma_tilde_db must be non-negative")
+        _check_real("sigma_tilde_db", self.sigma_tilde_db, 0.0, math.inf, "[)")
 
 
 def sum_series(terms, ctrl=None):
@@ -129,9 +127,9 @@ def hurwitz_zeta(s, q):
     Parameters
     ----------
     s : float
-        Exponent, must exceed 1 (the series diverges otherwise).
+        Exponent, finite and above 1 (the series diverges otherwise).
     q : float
-        Offset, must be positive; the classical domain here is (0, 1].
+        Offset, finite and positive; the classical domain here is (0, 1].
 
     Notes
     -----
@@ -146,10 +144,8 @@ def hurwitz_zeta(s, q):
     dependency only: loading scipy.special would add about 24 MB and
     0.25 s to every process that needs omega.
     """
-    if s <= 1:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")
-    if q <= 0:
-        raise ValueError(f"hurwitz_zeta requires q > 0, got q={q}")
+    _check_real("s", s, 1.0, math.inf)
+    _check_real("q", q, 0.0, math.inf)
     base = _N_LEAD + q
     lead = 0.0
     for n in range(_N_LEAD - 1, -1, -1):  # smallest terms first
@@ -175,12 +171,11 @@ def omega(z):
     The sum of |s|**(-2z) over the nonzero sites of a unit-spacing
     hexagonal lattice equals 6*omega(z); the factor 6 is the size of the
     first ring.  omega decreases monotonically to 1 as z grows (the six
-    nearest neighbours dominate), so values beyond z = 55 are returned as
-    exactly 1.0, which is correct to double precision and keeps deep
-    series terms from computing 3**z needlessly.
+    nearest neighbours dominate), so values of a finite z beyond 55 are
+    returned as exactly 1.0, which is correct to double precision and
+    keeps deep series terms from computing 3**z needlessly.
     """
-    if z <= 1:
-        raise ValueError(f"omega requires z > 1 (lattice sum diverges), got z={z}")
+    _check_real("z", z, 1.0, math.inf)  # the lattice sum diverges at z <= 1
     if z >= 55:
         return 1.0
     return 3.0 ** (-z) * hurwitz_zeta(z, 1.0) * (hurwitz_zeta(z, 1.0 / 3.0) - hurwitz_zeta(z, 2.0 / 3.0))

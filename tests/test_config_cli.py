@@ -117,11 +117,11 @@ def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, 
 
 
 @pytest.mark.parametrize("tree, message", [
-    ({"macro": {"delta": math.inf}}, "macro: delta must be finite and positive"),
-    ({"macro": {"cell_radius": math.inf}}, "macro: cell_radius must be finite and positive"),
+    ({"macro": {"delta": math.inf}}, "macro: delta must lie in (0, inf), got inf"),
+    ({"macro": {"cell_radius": math.inf}}, "macro: cell_radius must lie in (0, 0.57735], got inf"),
     ({"geometry": "ppp", "mode": "mc", "ppp": {"window_radius": math.inf}},
-     "ppp: window_radius must be finite and positive"),
-    ({"geometry": "ppp", "ppp": {"lam": math.inf}}, "ppp: lam must be finite and positive"),
+     "ppp: window_radius must lie in (0, inf), got inf"),
+    ({"geometry": "ppp", "ppp": {"lam": math.inf}}, "ppp: lam must lie in (0, inf), got inf"),
     ({"geometry": "ppp", "ppp": {"lam": 1e-300}}, "ppp: lam 1e-300 is too small"),
     ({"geometry": "ppp", "experiment": "ase", "lambda_grid": [1e-300, 5.0]},
      "lambda_grid: lam 1e-300 is too small"),
@@ -134,23 +134,24 @@ def test_cli_rejects_a_non_real_field_with_exit_2(tmp_path, capsys, group, key, 
     ({"experiment": "isr", "x_grid": [math.nan]}, "x_grid: distances must be positive and below"),
     ({"experiment": "isr", "x_grid": [0.1, math.inf]},
      "x_grid: distances must be positive and below"),
-    ({"gamma_grid_db": [math.nan]}, "gamma_grid_db must be a nonempty 1-d array of finite"),
+    ({"gamma_grid_db": [math.nan]}, "gamma_grid_db: thresholds must be finite and within [-1000, 1000] dB, got nan"),
     ({"geometry": "ppp", "gamma_grid_db": [math.nan]},
-     "gamma_grid_db must be a nonempty 1-d array of finite"),
+     "gamma_grid_db: thresholds must be finite and within [-1000, 1000] dB, got nan"),
     ({"geometry": "ppp", "gamma_grid_db": [0.0, math.inf]},
-     "gamma_grid_db must be a nonempty 1-d array of finite"),
+     "gamma_grid_db: thresholds must be finite and within [-1000, 1000] dB, got inf"),
     ({"experiment": "isr", "x_grid": [0.3], "series": {"rel_tol": math.inf}},
-     "series: rel_tol must be finite and positive"),
-    ({"quadrature": {"inner_abs_tol": math.inf}}, "quadrature: inner_abs_tol must be finite and positive"),
-    ({"quadrature": {"outer_abs_tol": math.inf}}, "quadrature: outer_abs_tol must be finite and positive"),
-    ({"quadrature": {"ase_rel_tol": math.inf}}, "quadrature: ase_rel_tol must be finite and positive"),
+     "series: rel_tol must lie in (0, inf), got inf"),
+    ({"quadrature": {"inner_abs_tol": math.inf}}, "quadrature: inner_abs_tol must lie in (0, inf), got inf"),
+    ({"quadrature": {"outer_abs_tol": math.inf}}, "quadrature: outer_abs_tol must lie in (0, inf), got inf"),
+    ({"quadrature": {"ase_rel_tol": math.inf}}, "quadrature: ase_rel_tol must lie in (0, inf), got inf"),
 ], ids=["delta", "cell_radius", "window_radius", "lam-inf", "lam-tiny", "lambda_grid-tiny",
         "lam-huge", "lambda_grid-huge", "lambda_grid-nan", "x_grid-beyond-delta", "x_grid-nan",
         "x_grid-inf", "gamma-macro-nan", "gamma-ppp-nan", "gamma-ppp-inf", "series-rel_tol",
         "inner_abs_tol", "outer_abs_tol", "ase_rel_tol"])
 def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys, tree, message):
-    # +-inf is a valid power (-inf dBm is a silent transmitter), but not
-    # a valid length, density, window, grid entry or tolerance
+    # -inf is a valid power (-inf dBm is a silent transmitter), but not
+    # a valid length, density, window, grid entry or tolerance; +inf is
+    # valid nowhere
     path = _write(tmp_path / "inf.json", tree)
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert f"config error: invalid config:\n  {message}" in capsys.readouterr().err
@@ -172,9 +173,9 @@ def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys,
     ({"out": 3}, "out: must be a string"),
     ({"label": ["a"]}, "label: must be a string"),
     ({"plot_script": 1}, "plot_script: must be true or false"),
-    ({"propagation": {"two_b": 2.0}}, "propagation: two_b must exceed 2"),
+    ({"propagation": {"two_b": 2.0}}, "propagation: two_b must lie in (2, inf), got 2.0"),
     ({"propagation": {"k": 1.5}}, "propagation: k must lie in [0, 1]"),
-    ({"macro": {"cell_radius": 0.6}}, "macro: cell_radius must lie in (0, delta/sqrt(3)]"),
+    ({"macro": {"cell_radius": 0.6}}, "macro: cell_radius must lie in (0, 0.57735], got 0.6"),
     ({"macro": {"load_eta": 0.0}}, "macro: load_eta must lie in (0, 1]"),
 ], ids=["root", "group", "range-key", "range-missing-key", "list-entry", "n_draws-float", "seed-string",
         "seed-bool", "n_draws-zero", "seed-negative", "seed-2**64", "out", "label", "plot_script", "two_b", "k",

@@ -6,7 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tddgeom import MacroNetwork, PropagationParams, SmallCellScenario, TddMix, mc_coverage_macro, mc_coverage_ppp
+from tddgeom import (
+    CoverageCurve,
+    MacroNetwork,
+    PropagationParams,
+    SmallCellScenario,
+    TddMix,
+    mc_coverage_macro,
+    mc_coverage_ppp,
+)
 from tddgeom.params import check_gamma_grid, empirical_coverage
 
 
@@ -59,3 +67,14 @@ def test_a_large_grid_adds_no_draws_by_thresholds_array(sampler):
     one = _traced_peak_mb(lambda: coverage([0.0]))
     many = _traced_peak_mb(lambda: coverage(np.linspace(-30.0, 30.0, 10_000)))
     assert many - one < 5.0, (one, many)
+
+
+@pytest.mark.parametrize("gamma_db, value, half, message", [
+    ([], [], [], "gamma_db must be a nonempty 1-d grid"),
+    ([[0.0, 5.0]], [[0.5, 0.4]], [[0.1, 0.1]], "gamma_db must be a nonempty 1-d grid"),
+    ([0.0, 5.0], [0.5], [0.1, 0.1], "value and ci_halfwidth must match the grid shape"),
+    ([0.0, 5.0], [0.5, 0.4], [[0.1, 0.1]], "value and ci_halfwidth must match the grid shape"),
+], ids=["empty-grid", "2-d-grid", "short-values", "2-d-halfwidths"])
+def test_coverage_curve_refuses_values_that_do_not_match_its_grid(gamma_db, value, half, message):
+    with pytest.raises(ValueError, match=message):
+        CoverageCurve(gamma_db, value, half)

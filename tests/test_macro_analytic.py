@@ -13,6 +13,7 @@ import pytest
 import scipy.optimize
 
 from tddgeom import (
+    IsrBreakdown,
     MacroNetwork,
     MobilePolar,
     PropagationParams,
@@ -143,6 +144,18 @@ def test_beta_h_cache_ignores_max_terms():
     hits = _beta_h_cached.cache_info().hits
     assert beta_h(5, 1.3, 0.7, XR) == value
     assert _beta_h_cached.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("component, value, error", [
+    ("dl_to_dl", -1e-300, ValueError), ("ul_to_dl", math.nan, TypeError),
+    ("ul_to_ul", -math.inf, ValueError), ("dl_to_ul", math.nan, TypeError),
+])
+def test_isr_breakdown_refuses_a_negative_or_nan_component(component, value, error):
+    parts = {"dl_to_dl": 0.1, "ul_to_dl": 0.0, "ul_to_ul": math.inf, "dl_to_ul": 0.2,
+             "total_dl": 0.1, "total_ul": math.inf}
+    assert IsrBreakdown(**parts).ul_to_ul == math.inf  # zero and +inf are components
+    with pytest.raises(error, match=f"{component} must "):
+        IsrBreakdown(**dict(parts, **{component: value}))
 
 
 def test_a1_frozen_value():
@@ -457,17 +470,17 @@ _SILENT_DOWNLINK = (MacroNetwork(), PropagationParams(p_star_dbm=-math.inf, p_no
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: beta_h(0, 1.0, 0.4, 0.5), "b must exceed 1, got 1.0"),
-    (lambda: a2(0.9, 0.4, 1e4), "b must exceed 1, got 0.9"),
-    (lambda: a1(1.0, 0.4, 0.5), "b must exceed 1, got 1.0"),
-    (lambda: a1(1.75, 1.5, 0.5), r"power-control fraction must lie in \[0, 1\], got 1.5"),
-    (lambda: a1(1.75, -0.1, 0.5), r"power-control fraction must lie in \[0, 1\], got -0.1"),
-    (lambda: isr_ul_dl(1.0, 1.75, 0.4, 0.5, 1e-4), r"normalized radius must be in \[0, 1\), got 1.0"),
-    (lambda: isr_ul_dl(-0.1, 1.75, 0.4, 0.5, 1e-4), r"normalized radius must be in \[0, 1\), got -0.1"),
-    (lambda: inv_u(1.0, *_SILENT_UPLINK), "zero interference and noise: map is identically zero"),
-    (lambda: inv_d(0.0, MacroNetwork(), PropagationParams(), TddMix()), "map value must be positive, got 0.0"),
-    (lambda: inv_d(-1.0, MacroNetwork(), PropagationParams(), TddMix()), "map value must be positive, got -1.0"),
-    (lambda: inv_d(1.0, *_SILENT_DOWNLINK, method="series"), "zero interference and noise: map is identically zero"),
+    (lambda: beta_h(0, 1.0, 0.4, 0.5), r"b must lie in \(1, inf\), got 1.0"),
+    (lambda: a2(0.9, 0.4, 1e4), r"b must lie in \(1, inf\), got 0.9"),
+    (lambda: a1(1.0, 0.4, 0.5), r"b must lie in \(1, inf\), got 1.0"),
+    (lambda: a1(1.75, 1.5, 0.5), r"k must lie in \[0, 1\], got 1.5"),
+    (lambda: a1(1.75, -0.1, 0.5), r"k must lie in \[0, 1\], got -0.1"),
+    (lambda: isr_ul_dl(1.0, 1.75, 0.4, 0.5, 1e-4), r"x must lie in \[0, 1\), got 1.0"),
+    (lambda: isr_ul_dl(-0.1, 1.75, 0.4, 0.5, 1e-4), r"x must lie in \[0, 1\), got -0.1"),
+    (lambda: inv_u(1.0, *_SILENT_UPLINK), r"y must lie in \(0, 0\], got 1.0"),
+    (lambda: inv_d(0.0, MacroNetwork(), PropagationParams(), TddMix()), r"y must lie in \(0, [0-9.e+-]+\], got 0.0"),
+    (lambda: inv_d(-1.0, MacroNetwork(), PropagationParams(), TddMix()), r"y must lie in \(0, [0-9.e+-]+\], got -1.0"),
+    (lambda: inv_d(1.0, *_SILENT_DOWNLINK, method="series"), r"y must lie in \(0, 0\], got 1.0"),
 ], ids=["beta_h-b", "a2-b", "a1-b", "a1-k-high", "a1-k-low", "isr_ul_dl-x-one", "isr_ul_dl-x-negative",
         "inv_u-silent", "inv_d-zero", "inv_d-negative", "inv_d-series-silent"])
 def test_public_inputs_outside_their_domain_raise(call, message):

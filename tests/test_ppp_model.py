@@ -420,9 +420,11 @@ def test_laplace_basic_properties():
 
 @pytest.mark.parametrize("v, r", [(math.nan, 0.1), (math.inf, 0.1), (1e9, math.nan), (1e9, math.inf)])
 def test_laplace_rejects_a_non_finite_input(v, r):
+    # NaN is not a real number, and +inf lies outside [0, inf)
     sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    error, message = (TypeError, "must be a real number") if math.isnan(v + r) else (ValueError, r"\[0, inf\)")
     for fn in (laplace_dl, laplace_ul):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(error, match=message):
             fn(v, r, sc)
 
 

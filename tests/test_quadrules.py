@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tddgeom.quadrules import gauss_kronrod, gauss_kronrod_unit, gauss_legendre, refine
+from tddgeom.quadrules import _newton, gauss_kronrod, gauss_kronrod_unit, gauss_legendre, refine
 
 
 @pytest.mark.parametrize("n", [24, 32, 48, 64])
@@ -86,3 +86,10 @@ def test_refine_doubles_only_the_failing_items_and_reports_the_last_failures():
     assert calls == [(0, [0, 1, 2])]
     np.testing.assert_array_equal(failed, [0, 2])
     np.testing.assert_array_equal(disc, [2.0**-10, 1.0])
+
+
+@pytest.mark.parametrize("step", [np.ones_like, lambda x: np.full_like(x, np.nan)], ids=["constant-step", "nan-step"])
+def test_newton_raises_when_its_steps_do_not_shrink(step):
+    # 50 steps none of which falls to 1e-10: no node set is returned
+    with pytest.raises(ArithmeticError, match="quadrature nodes did not converge"):
+        _newton(np.array([0.25, 0.5]), step)

@@ -49,8 +49,12 @@ def test_at_forgets_a_partly_read_stream(index):
     _assert_same(_read(streams.at(index)), _read(_oracle(SEED, index)))
 
 
-def test_seed_is_reduced_to_one_key_word():
-    _assert_same(_read(rng.Streams(-1).at(2)), _read(_oracle(2**64 - 1, 2)))
+def test_a_seed_must_be_one_key_word():
+    # -1 and 2**64 would read the streams of 2**64 - 1 and of 0
+    _assert_same(_read(rng.Streams(2**64 - 1).at(2)), _read(_oracle(2**64 - 1, 2)))
+    for seed, error in ((-1, ValueError), (2**64, ValueError), (1.5, TypeError), (True, TypeError)):
+        with pytest.raises(error, match="seed must"):
+            rng.Streams(seed)
 
 
 def test_negative_index_rejected():

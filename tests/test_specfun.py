@@ -56,6 +56,13 @@ def test_sum_series_survives_interior_dip():
     assert total > 6.9
 
 
+@pytest.mark.parametrize("terms", [[], [1.0], [1.0, 0.5], [2.0, 1e-20, 1e-20], [3.0, 1e-20, 1e-20, 4.0, 1e-20]],
+                         ids=["empty", "one", "two", "two-small", "small-run-broken"])
+def test_sum_series_of_a_short_series_is_its_whole_sum(terms):
+    # a finite iterable that ends before three small terms in a row
+    assert sum_series(iter(terms)) == sum(terms)
+
+
 def test_sum_series_truncation_error_carries_state():
     ctrl = SeriesControl(rel_tol=1e-10, max_terms=25)
     with pytest.raises(TruncationError) as excinfo:

@@ -67,7 +67,7 @@ def test_every_route_refuses_a_bad_threshold_alike(bad):
         with pytest.raises(ConfigError) as excinfo:
             sampler([0.0, bad] if bad > 0 else [bad, 0.0])
         assert str(excinfo.value) == (
-            f"gamma_grid_db must be a nonempty 1-d array of finite thresholds in [-1000, 1000] dB, got {bad}")
+            f"gamma_grid_db: thresholds must be finite and within [-1000, 1000] dB, got {bad}")
 
 
 @pytest.mark.parametrize("bad", [True, "5", np.array([True]), [0.0, True], (-5.0, "5")],
@@ -103,6 +103,6 @@ def test_cli_refuses_a_bad_threshold_with_exit_2(tmp_path, capsys, geometry, mod
                     encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: invalid config:\n  gamma_grid_db must be a nonempty 1-d array of finite")
+    assert err.startswith("config error: invalid config:\n  gamma_grid_db: thresholds must be finite and within")
     assert "Traceback" not in err
     assert not (tmp_path / f"{geometry}-coverage-dl.csv").exists()
