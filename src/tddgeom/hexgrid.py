@@ -153,6 +153,7 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
         stderr covers the sampled part; the tail is deterministic.
     """
     _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0, 1 << 64)
     if m.r == 0:
         return 0.0, 0.0
     z0 = m.position()
@@ -325,6 +326,7 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed, split=False):
     """
     direction = check_direction(direction)
     _check_count("n_draws", n_draws, 1)
+    _check_count("seed", seed, 0, 1 << 64)
     sites = lattice_points(net)
     chunk = max(1, _CHUNK // (rng.workers() * sites.size))
     # the site arrays that every chunk reads, made once per call

@@ -37,6 +37,7 @@ closed form; its largest gap to the Monte Carlo is 0.010 at
 alpha_d = 1/2.  The ISR maps themselves are unchanged.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +46,9 @@ import numpy as np
 
 from .errors import TruncationError
 from .params import MAX_X_EDGE, _check_count, _check_not_silent, _check_real, check_direction, thresholds
-from .specfun import SeriesControl, ShadowingSpec, omega, shadowing_mean_factor, sum_series
+from .specfun import (
+    SeriesControl, _taylor_table, _taylor_values, omega, shadowing_mean_factor, sum_series, sum_series_rows,
+)
 
 __all__ = [
     "IsrBreakdown",
@@ -111,36 +114,45 @@ def isr_dl_dl(x, b, ctrl=None):
 
     def terms():
         t = omega(b)
-        h = 0
-        while True:
+        for h in itertools.count():
             yield t
             ratio = ((b + h) / (h + 1.0)) ** 2 * x * x
             t *= ratio * omega(b + h + 1) / omega(b + h)
-            h += 1
 
     return 6.0 * x ** (2.0 * b) * sum_series(terms(), ctrl)
 
 
 @lru_cache(maxsize=None)
-def _beta_h_cached(h, b, k, r_over_delta, rel_tol):
+def _beta_h_block(j, b, k, r_over_delta, rel_tol):
+    """beta_h's series for h = 8j, ..., 8j + 7, one per row, summed by
+    :func:`sum_series_rows` within 6h + 120 terms."""
+    h = np.arange(8 * j, 8 * j + 8)
     bk = b * k
     xr2 = r_over_delta * r_over_delta
+    # omega(b + n) for all n: exactly 1 from 55 on
+    om = np.array([omega(b + n) for n in range(int(55.0 - b) + 2)])
+    first = [math.exp(2.0 * (math.lgamma(b + i) - math.lgamma(b) - math.lgamma(i + 1.0)))
+             * (omega(b + i) / (bk + 1.0)) for i in h.tolist()]
 
-    def terms():
-        t = math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
-        t *= omega(b + h) / (bk + 1.0)
-        m = 0
-        while True:
-            yield t
-            s = b + h + m
-            t *= (s / (m + 1.0)) ** 2 * xr2 * (m + bk + 1.0) / (m + bk + 2.0) * omega(s + 1.0) / omega(s)
-            m += 1
+    def terms(width):
+        m = np.arange(width - 1.0)
+        om_n = om[np.minimum(h[:, None] + np.arange(width), om.size - 1)]
+        ratio = (((b + h)[:, None] + m) / (m + 1.0)) ** 2 * xr2 * (m + bk + 1.0) / (m + bk + 2.0)
+        return np.multiply.accumulate(np.column_stack([first, ratio * om_n[:, 1:] / om_n[:, :-1]]), axis=1)
 
+    # the series stop by m = 1.8 h + 30
+    return sum_series_rows(terms, 6 * h + 120, rel_tol, 2 * h[-1] + 64)
+
+
+@lru_cache(maxsize=None)
+def _beta_h_cached(h, b, k, r_over_delta, rel_tol):
     # the budget only decides where the series gives up, never the
     # value it converges to, so it is no part of the key
-    total = sum_series(terms(), SeriesControl(rel_tol=rel_tol, max_terms=6 * h + 120))
+    total, last, converged = _beta_h_block(h // 8, b, k, r_over_delta, rel_tol)[h % 8]
+    if not converged:
+        raise TruncationError(f"series did not converge within {6 * h + 120} terms (last term {last:.3e}, "
+                              f"partial sum {total:.6e})", partial=total, terms=6 * h + 120)
     if not math.isfinite(total):
-        # the coefficients grow like (1 - r_over_delta)^{-2h}
         raise TruncationError(f"beta_h coefficient {h} exceeds the double-precision range", terms=h)
     return total
 
@@ -168,16 +180,18 @@ def beta_h(h, b, k, r_over_delta, ctrl=None):
         beta_h = sum_{m>=0} [Gamma(b+h+m) / (Gamma(b) h! m!)]^2
                  (R/delta)^{2m} omega(b+h+m) / (m + bk + 1).
 
-    At h = 0 it is the :func:`a1` series.  Results are cached.  Only
-    ``ctrl.rel_tol`` is used; the term budget is 6h + 120, as the terms
-    peak near m = h (R/delta) / (1 - R/delta).  The coefficients grow
-    like (1 - r_over_delta)^{-2h}, so the series in x needs x < 1 - R/delta.
+    At h = 0 it is the :func:`a1` series.  Only ``ctrl.rel_tol`` is
+    used; the term budget is 6h + 120, as the terms peak near
+    m = h (R/delta) / (1 - R/delta).  Coefficients are summed eight at
+    a time, one per row of an array, and cached.  They grow like
+    (1 - r_over_delta)^{-2h}, so the series in x needs x < 1 - R/delta.
 
     Raises
     ------
     TruncationError
-        If the coefficient exceeds the double-precision range (from
-        h = 412 on at b = 1.75, k = 0.4, r_over_delta = 1/sqrt(3)).
+        If the series does not converge within its budget, or exceeds
+        the double-precision range (from h = 412 on at b = 1.75,
+        k = 0.4, r_over_delta = 1/sqrt(3)).
     """
     _check_count("h", h, 0)
     _check_real("b", b, 1.0, math.inf)
@@ -231,16 +245,10 @@ def isr_ul_dl(x, b, k, r_over_delta, p_star_over_p, ctrl=None, delta=1.0):
         )
     # beta_h's coefficients, from its cache: the arguments are checked
     key = (float(b), float(k), float(r_over_delta), (ctrl or _DEFAULT_SERIES).rel_tol)
-
-    def terms():
-        h = 0
-        while True:
-            yield _beta_h_cached(h, *key) * x ** (2 * h)
-            h += 1
-
+    terms = (_beta_h_cached(h, *key) * x ** (2 * h) for h in itertools.count())
     big_r = r_over_delta * delta
     prefactor = 6.0 * p_star_over_p * x ** (2.0 * b) * big_r ** (2.0 * b * k)
-    return prefactor * sum_series(terms(), ctrl)
+    return prefactor * sum_series(terms, ctrl)
 
 
 def a1(b, k, r_over_delta, ctrl=None):
@@ -262,8 +270,7 @@ def a1(b, k, r_over_delta, ctrl=None):
 
     def terms():
         t = omega(b) / (bk + 1.0)
-        h = 0
-        while True:
+        for h in itertools.count():
             yield t
             t *= (
                 ((b + h) / (h + 1.0)) ** 2
@@ -271,7 +278,6 @@ def a1(b, k, r_over_delta, ctrl=None):
                 * (bk + h + 1.0) / (bk + h + 2.0)
                 * omega(b + h + 1.0) / omega(b + h)
             )
-            h += 1
 
     return 6.0 * r_over_delta ** (2.0 * bk) * sum_series(terms(), ctrl)
 
@@ -434,40 +440,20 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
     edge = maps(np.array([net.x_edge]))
     _check_real("y", y, 0.0, edge[0][0], "(]")
     if method == "series":
-        f, c1f = (maps.mean_far[:2] + maps.mobile[:2]).real
+        f, c1f = maps.mean[:2].real
         v = (y / f) ** (1.0 / (2.0 * prop.b))
         return v / math.sqrt(0.5 + math.sqrt(0.25 + (c1f / f / prop.b) * v * v))
     return float(_crossing_radii(np.array([float(y)]), maps, None, edge, 1e-15 * net.x_edge)[0])
-
-
-def _taylor_table(coefficient, x_max, ctrl, scale):
-    """The coefficients scale * c_h + i d_h, with d_h those of the
-    derivative in x^2, of the series sum_h c_h x^{2h} cut where
-    :func:`sum_series` accepts it at x = x_max.  The terms are positive,
-    so the cut holds at every smaller x too.  One Horner pass in a real
-    variable gives the series and its derivative as the real and
-    imaginary parts: multiplying by a real number keeps them apart
-    exactly."""
-    coeffs = []
-
-    def terms():
-        h = 0
-        while True:
-            coeffs.append(coefficient(h))
-            yield coeffs[-1] * x_max ** (2 * h)
-            h += 1
-
-    sum_series(terms(), ctrl)
-    c = scale * np.array(coeffs)
-    return c + 1j * np.append(np.polynomial.polynomial.polyder(c), 0.0)
 
 
 class _DownlinkMaps:
     """The downlink maps of one model, as Taylor tables in x^2.
 
     Called with radii alone it gives the mean map of
-    :func:`downlink_inverse_sinr`, from the tables ``mean_far`` (eta
-    alpha_d times the :func:`isr_dl_dl` series, plus y0) and ``mobile``.
+    :func:`downlink_inverse_sinr`: below x_clamp one Horner pass of
+    ``mean``, the table ``mean_far`` (eta alpha_d times the
+    :func:`isr_dl_dl` series, plus y0) merged with ``mobile``; from it
+    on, one pass of ``mean_far`` plus the frozen ``mobile_clamped``.
     For 0 < alpha_d < 1 its rows resolve ring 1: with the ring-1 cells
     in pattern p and the user at x e^{i theta},
 
@@ -479,8 +465,9 @@ class _DownlinkMaps:
     omega(b+h) replaced by omega(b+h) - 1: ring 1 adds exactly 1 to
     every omega, and the rest converges for x < sqrt(3).  Every ring-1
     term increases with x because |s| >= sqrt(3) x on the cell, so
-    every d_p is increasing.  For alpha_d in {0, 1} the one row, of
-    weight 1, is the mean map, and ``cosines`` and ``patterns`` are None.
+    every d_p is increasing; ``pattern`` is ``far`` merged with
+    ``mobile``.  For alpha_d in {0, 1} the one row, of weight 1, is the
+    mean map, and ``cosines`` and ``patterns`` are None.
 
     Row 64 t + p is angle node t with pattern p.  ``cosines`` and
     ``patterns``, of shape (6, rows), hold per site j cos(angle of site
@@ -509,7 +496,7 @@ class _DownlinkMaps:
             self.x_clamp if mix.alpha_u > 0 else 0.0, ctrl,
             self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k))
         # the frozen mobile term, from x_clamp on
-        self.mobile_clamped = self._power_series(np.array([self.x_clamp]), self.mobile)[0][0]
+        self.mobile_clamped = _taylor_values(np.array([self.x_clamp]), self.mobile, b)[0][0]
         self.mean_far = self.far = far(0.0)
         self.cosines = self.patterns = None
         self.weights = np.ones(1)
@@ -520,29 +507,22 @@ class _DownlinkMaps:
             self.patterns = np.tile(_RING1_PATTERNS.T, (1, _SECTOR_ANGLES))
             n_dl = self.patterns.sum(axis=0)
             self.weights = mix.alpha_d**n_dl * mix.alpha_u ** (6.0 - n_dl) / _SECTOR_ANGLES
+        self.mean, self.pattern = (np.polynomial.polynomial.polyadd(t, self.mobile) for t in (self.mean_far, self.far))
         rows = None if self.patterns is None else np.arange(self.weights.size)
         self.edge = self(np.full(self.weights.size, self.x_edge), rows)
-
-    def _power_series(self, x, table):
-        # x^{2b} P(x^2) and its slope x^{2b-1} (2b P + 2 x^2 P'), P + i P'
-        # by Horner's rule
-        b = self.b
-        u = x * x
-        u_complex = u.astype(complex)
-        z = np.full(x.size, table[-1])
-        for c in table[-2::-1].tolist():
-            z *= u_complex
-            z += c
-        p, dp = z.real, z.imag
-        xb = x ** (2.0 * b)
-        return xb * p, xb / x * (2.0 * b * p + 2.0 * u * dp)
 
     def __call__(self, x, rows=None):
         """d_p and its slope in x at radii 0 < x <= x_edge of shape (n,),
         for the map rows of index ``rows`` (n,); the mean map d and its
         slope without rows, as on a one-row map.  Each entry depends on
         its own radius and row alone."""
-        value, slope = self._power_series(x, self.mean_far if rows is None else self.far)
+        far, merged = (self.mean_far, self.mean) if rows is None else (self.far, self.pattern)
+        below = x < self.x_clamp
+        value, slope = np.empty(x.size), np.empty(x.size)
+        for part, table, mobile in ((~below, far, self.mobile_clamped), (below, merged, 0.0)):
+            if part.any():
+                value[part], slope[part] = _taylor_values(x[part], table, self.b)
+                value[part] += mobile
         if rows is not None:
             b = self.b
             xx = x * x
@@ -558,11 +538,7 @@ class _DownlinkMaps:
                 ring1_slope += term * (1.0 - xc) / (x * q)
             value += self.eta * ring1
             slope += (self.eta * 2.0 * b) * ring1_slope
-        below = x < self.x_clamp
-        mobile_value = np.full(x.size, self.mobile_clamped)
-        mobile_slope = np.zeros(x.size)
-        mobile_value[below], mobile_slope[below] = self._power_series(x[below], self.mobile)
-        return value + mobile_value, slope + mobile_slope
+        return value, slope
 
 
 @lru_cache(maxsize=32)

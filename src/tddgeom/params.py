@@ -56,7 +56,8 @@ class PropagationParams:
     p_dl_dbm, p_star_dbm : downlink transmit power and uplink target
         power, dBm.
     p_noise_dbm : thermal noise power at the receiver, dBm.  Each power
-        is finite, or -inf for a silent transmitter, never +inf.
+        is finite, or -inf for a silent transmitter, never +inf.  Each
+        linear power, with a_db folded in, and P*/P must fit in a double.
     """
 
     two_b: float = 3.5
@@ -72,6 +73,10 @@ class PropagationParams:
         _check_real("k", self.k, 0.0, 1.0, "[]")
         for name in ("p_dl_dbm", "p_star_dbm", "p_noise_dbm"):
             _check_real(name, getattr(self, name), -math.inf, math.inf, "[)")
+        for name, db in (("p_dl_dbm - a_db", self.p_dl_dbm - self.a_db), ("p_noise_dbm", self.p_noise_dbm),
+                         ("p_star_dbm - a_db", self.p_star_dbm - self.a_db),
+                         ("p_star_dbm - p_dl_dbm", self.p_star_dbm - self.p_dl_dbm)):
+            _check_linear(name, db)
 
     @property
     def b(self):
@@ -223,6 +228,15 @@ def _check_real(name, value, low=-math.inf, high=math.inf, ends="()"):
     below = value <= high if ends[1] == "]" else value < high
     if not (above and below):
         raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value}")
+
+
+def _check_linear(name, db):
+    """ValueError naming ``name``, a level of ``db`` decibels, whose
+    linear value 10^(db/10) overflows a double (from about 3,083 dB)."""
+    try:
+        dbm_to_mw(db)
+    except OverflowError:
+        raise ValueError(f"{name} is {db:g} dB: its linear value overflows a double") from None
 
 
 def _check_not_silent(prop, *names):

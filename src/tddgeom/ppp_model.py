@@ -91,6 +91,7 @@ from .params import (
     PropagationParams,
     TddMix,
     _check_count,
+    _check_linear,
     _check_real,
     check_direction,
     check_gamma_grid,
@@ -141,6 +142,7 @@ class SmallCellScenario:
     def __post_init__(self):
         for name in ("p_small_dbm", "p_small_star_dbm"):
             _check_real(name, getattr(self, name), -math.inf, math.inf, "[)")
+            _check_linear(f"{name} - a_db", getattr(self, name) - self.prop.a_db)
         _check_real("lam", self.lam, 0.0, math.inf)
         try:
             (10.0 * self.rho_scale) ** self.prop.two_b
@@ -271,6 +273,7 @@ def _sample(scenario, direction, n_draws, seed, association="rayleigh", serving_
     """
     direction = check_direction(direction)
     _check_count("n_draws", n_draws, 1)
+    _check_count("seed", seed, 0, 1 << 64)
     if association not in ("rayleigh", "nearest"):
         raise ValueError(f"association must be 'rayleigh' or 'nearest', got {association!r}")
 

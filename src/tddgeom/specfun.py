@@ -7,15 +7,20 @@ Riemann zeta function is zeta(s, 1)), the hexagonal-lattice constant
 
 for which 6*omega(b)*delta**(-2b) equals the sum of |s|**(-2b) over all
 nonzero sites of a hexagonal lattice with spacing delta, and the mean
-amplification factor of log-normal shadowing.
+amplification factor of log-normal shadowing.  It also holds the series
+tools: :func:`sum_series`, its form for the rows of an array, and the
+Taylor tables of a series in x^2.
 
 All functions are pure and cache-friendly; they are called with the same
 arguments many thousands of times from the series evaluators.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import TruncationError
 from .params import _check_count, _check_real
@@ -27,6 +32,7 @@ __all__ = [
     "omega",
     "shadowing_mean_factor",
     "sum_series",
+    "sum_series_rows",
 ]
 
 
@@ -104,6 +110,65 @@ def sum_series(terms, ctrl=None):
                 terms=count,
             )
     return total
+
+
+def sum_series_rows(terms, budgets, rel_tol, width):
+    """The rule of :func:`sum_series` on each row of ``terms(width)``, a
+    2-D array of positive terms, row i within ``budgets[i]`` >= 3 terms.
+    The width starts at ``width``, at most 4,096 columns, and doubles up
+    to the largest budget until every row stops or reaches its budget;
+    terms past a stop may overflow.
+
+    Returns per row the partial sum and the term where the row stops or
+    gives up, and whether it converged.
+    """
+    width = min(width, budgets.max(), 4096)
+    with np.errstate(over="ignore"):
+        while True:
+            t = terms(width)
+            sums = np.add.accumulate(t, axis=1)
+            small = t <= rel_tol * sums
+            stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (np.arange(2, width) < budgets[:, None])
+            converged = stop.any(axis=1)
+            if np.all(converged | (budgets <= width)):
+                at = (np.arange(budgets.size), np.where(converged, stop.argmax(axis=1) + 2, budgets - 1))
+                return list(zip(sums[at].tolist(), t[at].tolist(), converged.tolist()))
+            width = min(2 * width, budgets.max())
+
+
+def _taylor_table(coefficient, x_max, ctrl, scale):
+    """The coefficients scale * c_h + i d_h, with d_h those of the
+    derivative in x^2, of the series sum_h c_h x^{2h} cut where
+    :func:`sum_series` accepts it at x = x_max.  The terms are positive,
+    so the cut holds at every smaller x too, and two tables add entry
+    by entry.  One Horner pass in a real variable gives the series and
+    its derivative as the real and imaginary parts: multiplying by a
+    real number keeps them apart exactly."""
+    coeffs = []
+
+    def terms():
+        for h in itertools.count():
+            coeffs.append(coefficient(h))
+            yield coeffs[-1] * x_max ** (2 * h)
+
+    sum_series(terms(), ctrl)
+    c = scale * np.array(coeffs)
+    return c + 1j * np.append(np.polynomial.polynomial.polyder(c), 0.0)
+
+
+def _taylor_values(x, table, b):
+    """x^{2b} P(x^2) and its slope x^{2b-1} (2b P + 2 x^2 P') at the
+    radii x, for the table P + i P' of :func:`_taylor_table`, by Horner's
+    rule."""
+    u = x * x
+    u_complex = u.astype(complex)
+    z = np.full(x.size, table[-1])
+    for c in table[-2::-1].tolist():
+        z *= u_complex
+        z += c
+    p, dp = z.real, z.imag
+    xb = x ** (2.0 * b)
+    return xb * p, xb / x * (2.0 * b * p + 2.0 * u * dp)
 
 
 # direct terms of the Euler-Maclaurin sum, and the Bernoulli numbers

@@ -155,6 +155,20 @@ def test_an_integer_that_a_double_holds_is_a_real_number():
     assert MacroNetwork(delta=2, cell_radius=1).x_edge == 0.5
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PropagationParams(p_star_dbm=4000.0), "p_star_dbm - a_db is 3870 dB"),
+    (lambda: PropagationParams(p_dl_dbm=-3100.0), "p_star_dbm - p_dl_dbm is 3120 dB"),
+    (lambda: PropagationParams(p_noise_dbm=3100.0), "p_noise_dbm is 3100 dB"),
+    (lambda: SmallCellScenario(p_small_star_dbm=3300.0), "p_small_star_dbm - a_db is 3170 dB"),
+], ids=["p_star", "p_star-over-p_dl", "p_noise", "p_small_star"])
+def test_a_finite_power_whose_linear_value_overflows_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}: its linear value overflows a double$"):
+        call()
+    # a power just inside the double range and a silent one are powers
+    assert PropagationParams(p_star_dbm=3000.0).p_star_over_p == 10.0**294
+    assert PropagationParams(p_dl_dbm=-math.inf, p_star_dbm=3000.0).p_star_over_p == math.inf
+
+
 _POWERS = ("p_dl_dbm", "p_star_dbm", "p_noise_dbm")
 # the serving link of each direction silenced
 _SILENT = {"dl": {"p_dl_dbm": -math.inf}, "ul": {"p_star_dbm": -math.inf}}
@@ -211,6 +225,7 @@ _DIGITS_400 = 10**400
     ({"propagation": {"a_db": -math.inf}}, "propagation: a_db must lie in (-inf, inf), got -inf"),
     ({"propagation": {"p_dl_dbm": math.inf}}, "propagation: p_dl_dbm must lie in [-inf, inf), got inf"),
     ({"propagation": {"p_noise_dbm": math.inf}}, "propagation: p_noise_dbm must lie in [-inf, inf), got inf"),
+    ({"propagation": {"p_star_dbm": 4000}}, "propagation: p_star_dbm - a_db is 3870 dB: its linear value overflows"),
     ({"propagation": {"two_b": _DIGITS_400}}, "propagation: two_b must be a real number, got 1000"),
     ({"gamma_grid_db": [0.0, _DIGITS_400]}, "gamma_grid_db: entries must be numbers"),
     ({"gamma_grid_db": {"start": 0.0, "stop": _DIGITS_400, "step": 1.0}},
@@ -219,8 +234,9 @@ _DIGITS_400 = 10**400
      "propagation: p_dl_dbm is -inf dBm: the serving link is silent"),
     ({"experiment": "isr", "propagation": {"p_star_dbm": -math.inf}},
      "propagation: p_star_dbm is -inf dBm: the serving link is silent"),
-], ids=["two_b-inf", "a_db-inf", "a_db-minus-inf", "p_dl_dbm-inf", "p_noise_dbm-inf", "two_b-400-digits",
-        "grid-entry-400-digits", "range-key-400-digits", "isr-silent-downlink", "isr-silent-uplink"])
+], ids=["two_b-inf", "a_db-inf", "a_db-minus-inf", "p_dl_dbm-inf", "p_noise_dbm-inf", "p_star_dbm-4000",
+        "two_b-400-digits", "grid-entry-400-digits", "range-key-400-digits", "isr-silent-downlink",
+        "isr-silent-uplink"])
 def test_cli_refuses_an_argument_outside_its_domain_with_exit_2(tmp_path, capsys, tree, message):
     code, out = _run(tmp_path, tree)
     assert code == 2

@@ -41,6 +41,7 @@ from tddgeom import (
     uplink_inverse_sinr,
 )
 from tddgeom.macro_analytic import _beta_h_cached, _downlink_maps, _DownlinkMaps, _uplink_coefficient
+from tddgeom.specfun import _taylor_values
 
 XR = 1.0 / math.sqrt(3.0)
 
@@ -106,9 +107,55 @@ def test_beta_h_frozen_value_and_domain():
 
 def test_beta_h_overflow_is_a_truncation():
     # the coefficients grow like (1 - R/delta)^{-2h} and leave the
-    # double range near h = 400; that is a truncation, not a crash
-    with pytest.raises(TruncationError):
-        beta_h(420, 1.75, 0.4, XR)
+    # double range at h = 412; that is a truncation, not a crash
+    assert math.isfinite(beta_h(411, 1.75, 0.4, XR))
+    for h in (412, 420):
+        with pytest.raises(TruncationError, match=f"beta_h coefficient {h} exceeds the double-precision range"):
+            beta_h(h, 1.75, 0.4, XR)
+
+
+def _beta_h_scalar(h, b, k, r_over_delta, rel_tol=1e-10):
+    # the coefficient's series term by term, by the ratio of successive
+    # terms, summed by sum_series within the budget of 6h + 120 terms
+    bk = b * k
+    xr2 = r_over_delta * r_over_delta
+
+    def terms():
+        t = math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
+        t *= omega(b + h) / (bk + 1.0)
+        for m in itertools.count():
+            yield t
+            s = b + h + m
+            t *= (s / (m + 1.0)) ** 2 * xr2 * (m + bk + 1.0) / (m + bk + 2.0) * omega(s + 1.0) / omega(s)
+
+    return sum_series(terms(), SeriesControl(rel_tol=rel_tol, max_terms=6 * h + 120))
+
+
+@pytest.mark.parametrize("b, k, r_over_delta", [
+    (1.75, 0.4, XR), (1.75, 0.0, XR), (2.0, 0.4, XR), (1.3, 0.7, XR), (1.1, 0.0, XR), (2.5, 1.0, 0.3),
+])
+def test_beta_h_blocks_match_the_scalar_series_up_to_the_first_overflow(b, k, r_over_delta):
+    # beta_h sums eight series at a time along the rows of an array; each
+    # coefficient must be the one-term-at-a-time sum, and must overflow
+    # at the same index
+    h = 0
+    while math.isfinite(reference := _beta_h_scalar(h, b, k, r_over_delta)):
+        assert beta_h(h, b, k, r_over_delta) == pytest.approx(reference, rel=1e-13, abs=0.0), h
+        h += 1
+    assert h > 400
+    with pytest.raises(TruncationError, match="exceeds the double-precision range"):
+        beta_h(h, b, k, r_over_delta)
+
+
+def test_beta_h_that_does_not_converge_within_its_budget_says_so():
+    # at rel_tol 1e-300 the 120 terms of beta_0 never fall small enough
+    with pytest.raises(TruncationError, match="did not converge within 120 terms") as info:
+        beta_h(0, 1.75, 0.4, XR, SeriesControl(rel_tol=1e-300))
+    assert info.value.terms == 120
+    assert info.value.partial == 1.5654911728065872
+    with pytest.raises(TruncationError) as scalar:
+        _beta_h_scalar(0, 1.75, 0.4, XR, rel_tol=1e-300)
+    assert str(scalar.value) == str(info.value)
 
 
 def _beta_h_double_sum(h, b, k, r_over_delta, ctrl):
@@ -541,6 +588,38 @@ def test_coverage_macro_mixed_downlink_matches_monte_carlo():
         analytic = coverage_macro(g, "dl", net, prop, mix)
         se = math.sqrt(mc * (1.0 - mc) / 10000)
         assert abs(analytic - mc) <= 3.0 * se, (g, analytic, mc, se)
+
+
+def _two_pass_maps(maps, x, rows):
+    # the maps summed as the far table's pass plus ring 1 plus the mobile
+    # table's own pass, frozen from x_clamp on
+    value, slope = _taylor_values(x, maps.mean_far if rows is None else maps.far, maps.b)
+    if rows is not None:
+        for cosines, patterns in zip(maps.cosines, maps.patterns):
+            xc = x * cosines[rows]
+            q = 1.0 - 2.0 * xc + x * x
+            term = (x * x / q) ** maps.b * patterns[rows]
+            value += maps.eta * term
+            slope += maps.eta * 2.0 * maps.b * term * (1.0 - xc) / (x * q)
+    below = x < maps.x_clamp
+    mobile_value = np.full(x.size, maps.mobile_clamped)
+    mobile_slope = np.zeros(x.size)
+    mobile_value[below], mobile_slope[below] = _taylor_values(x[below], maps.mobile, maps.b)
+    return value + mobile_value, slope + mobile_slope
+
+
+@pytest.mark.parametrize("two_b, k, alpha_d", [(3.5, 0.4, 0.5), (3.5, 0.4, 1.0), (4.0, 0.0, 0.0), (3.0, 1.0, 0.2)])
+def test_merged_map_tables_give_the_two_pass_sum(two_b, k, alpha_d):
+    # below x_clamp one pass of the far and mobile tables merged, from it
+    # on the far pass plus the frozen mobile term
+    net = MacroNetwork()
+    maps = _DownlinkMaps(net, PropagationParams(two_b=two_b, k=k), TddMix(alpha_d=alpha_d), None)
+    x = np.append(np.linspace(0.005, net.x_edge, 400), maps.x_clamp)
+    assert (x < maps.x_clamp).sum() > 100 and (x >= maps.x_clamp).sum() > 100
+    cases = [None] if maps.patterns is None else [None, np.arange(x.size) % maps.weights.size]
+    for rows in cases:
+        for merged, two_pass in zip(maps(x, rows), _two_pass_maps(maps, x, rows)):
+            assert np.all(np.abs(merged - two_pass) <= 1e-15 * two_pass), rows is None
 
 
 def test_pattern_maps_increase_with_radius_and_split_the_lattice_sum():

@@ -267,24 +267,31 @@ def test_worker_count_leaves_every_result_bit_identical(chunking, monkeypatch, w
 
 
 _COUNT_CALLS = {
-    "macro draws": lambda n: macro_interference_draws(MacroNetwork(rings=2), PropagationParams(), TddMix(), "dl", n, 1),
-    "macro coverage": lambda n: mc_coverage_macro(MacroNetwork(rings=2), PropagationParams(), TddMix(), "dl", [0.0], n, 1),
-    "ppp draws": lambda n: ppp_interference_draws(SmallCellScenario(lam=10.0), "dl", n, 1),
-    "ppp sinr": lambda n: mc_sinr_ppp(SmallCellScenario(lam=10.0), "ul", n, 1, "nearest"),
-    "bruteforce": lambda n: bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), MacroNetwork(rings=2), PropagationParams(), n, 1),
+    "macro draws": lambda n, seed: macro_interference_draws(MacroNetwork(rings=2), PropagationParams(), TddMix(), "dl",
+                                                            n, seed),
+    "macro coverage": lambda n, seed: mc_coverage_macro(MacroNetwork(rings=2), PropagationParams(), TddMix(), "dl",
+                                                        [0.0], n, seed),
+    "ppp draws": lambda n, seed: ppp_interference_draws(SmallCellScenario(lam=10.0), "dl", n, seed),
+    "ppp sinr": lambda n, seed: mc_sinr_ppp(SmallCellScenario(lam=10.0), "ul", n, seed, "nearest"),
+    "bruteforce": lambda n, seed: bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), MacroNetwork(rings=2),
+                                                       PropagationParams(), n, seed),
 }
 
 
 @pytest.mark.parametrize("call", _COUNT_CALLS.values(), ids=_COUNT_CALLS.keys())
-@pytest.mark.parametrize("count, error", [(True, TypeError), (2.5, TypeError), (np.float64(3.0), TypeError),
-                                          ("10", TypeError), (0, ValueError), (-4, ValueError)])
-def test_bad_draw_counts_fail_fast(monkeypatch, call, count, error):
+@pytest.mark.parametrize("count, seed, error", [
+    (True, 1, TypeError), (2.5, 1, TypeError), (np.float64(3.0), 1, TypeError), ("10", 1, TypeError),
+    (0, 1, ValueError), (-4, 1, ValueError), (10, -1, ValueError), (10, 2**64, ValueError), (10, True, TypeError),
+], ids=["True-TypeError", "2.5-TypeError", "count2-TypeError", "10-TypeError", "0-ValueError", "-4-ValueError",
+        "seed-minus-1-ValueError", "seed-2**64-ValueError", "seed-True-TypeError"])
+def test_bad_draw_counts_fail_fast(monkeypatch, call, count, seed, error):
+    # a bad draw count or seed is refused before any worker pool starts
     def no_pool(job, items):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr(rng, "chunk_map", no_pool)
     with pytest.raises(error):
-        call(count)
+        call(count, seed)
 
 
 def test_a_failing_chunk_fails_loudly_and_leaves_no_thread(monkeypatch):

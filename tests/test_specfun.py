@@ -18,6 +18,7 @@ from tddgeom import (
     sum_series,
 )
 from tddgeom import rng
+from tddgeom.specfun import sum_series_rows
 
 
 def test_series_control_validation():
@@ -38,6 +39,36 @@ def test_sum_series_geometric():
     tight = SeriesControl(rel_tol=1e-14, max_terms=1000)
     total = sum_series((0.5**n for n in itertools.count()), tight)
     assert math.isclose(total, 2.0, rel_tol=1e-13)
+
+
+def test_sum_series_rows_gives_each_row_what_sum_series_gives():
+    # geometric rows t_n = q^n: two that stop early, one that needs the
+    # width doubled four times, one that never stops within its budget
+    # and one that overflows, which sum_series accepts as inf
+    q = np.array([0.1, 0.5, 0.97, 1.0 - 1e-9, 1e3])
+    budgets = np.array([200, 200, 2000, 150, 400])
+    widths = []
+
+    def terms(width):
+        widths.append(width)
+        return np.multiply.accumulate(np.column_stack([np.ones(q.size), np.tile(q[:, None], width - 1)]), axis=1)
+
+    rows = sum_series_rows(terms, budgets, 1e-12, 64)
+    assert widths == [64, 128, 256, 512, 1024]
+    for ratio, budget, (total, last, converged) in zip(q.tolist(), budgets.tolist(), rows):
+        def geometric():
+            t = 1.0
+            while True:
+                yield t
+                t *= ratio
+
+        try:
+            assert (total, converged) == (sum_series(geometric(), SeriesControl(1e-12, budget)), True)
+        except TruncationError as exc:
+            assert (total, converged, exc.terms) == (exc.partial, False, budget)
+            assert math.isclose(last, ratio ** (budget - 1), rel_tol=1e-12)
+    assert [converged for _, _, converged in rows] == [True, True, True, False, True]
+    assert rows[4][0] == math.inf
 
 
 def test_sum_series_survives_interior_dip():
