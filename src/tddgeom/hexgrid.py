@@ -93,12 +93,14 @@ def bruteforce_isr_dl(m, net, prop, tail_correction=True):
     return total
 
 
-# elements (draws x sites) per array in a Monte Carlo sampler, about
-# 2 MB, shared between the chunks that the workers build at once.  The
-# macro sampler's workers each size one workspace of such arrays to
-# their share and reuse it for the whole call, so the memory it holds
-# is about the same for any worker count.
-_CHUNK = 1 << 18
+# elements (samples x sites) per array in a Monte Carlo sampler, about
+# 1 MB, shared between the workers.  Each sampler's workers size one
+# workspace of such arrays to their share of it and reuse it for the
+# whole call, so the memory a sampler holds is about the same for any
+# worker count, and no chunk allocates a (samples x sites) array.
+_CHUNK = 1 << 17
+# samples per summation block of the brute-force ISR
+_BLOCK = 64
 
 
 def _dist2_polar(abs_w, half_arg_w, rho, u, out=None, tmp=None):
@@ -129,6 +131,21 @@ def _dist2_polar(abs_w, half_arg_w, rho, u, out=None, tmp=None):
     return c
 
 
+class _BruteforceWorkspace:
+    """One worker's buffers for chunks of up to ``n`` brute-force
+    samples over ``ns`` sites, reused for every chunk of a call."""
+
+    def __init__(self, seed, n, ns):
+        self.streams = rng.Streams(seed)
+        # per site, the (rho, phi) uniforms
+        self.u = np.empty((n, ns, 2))
+        # rho, then the power-control factor; the squared distance, then
+        # the site terms; scratch
+        self.rho = np.empty((n, ns))
+        self.term = np.empty((n, ns))
+        self.tmp = np.empty((n, ns))
+
+
 def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     """Uplink-to-downlink ISR: Monte Carlo average over interfering
     mobile positions, one uniform-disk mobile per site.
@@ -142,10 +159,14 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     factor E[rho**(two_b k)] = R**(two_b k) / (b k + 1).
 
     The samples are one stream, (seed, 0), read as (rho, phi) uniforms
-    per site and sample in order, in chunks of about _CHUNK elements
-    that the workers of :func:`rng.chunk_map` read from their own
-    offsets into the stream.  The chunk sums are added in chunk order,
-    so the result does not depend on the worker count.
+    per site and sample in order.  They are summed in blocks of _BLOCK
+    samples: each block's sum and sum of squares, and the blocks' sums
+    added in block order.  The workers of :func:`rng.chunk_map` compute
+    whole blocks, reading from their own offsets into the stream, in
+    one workspace per worker of about its share of _CHUNK elements per
+    array, built on its first chunk and reused for the whole call.  So
+    the result depends on neither the element budget nor the worker
+    count.
 
     Returns
     -------
@@ -166,24 +187,34 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     abs_w = np.abs(offset)
     half_arg_w = 0.5 * np.angle(offset)
     ns = offset.size
-    chunk = max(1, _CHUNK // ns)
+    chunk = max(1, _CHUNK // (rng.workers() * ns * _BLOCK)) * _BLOCK
+    local = threading.local()
 
-    def sums(done):
-        # the samples from `done` on: 2 ns doubles per sample, and ns
+    def block_sums(start):
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _BruteforceWorkspace(seed, min(chunk, n_samples), ns)
+        n = min(chunk, n_samples - start)
+        # the samples from `start` on: 2 ns doubles per sample, and ns
         # = 3 R (R + 1) is even, so they start at a whole Philox block
-        u = rng.Streams(seed).at(0, done * ns // 2).random((min(chunk, n_samples - done), ns, 2))
-        rho2 = radius * radius * u[..., 0]
-        d2 = _dist2_polar(abs_w, half_arg_w, np.sqrt(rho2), u[..., 1])
-        per_draw = np.sum(rho2**bk * d2 ** (-prop.b), axis=1)
-        return float(per_draw.sum()), float((per_draw**2).sum())
+        u = ws.u[:n]
+        ws.streams.at(0, start * ns // 2).random(out=u)
+        rho = np.multiply(u[..., 0], radius * radius, out=ws.rho[:n])
+        np.sqrt(rho, out=rho)
+        term = _dist2_polar(abs_w, half_arg_w, rho, u[..., 1], ws.term[:n], ws.tmp[:n])
+        term **= -prop.b
+        # the power-control factor rho**(two_b k), as (rho**2)**(b k)
+        factor = np.multiply(u[..., 0], radius * radius, out=rho)
+        factor **= bk
+        term *= factor
+        per_sample = term.sum(axis=1)
+        at = np.arange(0, n, _BLOCK)
+        return np.add.reduceat(per_sample, at), np.add.reduceat(per_sample**2, at)
 
-    total = 0.0
-    total_sq = 0.0
-    for part, part_sq in rng.chunk_map(sums, range(0, n_samples, chunk)):
-        total += part
-        total_sq += part_sq
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean**2, 0.0)
+    chunks = list(rng.chunk_map(block_sums, range(0, n_samples, chunk)))
+    sums, sums_sq = (np.concatenate(parts) for parts in zip(*chunks))
+    mean = float(sums.sum()) / n_samples
+    var = max(float(sums_sq.sum()) / n_samples - mean**2, 0.0)
     stderr = scale * math.sqrt(var / n_samples)
 
     tail = 0.0
@@ -342,7 +373,7 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed, split=False):
     def job(start):
         ws = getattr(local, "ws", None)
         if ws is None:
-            ws = local.ws = _MacroWorkspace(seed, chunk, sites.size)
+            ws = local.ws = _MacroWorkspace(seed, min(chunk, n_draws), sites.size)
         return _macro_chunk(const, net, prop, mix, direction, start, min(chunk, n_draws - start), ws, split)
 
     return rng.chunk_map(job, range(0, n_draws, chunk))

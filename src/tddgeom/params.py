@@ -57,7 +57,8 @@ class PropagationParams:
         power, dBm.
     p_noise_dbm : thermal noise power at the receiver, dBm.  Each power
         is finite, or -inf for a silent transmitter, never +inf.  Each
-        linear power, with a_db folded in, and P*/P must fit in a double.
+        linear power, with a_db folded in, and P*/P must be a normal
+        double (or 0, from -inf dBm).
     """
 
     two_b: float = 3.5
@@ -231,12 +232,16 @@ def _check_real(name, value, low=-math.inf, high=math.inf, ends="()"):
 
 
 def _check_linear(name, db):
-    """ValueError naming ``name``, a level of ``db`` decibels, whose
-    linear value 10^(db/10) overflows a double (from about 3,083 dB)."""
+    """ValueError naming ``name``, a finite level of ``db`` decibels,
+    whose linear value 10^(db/10) is not a normal double: it overflows
+    from about 3,083 dB and underflows below about -3,077 dB.  -inf dB,
+    a silent power, is 0 and passes."""
     try:
-        dbm_to_mw(db)
+        value = dbm_to_mw(db)
     except OverflowError:
         raise ValueError(f"{name} is {db:g} dB: its linear value overflows a double") from None
+    if value < sys.float_info.min and db > -math.inf:
+        raise ValueError(f"{name} is {db:g} dB: its linear value underflows a double")
 
 
 def _check_not_silent(prop, *names):

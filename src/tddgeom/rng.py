@@ -4,8 +4,9 @@ ordered thread map that runs a sampler's chunks on every core.
 Each seed has streams identified by (seed, index): stream i is the
 Philox-4x64-10 counter sequence advanced to block ``i * 2**40``, giving
 it 2**42 independent doubles.  The macro sampler gives each draw a
-stream of its own, and the PPP sampler each chunk of a fixed number of
-draws, so their estimates are bit-identical for any worker count.  A
+stream of its own, the PPP sampler each chunk of a fixed number of
+draws, and the brute-force ISR one stream summed in fixed blocks of
+samples, so their estimates are bit-identical for any worker count.  A
 read of a stream can start at any block of it, which is how one stream
 is split between workers, or split into regions for different kinds of
 number.
@@ -24,12 +25,13 @@ generation and array arithmetic, so chunks that spend their time there
 run in parallel; the consumer reduces the results in order, so every
 float sum is added in the same order for any worker count.
 
-A sampler may give each worker thread a workspace of its own, built on
-the thread's first job and reused by its later jobs of the same call,
-so that a chunk allocates no large array (the macro sampler does; see
-``hexgrid._macro_chunks``).  A job then returns arrays of its own, never
-views of its workspace: the worker overwrites the workspace with its
-next job while the consumer still holds the result.
+Every hexgrid sampler, the macro sampler and the brute-force ISR, gives
+each worker thread a workspace of its own, built on the thread's first
+job and reused by its later jobs of the same call, so that a chunk
+allocates no large array (see ``hexgrid._macro_chunks``).  A job then
+returns arrays of its own, never views of its workspace: the worker
+overwrites the workspace with its next job while the consumer still
+holds the result.
 """
 
 import collections

@@ -157,7 +157,7 @@ def test_an_integer_that_a_double_holds_is_a_real_number():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: PropagationParams(p_star_dbm=4000.0), "p_star_dbm - a_db is 3870 dB"),
-    (lambda: PropagationParams(p_dl_dbm=-3100.0), "p_star_dbm - p_dl_dbm is 3120 dB"),
+    (lambda: PropagationParams(p_dl_dbm=-3100.0, a_db=-200.0), "p_star_dbm - p_dl_dbm is 3120 dB"),
     (lambda: PropagationParams(p_noise_dbm=3100.0), "p_noise_dbm is 3100 dB"),
     (lambda: SmallCellScenario(p_small_star_dbm=3300.0), "p_small_star_dbm - a_db is 3170 dB"),
 ], ids=["p_star", "p_star-over-p_dl", "p_noise", "p_small_star"])
@@ -167,6 +167,22 @@ def test_a_finite_power_whose_linear_value_overflows_is_refused(call, message):
     # a power just inside the double range and a silent one are powers
     assert PropagationParams(p_star_dbm=3000.0).p_star_over_p == 10.0**294
     assert PropagationParams(p_dl_dbm=-math.inf, p_star_dbm=3000.0).p_star_over_p == math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PropagationParams(p_star_dbm=-3000.0, p_dl_dbm=300.0), "p_star_dbm - a_db is -3130 dB"),
+    (lambda: PropagationParams(p_dl_dbm=-3100.0), "p_dl_dbm - a_db is -3230 dB"),
+    (lambda: PropagationParams(p_star_dbm=2900.0, p_dl_dbm=6000.0, a_db=3000.0), "p_star_dbm - p_dl_dbm is -3100 dB"),
+    (lambda: PropagationParams(p_noise_dbm=-3100.0), "p_noise_dbm is -3100 dB"),
+    (lambda: SmallCellScenario(p_small_dbm=-3000.0), "p_small_dbm - a_db is -3130 dB"),
+    (lambda: SmallCellScenario(p_small_star_dbm=-2950.0), "p_small_star_dbm - a_db is -3080 dB"),
+], ids=["p_star", "p_dl", "p_star-over-p_dl", "p_noise", "p_small", "p_small_star"])
+def test_a_finite_power_whose_linear_value_is_not_a_normal_double_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}: its linear value underflows a double$"):
+        call()
+    # a power just inside the normal range and a silent one are powers
+    assert PropagationParams(p_noise_dbm=-3076.0).p_noise_mw == 10.0**-307.6
+    assert PropagationParams(p_noise_dbm=-math.inf).p_noise_mw == 0.0
 
 
 _POWERS = ("p_dl_dbm", "p_star_dbm", "p_noise_dbm")
@@ -234,9 +250,14 @@ _DIGITS_400 = 10**400
      "propagation: p_dl_dbm is -inf dBm: the serving link is silent"),
     ({"experiment": "isr", "propagation": {"p_star_dbm": -math.inf}},
      "propagation: p_star_dbm is -inf dBm: the serving link is silent"),
+    ({"propagation": {"p_star_dbm": -3000, "p_dl_dbm": 300}, "direction": "ul"},
+     "propagation: p_star_dbm - a_db is -3130 dB: its linear value underflows"),
+    ({"propagation": {"p_star_dbm": -3000, "p_dl_dbm": 300}, "experiment": "isr"},
+     "propagation: p_star_dbm - a_db is -3130 dB: its linear value underflows"),
+    ({"geometry": "ppp", "ppp": {"p_small_dbm": -3000}}, "ppp: p_small_dbm - a_db is -3130 dB: its linear value underflows"),
 ], ids=["two_b-inf", "a_db-inf", "a_db-minus-inf", "p_dl_dbm-inf", "p_noise_dbm-inf", "p_star_dbm-4000",
         "two_b-400-digits", "grid-entry-400-digits", "range-key-400-digits", "isr-silent-downlink",
-        "isr-silent-uplink"])
+        "isr-silent-uplink", "p_star_dbm-minus-3000-ul", "p_star_dbm-minus-3000-isr", "p_small_dbm-minus-3000"])
 def test_cli_refuses_an_argument_outside_its_domain_with_exit_2(tmp_path, capsys, tree, message):
     code, out = _run(tmp_path, tree)
     assert code == 2

@@ -3,6 +3,7 @@ estimators."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tddgeom import (
     lattice_sum,
     macro_interference_draws,
     mc_coverage_macro,
+    rng,
 )
 from tddgeom.hexgrid import _dist2_polar
 
@@ -269,3 +271,50 @@ def test_mc_coverage_macro_reuses_its_buffers(direction):
     call()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 15 * 1000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts as Linux reports them")
+def test_bruteforce_isr_ul_dl_reuses_its_buffers():
+    # chunks that allocated their (samples x sites) arrays afresh took
+    # about 0.13 minor page faults per sample here; a workspace per worker
+    # takes a fixed few hundred per call, about 0.016 per sample
+    import resource
+
+    def call():
+        bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), MacroNetwork(), PropagationParams(), 40000, seed=5)
+
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 0.05 * 40000
+
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_bruteforce_isr_ul_dl_memory_does_not_grow_with_the_worker_count(monkeypatch):
+    # 5000 samples span two of the one-worker chunks, so every worker of
+    # four has chunks to take
+    def call():
+        bruteforce_isr_ul_dl(MobilePolar(0.3, 0.1), MacroNetwork(), PropagationParams(), 5000, seed=5)
+
+    monkeypatch.setattr(rng, "workers", lambda: 1)
+    one = _traced_peak_mb(call)
+    monkeypatch.setattr(rng, "workers", lambda: 4)
+    four = _traced_peak_mb(call)
+    assert four <= one, (one, four)
+
+
+def test_a_short_macro_run_sizes_its_workspace_to_its_draws():
+    # a workspace of a whole chunk (1,092 draws at rings 4, two workers)
+    # would take several MB
+    peak = _traced_peak_mb(lambda: mc_coverage_macro(MacroNetwork(), PropagationParams(), TddMix(alpha_d=0.5), "dl",
+                                                     [0.0], 10, seed=3))
+    assert peak < 0.5, peak

@@ -12,7 +12,9 @@ must agree to rounding.
 
 import itertools
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -260,6 +262,38 @@ def test_worker_count_leaves_every_result_bit_identical(chunking, monkeypatch, w
     monkeypatch.setattr(rng, "workers", lambda: workers)
     for value, reference in zip(results(), expected, strict=True):
         assert np.array_equal(value, reference)
+
+
+@pytest.mark.parametrize("budget", [150, 1 << 15, None], ids=["150", "2**15", "default"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bruteforce_is_bit_identical_under_any_budget_and_worker_count(monkeypatch, budget, workers):
+    # 2,500 samples end in a partial block, and at every budget and
+    # worker count they span several chunks
+    m, net, prop = MobilePolar(0.3, 0.1), MacroNetwork(), PropagationParams()
+    expected = bruteforce_isr_ul_dl(m, net, prop, 2500, seed=4)
+    if budget is not None:
+        monkeypatch.setattr(hexgrid, "_CHUNK", budget)
+    monkeypatch.setattr(rng, "workers", lambda: workers)
+    assert bruteforce_isr_ul_dl(m, net, prop, 2500, seed=4) == expected
+
+
+def test_bruteforce_under_thread_switch_stress_matches_one_worker(monkeypatch):
+    # eight workers that the interpreter switches between every
+    # microsecond, each on a workspace of its own, for half a second
+    m, net, prop = MobilePolar(0.3, 0.1), MacroNetwork(), PropagationParams()
+    monkeypatch.setattr(rng, "workers", lambda: 1)
+    expected = bruteforce_isr_ul_dl(m, net, prop, 3000, seed=7)
+    monkeypatch.setattr(rng, "workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 0.5
+        runs = 0
+        while runs == 0 or time.monotonic() < deadline:
+            assert bruteforce_isr_ul_dl(m, net, prop, 3000, seed=7) == expected
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
