@@ -15,18 +15,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import FAST_QUAD, config_from_dict, run
+from .config import FAST_QUAD, config_from_dict
 from .hexgrid import bruteforce_isr_ul_dl, lattice_sum, macro_interference_draws, mc_coverage_macro
-from .macro_analytic import (
-    a1, beta_h, coverage_macro, downlink_inverse_sinr, inv_d, inv_u, isr_ul_dl,
-    uplink_inverse_sinr,
-)
+from .macro_analytic import coverage_macro, downlink_inverse_sinr, inv_d, inv_u, uplink_inverse_sinr
+from .macro_isr import a1, beta_h, isr_ul_dl
 from .params import MacroNetwork, MobilePolar, PropagationParams, TddMix, thresholds
 from .ppp_ase import ase
-from .ppp_model import (
-    QuadratureControl, SmallCellScenario, coverage_ppp_dl, coverage_ppp_ul, mc_coverage_ppp,
-    mc_laplace_ppp, mc_sinr_ppp, ppp_interference_draws,
-)
+from .ppp_model import QuadratureControl, SmallCellScenario, coverage_ppp_dl, coverage_ppp_ul
+from .ppp_sampler import mc_coverage_ppp, mc_laplace_ppp, mc_sinr_ppp, ppp_interference_draws
+from .runner import run
 from .specfun import SeriesControl, omega
 
 

@@ -8,7 +8,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import acceptance
+from . import acceptance, runner
 from . import config as config_mod
 from .errors import ConfigError, IntegrationError, TruncationError
 
@@ -44,11 +44,11 @@ def main(argv=None):
             cfg = config_mod.load_config(args.config)
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=config_mod.config_from_dict({"seed": args.seed}).seed)
-            path = config_mod.run(cfg, out_dir=args.out)
+            path = runner.run(cfg, out_dir=args.out)
             print(path)
             return 0
         if args.command == "recipe":
-            for path in config_mod.run_recipe(args.name, out_dir=args.out, seed=args.seed):
+            for path in runner.run_recipe(args.name, out_dir=args.out, seed=args.seed):
                 print(path)
             return 0
         for line, passed in acceptance.verdicts(quick=args.quick):

@@ -1,4 +1,5 @@
-"""Experiment configuration, orchestration, and output artifacts.
+"""Experiment configuration: the schema of a config tree and its
+validation.
 
 Configs are JSON trees with one experiment per file.  Omitted fields
 fall back to the reference deployment parameters (macro power 60 dBm,
@@ -6,23 +7,20 @@ small-cell 26 dBm, uplink target 20 dBm, noise -93 dBm, spacing 1 km,
 4 rings, 10 small cells per square km, outdoor attenuation 130 dB,
 path-loss exponent 3.5).  Unknown keys anywhere in the tree are
 rejected so typos cannot silently revert a parameter to its default.
+Running a resolved config is :mod:`tddgeom.runner`'s part.
 """
 
 import dataclasses
-import functools
 import json
 import math
 import os
-import subprocess
-import time
 
 import numpy as np
 
-from . import hexgrid, macro_analytic, ppp_ase, ppp_model, rng
+from . import rng
 from .errors import ConfigError
 from .params import (
     MacroNetwork,
-    MobilePolar,
     PropagationParams,
     TddMix,
     _check_not_silent,
@@ -132,6 +130,17 @@ def _parse_grid(value, name):
     return check_grid(value, name)
 
 
+# what a label may not hold, as it names files in the output directory
+_NOT_IN_LABEL = "\0" + os.sep + (os.altsep or "")
+
+
+def _check_label(label):
+    """ConfigError unless ``label`` names a file: a path separator would
+    put the outputs in another directory, and no path holds a NUL."""
+    if any(c in label for c in _NOT_IN_LABEL):
+        raise ConfigError(f"label: must be a file name, with no path separator or NUL, got {label!r}")
+
+
 def _build_group(name, cls, data, errors, parsed):
     """The fields of group ``name`` given in ``data``, and the group's
     dataclass built from them and from the ``parsed`` groups it holds,
@@ -196,8 +205,8 @@ def config_from_dict(data):
             except ConfigError as exc:
                 errors.append(str(exc))
 
-    # the streams take a seed as one 64-bit key word: 2**64 would repeat the streams of 0
-    for key, low, high, bounds in (("n_draws", 1, math.inf, "at least 1"), ("seed", 0, 2**64, "in [0, 2**64)")):
+    for key, low, high, bounds in (("n_draws", 1, math.inf, "at least 1"),
+                                   ("seed", 0, rng._SEED_LIMIT, "in [0, 2**64)")):
         if key in data:
             if isinstance(data[key], bool) or not isinstance(data[key], int):
                 errors.append(f"{key}: must be an integer")
@@ -212,6 +221,11 @@ def config_from_dict(data):
                 errors.append(f"{key}: must be a string")
             else:
                 kwargs[key] = data[key]
+    if kwargs.get("label"):
+        try:
+            _check_label(kwargs["label"])
+        except ConfigError as exc:
+            errors.append(str(exc))
     if "plot_script" in data:
         if not isinstance(data["plot_script"], bool):
             errors.append("plot_script: must be true or false")
@@ -293,240 +307,7 @@ def dump_config(cfg):
     return out
 
 
-def _format_value(x):
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-@functools.cache
-def _version_string():
-    from . import __version__
-
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    try:
-        described = subprocess.run(
-            ["git", "-C", root, "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-        )
-        if described.returncode == 0:
-            return f"{__version__}+g{described.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return __version__
-
-
-def _curve_table(x_name, x, value_name, columns):
-    """The CSV header and rows of a curve over x: per entry of the
-    ordered ``columns``, {"analytic": (values, halfwidths), "mc":
-    (values, halfwidths)}, a value and a 95% half-width column, each
-    named with the entry as a suffix when there are two entries."""
-    header = [x_name]
-    for name in columns:
-        suffix = f"_{name}" if len(columns) > 1 else ""
-        header += [value_name + suffix, "ci_halfwidth" + suffix]
-    return header, list(zip(x, *(part for pair in columns.values() for part in pair)))
-
-
-def _coverage_rows(cfg):
-    grid = cfg.gamma_grid_db
-    columns = {}
-    if cfg.mode != "mc":
-        if cfg.geometry == "macro":
-            values = macro_analytic.coverage_macro(grid, cfg.direction, cfg.macro, cfg.prop, cfg.mix,
-                                                   ctrl=cfg.series)
-        else:
-            fn = ppp_model.coverage_ppp_dl if cfg.direction == "dl" else ppp_model.coverage_ppp_ul
-            values = fn(grid, cfg.scenario(), cfg.quadrature)
-        columns["analytic"] = (values, np.zeros_like(values))
-    if cfg.mode != "analytic":
-        if cfg.geometry == "macro":
-            curve = hexgrid.mc_coverage_macro(
-                cfg.macro, cfg.prop, cfg.mix, cfg.direction, grid, cfg.n_draws, cfg.seed)
-        else:
-            curve = ppp_model.mc_coverage_ppp(
-                cfg.scenario(), cfg.direction, grid, cfg.n_draws, cfg.seed)
-        columns["mc"] = (curve.value, curve.ci_halfwidth)
-    return _curve_table("gamma_db", grid, "value", columns)
-
-
-def _isr_rows(cfg):
-    rows = []
-    for x in cfg.x_grid:
-        parts = macro_analytic.isr_total(MobilePolar(r=x), cfg.macro, cfg.prop, cfg.mix, ctrl=cfg.series)
-        if cfg.direction == "dl":
-            components = (("dl_to_dl", parts.dl_to_dl), ("ul_to_dl", parts.ul_to_dl), ("total", parts.total_dl))
-        else:
-            components = (("ul_to_ul", parts.ul_to_ul), ("dl_to_ul", parts.dl_to_ul), ("total", parts.total_ul))
-        rows += [(x, name, value) for name, value in components]
-    return ["x", "isr_component", "value"], rows
-
-
-def _ase_rows(cfg):
-    lams = cfg.lambda_grid
-    scenarios = [dataclasses.replace(cfg, lam=lam).scenario() for lam in lams]
-    columns = {}
-    if cfg.mode != "mc":
-        values = np.array([ppp_ase.ase(scenario, cfg.direction, cfg.quadrature) for scenario in scenarios])
-        columns["analytic"] = (values, np.zeros_like(values))
-    if cfg.mode != "analytic":
-        means, halves = np.empty(len(lams)), np.empty(len(lams))
-        for i, scenario in enumerate(scenarios):
-            eff = np.log2(1.0 + ppp_model.mc_sinr_ppp(scenario, cfg.direction, cfg.n_draws, cfg.seed))
-            means[i], halves[i] = eff.mean(), 1.96 * eff.std(ddof=1) / math.sqrt(eff.size)
-        columns["mc"] = (means, halves)
-    return _curve_table("lambda", lams, "ase", columns)
-
-
-_PLOT_TEMPLATE = """set datafile separator ","
-set key autotitle columnhead
-set grid
-set xlabel "{xlabel}"
-set ylabel "{ylabel}"
-plot {plots}
-"""
-
-
-def _plot_script_text(csv_name, header):
-    value_cols = [i + 1 for i, name in enumerate(header[1:], start=1) if "ci_" not in name and name != "isr_component"]
-    plots = ", ".join(f'"{csv_name}" using 1:{c} with lines' for c in value_cols)
-    ylabel = {"gamma_db": "coverage probability", "x": "interference to signal ratio", "lambda": "ASE (bit/s/Hz)"}
-    return _PLOT_TEMPLATE.format(xlabel=header[0], ylabel=ylabel.get(header[0], "value"), plots=plots)
-
-
-def run(cfg, out_dir=None, label=None):
-    """Execute one experiment and write its CSV plus metadata sidecar.
-
-    Returns the CSV path.  The output directory resolves in order:
-    explicit argument, config field, TDDGEOM_OUT, current directory.
-    The sidecar records the wall time of the computation (a monotonic
-    clock), and for a Monte Carlo coverage or ASE run the number of
-    draws, the draws per second and the worker threads that drew them
-    (both samplers run on :func:`rng.workers` threads).
-    """
-    out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    name = label or cfg.label or f"{cfg.geometry}-{cfg.experiment}-{cfg.direction}"
-
-    start = time.perf_counter()
-    if cfg.experiment == "coverage":
-        header, rows = _coverage_rows(cfg)
-    elif cfg.experiment == "isr":
-        header, rows = _isr_rows(cfg)
-    else:
-        header, rows = _ase_rows(cfg)
-    wall = time.perf_counter() - start
-
-    csv_path = os.path.join(out, f"{name}.csv")
-    _write_csv(csv_path, header, rows)
-    meta = {
-        "config": dump_config(cfg),
-        "seed": cfg.seed,
-        "version": _version_string(),
-        "wall_time_s": round(wall, 3),
-    }
-    if cfg.mode == "mc" and cfg.experiment != "isr":
-        # the Monte Carlo runs one sampler per density of an ASE sweep
-        draws = cfg.n_draws * (len(cfg.lambda_grid) if cfg.experiment == "ase" else 1)
-        meta["mc_draws"] = draws
-        meta["mc_draws_per_s"] = round(draws / wall, 1)
-        meta["mc_workers"] = rng.workers()
-    with open(os.path.join(out, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    if cfg.plot_script:
-        with open(os.path.join(out, f"{name}.gp"), "w", encoding="utf-8") as fh:
-            fh.write(_plot_script_text(os.path.basename(csv_path), header))
-    return csv_path
-
-
 # The reduced quadrature of the PPP recipes (fig7-fig10) and of
 # acceptance criterion 11.
 FAST_QUAD = {"n_rho": 32, "n_x": 24, "n_serving": 24,
              "inner_abs_tol": 1e-5, "outer_abs_tol": 1e-4, "ase_rel_tol": 1e-3}
-
-
-def _recipe_entries():
-    """Built-in experiments named after the figures they mirror; each
-    name maps to a list of (label, config dict) pairs."""
-    recipes = {}
-    recipes["fig1-isr-dl"] = [(
-        "fig1-isr-dl",
-        {"geometry": "macro", "experiment": "isr", "direction": "dl",
-         "mix": {"alpha_d": 0.5}, "series": {"max_terms": 600}},
-    )]
-    recipes["fig2-isr-ul"] = [(
-        "fig2-isr-ul",
-        {"geometry": "macro", "experiment": "isr", "direction": "ul",
-         "mix": {"alpha_d": 0.5}, "series": {"max_terms": 600}},
-    )]
-    recipes["fig4-cov-dl-macro"] = [(
-        "fig4-cov-dl-macro",
-        {"geometry": "macro", "experiment": "coverage", "direction": "dl",
-         "mode": "both", "mix": {"alpha_d": 0.5}},
-    )]
-    recipes["fig5-cov-ul-macro"] = [(
-        "fig5-cov-ul-macro",
-        {"geometry": "macro", "experiment": "coverage", "direction": "ul",
-         "mode": "both", "mix": {"alpha_d": 0.5}, "propagation": {"k": 0.0}},
-    )]
-    recipes["fig6-fpc"] = [
-        (
-            f"fig6-fpc-{direction}-k{str(k).replace('.', '')}",
-            {"geometry": "macro", "experiment": "coverage", "direction": direction,
-             "mode": "analytic", "mix": {"alpha_d": 0.5}, "propagation": {"k": k},
-             "gamma_grid_db": {"start": -20.0, "stop": 10.0, "step": 1.0}},
-        )
-        for direction in ("dl", "ul")
-        for k in (0.0, 0.4, 0.8, 1.0)
-    ]
-    for fig, direction in (("fig7-cov-dl-ppp", "dl"), ("fig8-cov-ul-ppp", "ul")):
-        recipes[fig] = [
-            (
-                f"{fig}-{env}-{tdd}",
-                {"geometry": "ppp", "experiment": "coverage", "direction": direction,
-                 "mode": "both", "mix": {"alpha_d": alpha},
-                 "propagation": {"a_db": a_db},
-                 "gamma_grid_db": {"start": -20.0, "stop": 20.0, "step": 2.0},
-                 "quadrature": FAST_QUAD},
-            )
-            for env, a_db in (("outdoor", 130.0), ("indoor", 160.0))
-            for tdd, alpha in (("stdd", 1.0), ("dtdd", 0.5))
-        ]
-    for fig, direction in (("fig9-ase-dl", "dl"), ("fig10-ase-ul", "ul")):
-        recipes[fig] = [
-            (
-                f"{fig}-{env}-{tdd}",
-                {"geometry": "ppp", "experiment": "ase", "direction": direction,
-                 "mix": {"alpha_d": alpha}, "propagation": {"a_db": a_db},
-                 "quadrature": FAST_QUAD},
-            )
-            for env, a_db in (("outdoor", 130.0), ("indoor", 160.0))
-            for tdd, alpha in (("stdd", 1.0), ("dtdd", 0.5))
-        ]
-    return recipes
-
-
-RECIPES = _recipe_entries()
-
-
-def run_recipe(name, out_dir=None, seed=None):
-    """Run every experiment of a built-in recipe; returns CSV paths."""
-    if name not in RECIPES:
-        known = ", ".join(sorted(RECIPES))
-        raise ConfigError(f"unknown recipe {name!r}; available: {known}")
-    paths = []
-    for label, data in RECIPES[name]:
-        if seed is not None:
-            data = dict(data, seed=seed)
-        cfg = config_from_dict(data)
-        paths.append(run(cfg, out_dir=out_dir, label=label))
-    return paths

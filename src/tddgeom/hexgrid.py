@@ -9,8 +9,9 @@ area, and integrating that density from the area-equivalent radius of
 the kept sites onward cancels the leading truncation error.
 
 These brute-force estimators are deliberately independent of the series
-evaluators in :mod:`tddgeom.macro_analytic`; the two are cross-checked
-against each other in the test suite.
+evaluators in :mod:`tddgeom.macro_isr` and of the coverage maps in
+:mod:`tddgeom.macro_analytic`; the routes are cross-checked against
+each other in the test suite.
 """
 
 import math
@@ -174,7 +175,7 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
         stderr covers the sampled part; the tail is deterministic.
     """
     _check_count("n_samples", n_samples, 1)
-    _check_count("seed", seed, 0, 1 << 64)
+    rng._check_seed(seed)
     if m.r == 0:
         return 0.0, 0.0
     z0 = m.position()
@@ -357,7 +358,7 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed, split=False):
     """
     direction = check_direction(direction)
     _check_count("n_draws", n_draws, 1)
-    _check_count("seed", seed, 0, 1 << 64)
+    rng._check_seed(seed)
     sites = lattice_points(net)
     chunk = max(1, _CHUNK // (rng.workers() * sites.size))
     # the site arrays that every chunk reads, made once per call

@@ -8,6 +8,9 @@ the interference Laplace transform, so the ASE needs no coverage value
 and no threshold.  The transform is :func:`tddgeom.ppp_model._laplace`,
 with its own tolerance and refinement, and the serving distance takes
 its graded Rayleigh rule, :func:`tddgeom.ppp_model._rayleigh_rule`.
+The Monte Carlo counterpart, the mean of log2(1 + SINR) over the draws
+of :func:`tddgeom.ppp_sampler.mc_sinr_ppp`, is taken by
+:mod:`tddgeom.runner`.
 """
 
 import math

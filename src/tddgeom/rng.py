@@ -3,8 +3,9 @@ ordered thread map that runs a sampler's chunks on every core.
 
 Each seed has streams identified by (seed, index): stream i is the
 Philox-4x64-10 counter sequence advanced to block ``i * 2**40``, giving
-it 2**42 independent doubles.  The macro sampler gives each draw a
-stream of its own, the PPP sampler each chunk of a fixed number of
+it 2**42 independent doubles.  The macro sampler of
+:mod:`tddgeom.hexgrid` gives each draw a stream of its own, the
+sampler of :mod:`tddgeom.ppp_sampler` each chunk of a fixed number of
 draws, and the brute-force ISR one stream summed in fixed blocks of
 samples, so their estimates are bit-identical for any worker count.  A
 read of a stream can start at any block of it, which is how one stream
@@ -44,6 +45,15 @@ from .params import _check_count
 # counter blocks reserved per stream; each block yields 4 uint64 outputs
 _BLOCKS_PER_STREAM = 1 << 40
 _WORD = (1 << 64) - 1
+# seeds lie in [0, _SEED_LIMIT): the streams take a seed as one 64-bit
+# key word, so 2**64 would repeat the streams of 0
+_SEED_LIMIT = 1 << 64
+
+
+def _check_seed(seed):
+    """TypeError unless ``seed`` is an integer, ValueError outside
+    [0, 2**64)."""
+    _check_count("seed", seed, 0, _SEED_LIMIT)
 
 
 class Streams:
@@ -56,7 +66,7 @@ class Streams:
     """
 
     def __init__(self, seed):
-        _check_count("seed", seed, 0, 1 << 64)
+        _check_seed(seed)
         self._bitgen = np.random.Philox(key=np.uint64(seed))
         self._gen = np.random.Generator(self._bitgen)
         state = self._bitgen.state

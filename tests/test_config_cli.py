@@ -24,7 +24,7 @@ from tddgeom import (
     run_recipe,
     validate,
 )
-from tddgeom import acceptance, rng
+from tddgeom import acceptance, rng, runner
 from tddgeom.cli import main
 from tddgeom.config import FAST_QUAD
 
@@ -157,6 +157,9 @@ def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys,
     assert f"config error: invalid config:\n  {message}" in capsys.readouterr().err
 
 
+_ISR = {"experiment": "isr", "x_grid": [0.1]}
+
+
 @pytest.mark.parametrize("tree, message", [
     ([1.0, 2.0], "config error: config root must be a JSON object"),
     ({"mix": 0.5}, "mix: expected an object"),
@@ -177,14 +180,45 @@ def test_cli_rejects_an_infinite_length_or_density_with_exit_2(tmp_path, capsys,
     ({"propagation": {"k": 1.5}}, "propagation: k must lie in [0, 1]"),
     ({"macro": {"cell_radius": 0.6}}, "macro: cell_radius must lie in (0, 0.57735], got 0.6"),
     ({"macro": {"load_eta": 0.0}}, "macro: load_eta must lie in (0, 1]"),
+    (dict(_ISR, label="sub/x"), "label: must be a file name, with no path separator or NUL, got 'sub/x'"),
+    (dict(_ISR, label="x\0y"), "label: must be a file name, with no path separator or NUL, got 'x\\x00y'"),
+    ({**_ISR, "--out": "taken"}, "config error: cannot create output directory 'taken'"),
+    (dict(_ISR, out="taken"), "config error: cannot create output directory 'taken'"),
+    ({**_ISR, "TDDGEOM_OUT": "taken"}, "config error: cannot create output directory 'taken'"),
 ], ids=["root", "group", "range-key", "range-missing-key", "list-entry", "n_draws-float", "seed-string",
         "seed-bool", "n_draws-zero", "seed-negative", "seed-2**64", "out", "label", "plot_script", "two_b", "k",
-        "cell_radius", "load_eta"])
-def test_cli_rejects_a_malformed_config_with_exit_2(tmp_path, capsys, tree, message):
+        "cell_radius", "load_eta", "label-separator", "label-nul", "out-file-flag", "out-file-config",
+        "out-file-env"])
+def test_cli_rejects_a_malformed_config_with_exit_2(tmp_path, capsys, monkeypatch, tree, message):
+    # a tree's "--out" and "TDDGEOM_OUT" entries are no config keys: they
+    # name the output directory by the flag and by the environment, where
+    # "taken" is a file.  Without them or "out", the flag names "out".
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TDDGEOM_OUT", raising=False)
+    (tmp_path / "taken").write_text("kept\n")
+    flags = [] if {"out", "TDDGEOM_OUT"} & set(tree) else ["--out", tree["--out"] if "--out" in tree else "out"]
+    if "TDDGEOM_OUT" in tree:
+        monkeypatch.setenv("TDDGEOM_OUT", tree["TDDGEOM_OUT"])
+    if isinstance(tree, dict):
+        tree = {key: value for key, value in tree.items() if key not in ("--out", "TDDGEOM_OUT")}
     path = _write(tmp_path / "bad.json", tree)
-    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert main(["run", path, *flags]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_run_refuses_a_label_that_is_no_file_name_before_computing(tmp_path, monkeypatch):
+    def computed(cfg):
+        raise AssertionError("computed before the label was checked")
+
+    monkeypatch.setattr(runner, "_isr_rows", computed)
+    cfg = config_from_dict(_ISR)
+    for label in ("sub/x", "x\0y"):
+        with pytest.raises(ConfigError, match="label: must be a file name"):
+            run(cfg, out_dir=str(tmp_path / "out"), label=label)
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_seed_must_name_the_stream_it_uses(tmp_path, capsys):

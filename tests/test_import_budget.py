@@ -6,11 +6,18 @@ criteria included, must run without it.
 
 Nor may the import or the analytic paths load concurrent.futures, which
 costs about 7 to 10 ms of start-up: only the Monte Carlo samplers'
-worker map needs it."""
+worker map needs it.
+
+Nor may a module reach 4,096 parser tokens.  A process that runs with
+PYTHONDONTWRITEBYTECODE=1 compiles every module from source, and from
+that count on the parser's token buffer doubles: compile() of the
+module then peaks 0.25 to 0.36 MB higher, which shows in the peak
+memory of every run."""
 
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -65,3 +72,23 @@ def test_benchmarked_paths_do_not_load_scipy(loaded):
 
 def test_import_and_analytic_paths_do_not_load_a_thread_pool(loaded):
     assert loaded[:2] == ["False", "False"]
+
+
+# tokens the parser reads past which it doubles its token buffer
+_COMPILE_STEP = 4096
+
+
+def _parser_tokens(path):
+    """The tokens of a source file, without comments, blank lines and
+    the encoding marker."""
+    with open(path, "rb") as fh:
+        return sum(1 for token in tokenize.tokenize(fh.readline)
+                   if token.type not in (tokenize.ENCODING, tokenize.COMMENT, tokenize.NL))
+
+
+def test_every_module_stays_below_the_compile_step():
+    package = os.path.dirname(os.path.abspath(tddgeom.__file__))
+    counts = {name: _parser_tokens(os.path.join(package, name))
+              for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    over = [f"tddgeom/{name} has {count:,} parser tokens" for name, count in counts.items() if count >= _COMPILE_STEP]
+    assert not over, f"{'; '.join(over)}: at or past the {_COMPILE_STEP:,}-token compile step, split it by role"

@@ -40,7 +40,8 @@ from tddgeom import (
     sum_series,
     uplink_inverse_sinr,
 )
-from tddgeom.macro_analytic import _beta_h_cached, _downlink_maps, _DownlinkMaps, _uplink_coefficient
+from tddgeom.macro_analytic import _downlink_maps, _DownlinkMaps, _uplink_coefficient
+from tddgeom.macro_isr import _beta_h_cached
 from tddgeom.specfun import _taylor_values
 
 XR = 1.0 / math.sqrt(3.0)

@@ -33,7 +33,7 @@ from tddgeom import (
     mc_laplace_ppp,
     mc_sinr_ppp,
     ppp_interference_draws,
-    ppp_model,
+    ppp_sampler,
     rng,
 )
 
@@ -68,7 +68,7 @@ def _ppp_reference(scenario, direction, n_draws, seed, association="rayleigh", s
     from block k 2**36 on, in draw order: the position radius, position
     angle, direction flag and offset angle uniforms (k = 1 to 4), the
     offset and fade exponentials (k = 5, 6)."""
-    chunk = ppp_model._CHUNK_DRAWS
+    chunk = ppp_sampler._CHUNK_DRAWS
     lam_pi = scenario.lam * math.pi
     w = scenario.window_radius
     prop = scenario.prop
@@ -164,7 +164,7 @@ def chunking(request, monkeypatch):
     """Run each sampler with its own chunk sizes and with tiny ones, so
     that a run spans several chunks and ends unevenly."""
     if request.param == "small":
-        monkeypatch.setattr(ppp_model, "_CHUNK_DRAWS", 8)
+        monkeypatch.setattr(ppp_sampler, "_CHUNK_DRAWS", 8)
         monkeypatch.setattr(hexgrid, "_CHUNK", 150)
     return request.param
 
@@ -193,7 +193,7 @@ def test_ppp_sinr_matches_reference(chunking, association, direction):
 
 def test_ppp_empty_draws_keep_their_fallbacks():
     sc = SmallCellScenario(lam=0.05, window_radius=2.0, mix=TddMix(alpha_d=0.5))
-    draws = ppp_model._sample(sc, "dl", 60, 3, association="nearest")
+    draws = ppp_sampler._sample(sc, "dl", 60, 3, association="nearest")
     ref = _ppp_reference(sc, "dl", 60, 3, "nearest")
     empty = ref[1] + ref[2] == 0.0
     assert 10 < empty.sum() < 60
