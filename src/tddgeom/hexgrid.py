@@ -403,11 +403,19 @@ def mc_coverage_macro(net, prop, mix, direction, gamma_grid_db, n_draws, seed):
     The draws are those of :func:`macro_interference_draws`.  The
     average-load factor scales the interference sum, matching the
     analytic model's use of it.  A SINR tie or NaN is not covered and
-    +inf is.  The chunks are counted one at a time, in O(chunk draws +
-    thresholds) memory.  Results are bit-identical for a given
-    (seed, n_draws) under any chunking or worker count.
+    +inf, a silent field with no noise, is.  The chunks are counted one
+    at a time, in O(chunk draws + thresholds) memory.  Results are
+    bit-identical for a given (seed, n_draws) under any chunking or
+    worker count.
     """
     grid = check_gamma_grid(gamma_grid_db)
     chunks = _macro_chunks(net, prop, mix, direction, n_draws, seed)
-    sinrs = (useful / (net.load_eta * i_total + prop.p_noise_mw) for _, useful, i_total in chunks)
+    sinrs = (_sinr(useful, net.load_eta * i_total + prop.p_noise_mw) for _, useful, i_total in chunks)
     return empirical_coverage(grid, sinrs, n_draws)
+
+
+def _sinr(useful, noise_and_interference):
+    """useful / noise_and_interference without a warning: +inf over a
+    silent field with no noise, NaN where the useful power is 0 too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return useful / noise_and_interference

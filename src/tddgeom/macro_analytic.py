@@ -23,9 +23,14 @@ and +5 dB).  For 0 < alpha_d < 1, :func:`coverage_macro` therefore
 averages the downlink coverage over the user angle and over the 64
 direction patterns of the six ring-1 cells: those cells are resolved at
 the user's position, and the rest of the lattice keeps the mean-field
-series.  With alpha_d in {0, 1} there is a single pattern, and coverage
-inverts the mean map :func:`downlink_inverse_sinr` by the same iteration.
-Uplink coverage stays mean-field, in
+series.
+
+There is one downlink map form, evaluated by rows: each row is one
+(user angle, ring-1 pattern) pair, and coverage averages the rows'
+crossing radii with their weights.  The mean map
+:func:`downlink_inverse_sinr` is its one-row case, with no ring-1 site
+resolved; it serves the inverses, and coverage at alpha_d in {0, 1},
+where there is a single pattern.  Uplink coverage stays mean-field, in
 closed form; its largest gap to the Monte Carlo is 0.010 at
 alpha_d = 1/2.  The ISR maps themselves are unchanged.
 """
@@ -61,6 +66,8 @@ _RING1_PATTERNS = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(float)
 # doubling them moves downlink coverage by at most 2.5e-5 (alpha_d in
 # {0.2, 0.5, 0.9}, k in {0, 0.4, 1}, -20 to +20 dB)
 _SECTOR_ANGLES = 16
+# the row index of the mean map, its only row, for every query of it
+_MEAN_ROW = np.zeros(1, dtype=int)
 
 
 @lru_cache(maxsize=32)
@@ -93,10 +100,10 @@ def downlink_inverse_sinr(x, net, prop, mix, ctrl=None):
     serving power raises ValueError, here and in every map and inverse.
     """
     _check_real("x", x, 0.0, net.x_edge, "[]")
-    maps = _downlink_maps(net, prop, mix, ctrl)
+    maps = _downlink_map(net, prop, mix, ctrl, False)
     if x == 0:
         return 0.0
-    return float(maps(np.array([float(x)]))[0][0])
+    return float(maps(np.array([float(x)]), _MEAN_ROW)[0][0])
 
 
 def uplink_inverse_sinr(x, net, prop, mix, ctrl=None):
@@ -143,9 +150,10 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
     takes the value y.
 
     method="exact" solves d(x) = y on (0, x_edge] by the Newton
-    iteration of :func:`coverage_macro` to 1e-15 x_edge and is the
-    reference.  method="series" inverts the map's first two Taylor
-    terms d ~ f x^{2b} (1 + c1 x^2): with V = (y/f)^{1/(2b)},
+    iteration of :func:`coverage_macro`, on the one row of the mean map,
+    to 1e-15 x_edge, and is the reference.  method="series" inverts the
+    map's first two Taylor terms d ~ f x^{2b} (1 + c1 x^2): with
+    V = (y/f)^{1/(2b)},
 
         x = V / sqrt(1/2 + sqrt(1/4 + (c1/b) V^2)),
 
@@ -155,61 +163,54 @@ def inv_d(y, net, prop, mix, ctrl=None, method="exact"):
     """
     if method not in ("exact", "series"):
         raise ValueError(f"method must be 'exact' or 'series', got {method!r}")
-    maps = _downlink_maps(net, prop, mix, ctrl)
-    edge = maps(np.array([net.x_edge]))
-    _check_real("y", y, 0.0, edge[0][0], "(]")
+    maps = _downlink_map(net, prop, mix, ctrl, False)
+    _check_real("y", y, 0.0, maps.edge[0][0], "(]")
     if method == "series":
-        f, c1f = maps.mean[:2].real
+        f, c1f = maps.merged[:2].real
         v = (y / f) ** (1.0 / (2.0 * prop.b))
         return v / math.sqrt(0.5 + math.sqrt(0.25 + (c1f / f / prop.b) * v * v))
-    return float(_crossing_radii(np.array([float(y)]), maps, None, edge, 1e-15 * net.x_edge)[0])
+    return float(_crossing_radii(np.array([float(y)]), maps, _MEAN_ROW, 1e-15 * net.x_edge)[0])
 
 
-class _DownlinkMaps:
-    """The downlink maps of one model, as Taylor tables in x^2.
-
-    Called with radii alone it gives the mean map of
-    :func:`downlink_inverse_sinr`: below x_clamp one Horner pass of
-    ``mean``, the table ``mean_far`` (eta alpha_d times the
-    :func:`tddgeom.macro_isr.isr_dl_dl` series, plus y0) merged with
-    ``mobile``; from it on, one pass of ``mean_far`` plus the frozen
-    ``mobile_clamped``.
-    For 0 < alpha_d < 1 its rows resolve ring 1: with the ring-1 cells
-    in pattern p and the user at x e^{i theta},
+class _DownlinkMap:
+    """The downlink map of one model, as Taylor tables in x^2, evaluated
+    by rows.  With the ring-1 cells in pattern p and the user at
+    x e^{i theta}, row (theta, p) is
 
         d_p = eta [sum over the downlink sites s of p of
                    (x / |s - x e^{i theta}|)^{2b}
-                   + alpha_d F(x) + alpha_u mobile_term(x)] + y0 x^{2b},
+                   + alpha_d F(x) + alpha_u mobile_term(x)] + y0 x^{2b}.
 
-    where F (table ``far``) is the :func:`tddgeom.macro_isr.isr_dl_dl`
+    With ``ring1`` false no site is resolved: ``cosines`` and
+    ``patterns`` have shape (0, 1), and the one row, of weight 1, is the
+    mean map :func:`downlink_inverse_sinr`, F (table ``far``, plus y0)
+    being the :func:`tddgeom.macro_isr.isr_dl_dl` series.  With
+    ``ring1`` true the six ring-1 sites are resolved, and F is that
     series with omega(b+h) replaced by omega(b+h) - 1: ring 1 adds
-    exactly 1 to every omega, and the rest converges for x < sqrt(3).  Every ring-1
-    term increases with x because |s| >= sqrt(3) x on the cell, so
-    every d_p is increasing; ``pattern`` is ``far`` merged with
-    ``mobile``.  For alpha_d in {0, 1} the one row, of weight 1, is the
-    mean map, and ``cosines`` and ``patterns`` are None.
+    exactly 1 to every omega, and the rest converges for x < sqrt(3).
+    Every ring-1 term increases with x because |s| >= sqrt(3) x on the
+    cell, so every d_p is increasing.  Below x_clamp one Horner pass of
+    ``merged``, ``far`` merged with ``mobile``, gives the series part;
+    from it on, one pass of ``far`` plus the frozen ``mobile_clamped``.
 
     Row 64 t + p is angle node t with pattern p.  ``cosines`` and
-    ``patterns``, of shape (6, rows), hold per site j cos(angle of site
-    j - theta) and the 0/1 downlink indicator; ``weights`` holds
+    ``patterns``, of shape (sites, rows), hold per site j cos(angle of
+    site j - theta) and the 0/1 downlink indicator; ``weights`` holds
     alpha_d^n alpha_u^(6-n) over the number of angle nodes, and ``edge``
-    the maps and their slopes at the cell edge.
+    the rows' values and slopes at the cell edge.
     """
 
-    def __init__(self, net, prop, mix, ctrl):
+    def __init__(self, net, prop, mix, ctrl, ring1):
         b = prop.b
         self.b = b
         self.eta = net.load_eta
         self.x_edge = net.x_edge
         self.x_clamp = min(self.x_edge, _CROSS_TERM_CLAMP * (1.0 - self.x_edge))
-
-        def far(ring1):
-            table = _taylor_table(
-                lambda h: 6.0 * math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
-                * (omega(b + h) - ring1), self.x_edge, ctrl, self.eta * mix.alpha_d)
-            # y0 = P_N delta^{2b} / P, the noise term of d(x) = ... + y0 x^{2b}
-            table[0] += prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw
-            return table
+        self.far = _taylor_table(
+            lambda h: 6.0 * math.exp(2.0 * (math.lgamma(b + h) - math.lgamma(b) - math.lgamma(h + 1.0)))
+            * (omega(b + h) - ring1), self.x_edge, ctrl, self.eta * mix.alpha_d)
+        # y0 = P_N delta^{2b} / P, the noise term of d(x) = ... + y0 x^{2b}
+        self.far[0] += prop.p_noise_mw * net.delta ** (2.0 * b) / prop.p_dl_mw
         # with no cell in uplink the mobile series is zero and is cut at once
         self.mobile = _taylor_table(
             lambda h: _beta_h_cached(h, b, prop.k, self.x_edge, (ctrl or _DEFAULT_SERIES).rel_tol),
@@ -217,70 +218,61 @@ class _DownlinkMaps:
             self.eta * mix.alpha_u * 6.0 * prop.p_star_over_p * net.cell_radius ** (2.0 * b * prop.k))
         # the frozen mobile term, from x_clamp on
         self.mobile_clamped = _taylor_values(np.array([self.x_clamp]), self.mobile, b)[0][0]
-        self.mean_far = self.far = far(0.0)
-        self.cosines = self.patterns = None
+        self.merged = np.polynomial.polynomial.polyadd(self.far, self.mobile)
+        self.cosines = self.patterns = np.zeros((0, 1))
         self.weights = np.ones(1)
-        if 0.0 < mix.alpha_d < 1.0:
-            self.far = far(1.0)
+        if ring1:
             theta = (np.arange(_SECTOR_ANGLES) + 0.5) * (math.pi / 6.0 / _SECTOR_ANGLES)
             self.cosines = np.repeat(np.cos(_RING1_ANGLES[:, None] - theta[None, :]), 64, axis=1)
             self.patterns = np.tile(_RING1_PATTERNS.T, (1, _SECTOR_ANGLES))
             n_dl = self.patterns.sum(axis=0)
             self.weights = mix.alpha_d**n_dl * mix.alpha_u ** (6.0 - n_dl) / _SECTOR_ANGLES
-        self.mean, self.pattern = (np.polynomial.polynomial.polyadd(t, self.mobile) for t in (self.mean_far, self.far))
-        rows = None if self.patterns is None else np.arange(self.weights.size)
-        self.edge = self(np.full(self.weights.size, self.x_edge), rows)
+        self.edge = self(np.full(self.weights.size, self.x_edge), np.arange(self.weights.size))
 
-    def __call__(self, x, rows=None):
+    def __call__(self, x, rows):
         """d_p and its slope in x at radii 0 < x <= x_edge of shape (n,),
-        for the map rows of index ``rows`` (n,); the mean map d and its
-        slope without rows, as on a one-row map.  Each entry depends on
+        for the map rows of index ``rows`` (n,).  Each entry depends on
         its own radius and row alone."""
-        far, merged = (self.mean_far, self.mean) if rows is None else (self.far, self.pattern)
         below = x < self.x_clamp
         value, slope = np.empty(x.size), np.empty(x.size)
-        for part, table, mobile in ((~below, far, self.mobile_clamped), (below, merged, 0.0)):
+        for part, table, mobile in ((~below, self.far, self.mobile_clamped), (below, self.merged, 0.0)):
             if part.any():
                 value[part], slope[part] = _taylor_values(x[part], table, self.b)
                 value[part] += mobile
-        if rows is not None:
-            b = self.b
-            xx = x * x
-            ring1 = np.zeros(x.size)
-            ring1_slope = np.zeros(x.size)
-            # site by site, with the site's cosine c and downlink
-            # indicator gathered per entry; q = |s - x e^{i theta}|^2
-            for cosines, patterns in zip(self.cosines, self.patterns):
-                xc = x * cosines[rows]
-                q = 1.0 - 2.0 * xc + xx
-                term = (xx / q) ** b * patterns[rows]
-                ring1 += term
-                ring1_slope += term * (1.0 - xc) / (x * q)
-            value += self.eta * ring1
-            slope += (self.eta * 2.0 * b) * ring1_slope
+        b = self.b
+        xx = x * x
+        ring1 = ring1_slope = 0.0
+        # site by site, with the site's cosine c and downlink indicator
+        # gathered per entry; q = |s - x e^{i theta}|^2.  With no site
+        # resolved this adds an exact zero.
+        for cosines, patterns in zip(self.cosines, self.patterns):
+            xc = x * cosines[rows]
+            q = 1.0 - 2.0 * xc + xx
+            term = (xx / q) ** b * patterns[rows]
+            ring1 += term
+            ring1_slope += term * (1.0 - xc) / (x * q)
+        value += self.eta * ring1
+        slope += (self.eta * 2.0 * b) * ring1_slope
         return value, slope
 
 
 @lru_cache(maxsize=32)
-def _downlink_maps(net, prop, mix, ctrl):
-    # the maps depend on the model but not on the threshold
+def _downlink_map(net, prop, mix, ctrl, ring1):
+    # the map depends on the model but not on the threshold
     _check_not_silent(prop, "p_dl_dbm")
-    return _DownlinkMaps(net, prop, mix, ctrl)
+    return _DownlinkMap(net, prop, mix, ctrl, ring1)
 
 
-def _crossing_radii(y, maps, rows, edge, tol):
-    """Radii where increasing maps cross values, one unknown per entry
-    of ``y``: unknown i is where map row ``rows[i]`` (the mean map where
-    ``rows`` is None) crosses y[i], x_edge where the row stays at or
-    below y[i].  ``edge`` holds each unknown's map value and slope at
-    x_edge.  Each unknown iterates until its own last step is at most
-    ``tol``, so its radius does not depend on the other unknowns."""
+def _crossing_radii(y, maps, rows, tol):
+    """Radii where increasing map rows cross values, one unknown per
+    entry of ``y``: unknown i is where row ``rows[i]`` of ``maps``
+    crosses y[i], x_edge where the row stays at or below y[i].  Each
+    unknown iterates until its own last step is at most ``tol``, so its
+    radius does not depend on the other unknowns."""
     x_gamma = np.full(y.size, maps.x_edge)
-    d, slope = edge
+    d, slope = (e[rows] for e in maps.edge)
     todo = np.flatnonzero(d > y)
-    y, d, slope = y[todo], d[todo], slope[todo]
-    if rows is not None:
-        rows = rows[todo]
+    y, d, slope, rows = y[todo], d[todo], slope[todo], rows[todo]
     x = x_gamma[todo]
     # Newton on log d_p against log x, where every term is close to a
     # power law, inside the bracket [lo, hi] around the single crossing.
@@ -304,10 +296,8 @@ def _crossing_radii(y, maps, rows, edge, tol):
         if done.any():
             x_gamma[todo[done]] = x[done]
             going = ~done
-            todo, y, x, lo, hi, last, before_last = (
-                a[going] for a in (todo, y, x, lo, hi, last, before_last))
-            if rows is not None:
-                rows = rows[going]
+            todo, y, x, lo, hi, last, before_last, rows = (
+                a[going] for a in (todo, y, x, lo, hi, last, before_last, rows))
             if not todo.size:
                 break
         d, slope = maps(x, rows)
@@ -321,19 +311,14 @@ _BLOCK_ROWS = 4096
 
 def _downlink_coverage(y, maps):
     """Downlink coverage at the map values y, averaged over the rows of
-    ``maps``, ring-1 patterns and user angles or the one mean-map row;
-    see :func:`coverage_macro`."""
+    ``maps``; see :func:`coverage_macro`."""
     n_rows = maps.weights.size
     per_block = max(1, _BLOCK_ROWS // n_rows)
-    # a one-row map is the mean map, which takes no row indices
-    rows = None if maps.patterns is None else np.tile(np.arange(n_rows), per_block)
-    edge = [np.tile(e, per_block) for e in maps.edge]
+    rows = np.tile(np.arange(n_rows), per_block)
     coverage = np.empty(y.size)
     for start in range(0, y.size, per_block):
         block = y[start:start + per_block]
-        n = block.size * n_rows
-        x_gamma = _crossing_radii(np.repeat(block, n_rows), maps, None if rows is None else rows[:n],
-                                  [e[:n] for e in edge], 1e-10 * maps.x_edge)
+        x_gamma = _crossing_radii(np.repeat(block, n_rows), maps, rows[:block.size * n_rows], 1e-10 * maps.x_edge)
         share = maps.weights * ((x_gamma / maps.x_edge) ** 2).reshape(block.size, n_rows)
         coverage[start:start + block.size] = share.sum(axis=1)
     return coverage
@@ -359,19 +344,19 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     crosses the threshold, and the coverage is the mean of
     (min(x_gamma, x_edge) / x_edge)^2.
 
-    Downlink with 0 < alpha_d < 1: the mean runs over theta, by 16
+    Downlink: x_gamma(row) is where a row of the downlink map crosses
+    1/gamma, and coverage is the weighted mean over the rows.  With
+    0 < alpha_d < 1 the rows resolve ring 1: they run over theta, by 16
     midpoint nodes on the symmetry sector [0, pi/6], and over the 64
     direction patterns p of the six ring-1 cells, pattern p weighted
-    alpha_d^n alpha_u^(6-n) when n of its cells transmit downlink.
-    x_gamma(theta, p) is where the pattern's map d_p crosses 1/gamma;
-    d_p sums the downlink ring-1 cells of p at the user's position and
-    the mean-field series for the rest of the lattice (see the module
-    notes).  Every d_p increases with x, so the crossing is unique; a
-    bracketed Newton iteration finds it to 1e-10 x_edge.
-
-    Downlink with alpha_d in {0, 1}: a single pattern, and x_gamma is
-    where the angle-averaged map :func:`downlink_inverse_sinr` crosses
-    1/gamma, found by the same iteration to the same tolerance.
+    alpha_d^n alpha_u^(6-n) when n of its cells transmit downlink; the
+    row's map d_p sums the downlink ring-1 cells of p at the user's
+    position and the mean-field series for the rest of the lattice (see
+    the module notes).  With alpha_d in {0, 1} there is a single
+    pattern, and the map is the one row of weight 1, the
+    angle-averaged map :func:`downlink_inverse_sinr`.  Every row
+    increases with x, so the crossing is unique; a bracketed Newton
+    iteration finds it to 1e-10 x_edge.
 
     A downlink grid is solved as one set of (threshold, row) unknowns,
     in blocks of whole thresholds of about 4,096 rows, so the memory
@@ -385,7 +370,7 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
 
     Every map is built from ``net``, ``prop`` and ``mix`` alone, the load
     factor eta included; ``ctrl`` truncates its series.  The downlink
-    maps and the uplink coefficient are cached per model, so a curve
+    map and the uplink coefficient are cached per model, so a curve
     pays for them once.  A silent serving power gives coverage 0.
 
     Returns
@@ -398,7 +383,7 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     if (prop.p_dl_mw if direction == "dl" else prop.p_star_mw) == 0.0:
         coverage = np.zeros(gamma.size)  # a silent serving link: the SINR is 0
     elif direction == "dl":
-        coverage = _downlink_coverage(1.0 / gamma, _downlink_maps(net, prop, mix, ctrl))
+        coverage = _downlink_coverage(1.0 / gamma, _downlink_map(net, prop, mix, ctrl, 0.0 < mix.alpha_d < 1.0))
     else:
         coverage = [_uplink_coverage(v, net, prop, mix, ctrl) for v in (1.0 / gamma).tolist()]
     return float(coverage[0]) if scalar else np.asarray(coverage, dtype=float)

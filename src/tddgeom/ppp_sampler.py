@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import rng
-from .hexgrid import _dist2_polar
+from .hexgrid import _dist2_polar, _sinr
 from .params import _check_count, _check_real, check_direction, check_gamma_grid, empirical_coverage
 from .ppp_model import _serving_link
 
@@ -130,7 +130,11 @@ def _sample_chunk(scenario, direction, nearest, serving_r, streams, c, m):
     from_dl = scenario.p_small_mw * np.bincount(draw, np.where(keep & is_dl, term, 0.0), m)
     from_ul = scenario.p_small_star_mw * np.bincount(draw, np.where(keep & ~is_dl, term, 0.0), m)
     p_serv, exp_serving = _serving_link(scenario, direction)
-    return p_serv * serving_fade * r ** (-exp_serving), from_dl, from_ul, r
+    # a serving distance of 0, which mc_laplace_ppp may ask for, gives
+    # +inf useful power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        useful = p_serv * serving_fade * r ** (-exp_serving)
+    return useful, from_dl, from_ul, r
 
 
 def ppp_interference_draws(scenario, direction, n_draws, seed):
@@ -160,7 +164,7 @@ def mc_sinr_ppp(scenario, direction, n_draws, seed, association="rayleigh"):
     prefix of any longer run.
     """
     useful, from_dl, from_ul, _ = _sample(scenario, direction, n_draws, seed, association)
-    return useful / (from_dl + from_ul + scenario.p_noise_mw)
+    return _sinr(useful, from_dl + from_ul + scenario.p_noise_mw)
 
 
 def mc_coverage_ppp(scenario, direction, gamma_grid_db, n_draws, seed, association="rayleigh"):

@@ -42,10 +42,13 @@ def _version_string():
     from . import __version__
 
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    # the ceiling stops git at the source root, so a tree with no .git of
+    # its own is not stamped with the commit of a repository around it
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(root))
     try:
         described = subprocess.run(
             ["git", "-C", root, "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, env=env,
         )
         if described.returncode == 0:
             return f"{__version__}+g{described.stdout.strip()}"

@@ -3,6 +3,10 @@ recipes, and the command-line entry point."""
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -397,6 +401,24 @@ def test_run_writes_csv_and_metadata(tmp_path):
     assert meta["seed"] == cfg.seed
     assert meta["version"].startswith("0.")
     assert config_from_dict(meta["config"]) == cfg
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not on PATH")
+def test_version_ignores_a_repository_around_the_source_tree(tmp_path):
+    # a source tree with no .git of its own, inside a repository with a
+    # commit: the version names no commit rather than the outer one
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "-C", str(tmp_path)]
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "outer"]):
+        subprocess.run(git + args, check=True, capture_output=True, timeout=30)
+    package = os.path.dirname(os.path.abspath(runner.__file__))
+    shutil.copytree(package, tmp_path / "tree" / "src" / "tddgeom", ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("from tddgeom import __version__; from tddgeom.runner import _version_string; "
+              "print(_version_string(), __version__)")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "tree" / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    stamped, version = done.stdout.split()
+    assert stamped == version
 
 
 @pytest.mark.parametrize("experiment, extra, draws", [

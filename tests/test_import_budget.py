@@ -58,10 +58,13 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 def loaded():
     """What the script printed: whether concurrent.futures was loaded
     after the import and after the analytic paths, then the scipy
-    modules loaded by the end."""
+    modules loaded by the end.  A leaked numpy RuntimeWarning fails the
+    script, as it fails the suite."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tddgeom.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+    # the suite's warning filter does not reach a child process
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 

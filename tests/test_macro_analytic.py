@@ -40,7 +40,7 @@ from tddgeom import (
     sum_series,
     uplink_inverse_sinr,
 )
-from tddgeom.macro_analytic import _downlink_maps, _DownlinkMaps, _uplink_coefficient
+from tddgeom.macro_analytic import _downlink_map, _DownlinkMap, _uplink_coefficient
 from tddgeom.macro_isr import _beta_h_cached
 from tddgeom.specfun import _taylor_values
 
@@ -455,7 +455,7 @@ def test_coverage_macro_alternating_networks_keep_their_values(direction, alpha_
     nets = (MacroNetwork(delta=2.0, cell_radius=0.8), OTHER_NET)
     fresh = []
     for net in nets:
-        _downlink_maps.cache_clear()
+        _downlink_map.cache_clear()
         _uplink_coefficient.cache_clear()
         fresh.append(coverage_macro(gamma_db, direction, net, prop, mix))
     assert fresh[0] != fresh[1]
@@ -594,14 +594,13 @@ def test_coverage_macro_mixed_downlink_matches_monte_carlo():
 def _two_pass_maps(maps, x, rows):
     # the maps summed as the far table's pass plus ring 1 plus the mobile
     # table's own pass, frozen from x_clamp on
-    value, slope = _taylor_values(x, maps.mean_far if rows is None else maps.far, maps.b)
-    if rows is not None:
-        for cosines, patterns in zip(maps.cosines, maps.patterns):
-            xc = x * cosines[rows]
-            q = 1.0 - 2.0 * xc + x * x
-            term = (x * x / q) ** maps.b * patterns[rows]
-            value += maps.eta * term
-            slope += maps.eta * 2.0 * maps.b * term * (1.0 - xc) / (x * q)
+    value, slope = _taylor_values(x, maps.far, maps.b)
+    for cosines, patterns in zip(maps.cosines, maps.patterns):
+        xc = x * cosines[rows]
+        q = 1.0 - 2.0 * xc + x * x
+        term = (x * x / q) ** maps.b * patterns[rows]
+        value += maps.eta * term
+        slope += maps.eta * 2.0 * maps.b * term * (1.0 - xc) / (x * q)
     below = x < maps.x_clamp
     mobile_value = np.full(x.size, maps.mobile_clamped)
     mobile_slope = np.zeros(x.size)
@@ -612,21 +611,23 @@ def _two_pass_maps(maps, x, rows):
 @pytest.mark.parametrize("two_b, k, alpha_d", [(3.5, 0.4, 0.5), (3.5, 0.4, 1.0), (4.0, 0.0, 0.0), (3.0, 1.0, 0.2)])
 def test_merged_map_tables_give_the_two_pass_sum(two_b, k, alpha_d):
     # below x_clamp one pass of the far and mobile tables merged, from it
-    # on the far pass plus the frozen mobile term
+    # on the far pass plus the frozen mobile term; for the one-row mean
+    # map, and at mixed alpha_d for the ring-1 map too
     net = MacroNetwork()
-    maps = _DownlinkMaps(net, PropagationParams(two_b=two_b, k=k), TddMix(alpha_d=alpha_d), None)
-    x = np.append(np.linspace(0.005, net.x_edge, 400), maps.x_clamp)
-    assert (x < maps.x_clamp).sum() > 100 and (x >= maps.x_clamp).sum() > 100
-    cases = [None] if maps.patterns is None else [None, np.arange(x.size) % maps.weights.size]
-    for rows in cases:
+    prop, mix = PropagationParams(two_b=two_b, k=k), TddMix(alpha_d=alpha_d)
+    for ring1 in (False, True) if 0.0 < alpha_d < 1.0 else (False,):
+        maps = _DownlinkMap(net, prop, mix, None, ring1)
+        x = np.append(np.linspace(0.005, net.x_edge, 400), maps.x_clamp)
+        assert (x < maps.x_clamp).sum() > 100 and (x >= maps.x_clamp).sum() > 100
+        rows = np.arange(x.size) % maps.weights.size
         for merged, two_pass in zip(maps(x, rows), _two_pass_maps(maps, x, rows)):
-            assert np.all(np.abs(merged - two_pass) <= 1e-15 * two_pass), rows is None
+            assert np.all(np.abs(merged - two_pass) <= 1e-15 * two_pass), ring1
 
 
 def test_pattern_maps_increase_with_radius_and_split_the_lattice_sum():
     net = MacroNetwork()
     prop = PropagationParams(p_star_dbm=-200.0, p_noise_dbm=-math.inf)
-    maps = _DownlinkMaps(net, prop, TddMix(alpha_d=0.5), None)
+    maps = _DownlinkMap(net, prop, TddMix(alpha_d=0.5), None, True)
     xs = np.linspace(0.01, net.x_edge, 60)
     for theta_node in (0, 7, 15):
         for pattern in (0, 1, 0b101010, 63):
