@@ -15,7 +15,6 @@ each other in the test suite.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -95,10 +94,9 @@ def bruteforce_isr_dl(m, net, prop, tail_correction=True):
 
 
 # elements (samples x sites) per array in a Monte Carlo sampler, about
-# 1 MB, shared between the workers.  Each sampler's workers size one
-# workspace of such arrays to their share of it and reuse it for the
-# whole call, so the memory a sampler holds is about the same for any
-# worker count, and no chunk allocates a (samples x sites) array.
+# 1 MB, shared between the workers: each worker's workspace holds its
+# share, so the memory a sampler holds is about the same for any worker
+# count, and no chunk allocates a (samples x sites) array.
 _CHUNK = 1 << 17
 # samples per summation block of the brute-force ISR
 _BLOCK = 64
@@ -134,7 +132,7 @@ def _dist2_polar(abs_w, half_arg_w, rho, u, out=None, tmp=None):
 
 class _BruteforceWorkspace:
     """One worker's buffers for chunks of up to ``n`` brute-force
-    samples over ``ns`` sites, reused for every chunk of a call."""
+    samples over ``ns`` sites."""
 
     def __init__(self, seed, n, ns):
         self.streams = rng.Streams(seed)
@@ -163,9 +161,7 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     per site and sample in order.  They are summed in blocks of _BLOCK
     samples: each block's sum and sum of squares, and the blocks' sums
     added in block order.  The workers of :func:`rng.chunk_map` compute
-    whole blocks, reading from their own offsets into the stream, in
-    one workspace per worker of about its share of _CHUNK elements per
-    array, built on its first chunk and reused for the whole call.  So
+    whole blocks, reading from their own offsets into the stream, so
     the result depends on neither the element budget nor the worker
     count.
 
@@ -189,12 +185,8 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
     half_arg_w = 0.5 * np.angle(offset)
     ns = offset.size
     chunk = max(1, _CHUNK // (rng.workers() * ns * _BLOCK)) * _BLOCK
-    local = threading.local()
 
-    def block_sums(start):
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = _BruteforceWorkspace(seed, min(chunk, n_samples), ns)
+    def block_sums(start, ws):
         n = min(chunk, n_samples - start)
         # the samples from `start` on: 2 ns doubles per sample, and ns
         # = 3 R (R + 1) is even, so they start at a whole Philox block
@@ -212,7 +204,8 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
         at = np.arange(0, n, _BLOCK)
         return np.add.reduceat(per_sample, at), np.add.reduceat(per_sample**2, at)
 
-    chunks = list(rng.chunk_map(block_sums, range(0, n_samples, chunk)))
+    chunks = list(rng.chunk_map(block_sums, range(0, n_samples, chunk),
+                                lambda: _BruteforceWorkspace(seed, min(chunk, n_samples), ns)))
     sums, sums_sq = (np.concatenate(parts) for parts in zip(*chunks))
     mean = float(sums.sum()) / n_samples
     var = max(float(sums_sq.sum()) / n_samples - mean**2, 0.0)
@@ -227,7 +220,7 @@ def bruteforce_isr_ul_dl(m, net, prop, n_samples, seed, tail_correction=True):
 
 class _MacroWorkspace:
     """One worker's buffers for chunks of up to ``n`` macro draws over
-    ``ns`` sites, reused for every chunk of a sampler call."""
+    ``ns`` sites."""
 
     def __init__(self, seed, n, ns):
         self.streams = rng.Streams(seed)
@@ -351,10 +344,8 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed, split=False):
     radius and the mobile angle.  A row is filled in place from one
     re-positioned Philox, so any chunking reproduces the same numbers.
     The chunks are computed by the workers of :func:`rng.chunk_map` and
-    yielded in order.  Each worker computes its chunks in one workspace
-    of (draws x sites) arrays, built on its first chunk and reused for
-    the whole call, and reduces them there: only the per-draw vectors
-    leave it, so a consumer may keep every chunk it is given.
+    yielded in order, each reduced in its worker's workspace to the
+    per-draw vectors, so a consumer may keep every chunk it is given.
     """
     direction = check_direction(direction)
     _check_count("n_draws", n_draws, 1)
@@ -369,15 +360,12 @@ def _macro_chunks(net, prop, mix, direction, n_draws, seed, split=False):
         dl_term = np.power(abs_s * abs_s, -prop.b)
         dl_term *= prop.p_dl_mw
         const = (abs_s, 0.5 * np.angle(sites), dl_term)
-    local = threading.local()
 
-    def job(start):
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = _MacroWorkspace(seed, min(chunk, n_draws), sites.size)
+    def job(start, ws):
         return _macro_chunk(const, net, prop, mix, direction, start, min(chunk, n_draws - start), ws, split)
 
-    return rng.chunk_map(job, range(0, n_draws, chunk))
+    return rng.chunk_map(job, range(0, n_draws, chunk),
+                         lambda: _MacroWorkspace(seed, min(chunk, n_draws), sites.size))
 
 
 def macro_interference_draws(net, prop, mix, direction, n_draws, seed):

@@ -324,17 +324,6 @@ def _downlink_coverage(y, maps):
     return coverage
 
 
-def _uplink_coverage(y, net, prop, mix, ctrl):
-    """Uplink coverage at the map value y, by the closed-form inverse
-    :func:`inv_u`; see :func:`coverage_macro`."""
-    x_edge = net.x_edge
-    if uplink_inverse_sinr(x_edge, net, prop, mix, ctrl) <= y:
-        return 1.0
-    if prop.k == 1:
-        return 0.0
-    return (min(inv_u(y, net, prop, mix, ctrl), x_edge) / x_edge) ** 2
-
-
 def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     """Probability that the SINR of a uniformly placed user exceeds the
     threshold ``gamma_db``, a float or a 1-D grid (see params.thresholds).
@@ -385,5 +374,12 @@ def coverage_macro(gamma_db, direction, net, prop, mix, ctrl=None):
     elif direction == "dl":
         coverage = _downlink_coverage(1.0 / gamma, _downlink_map(net, prop, mix, ctrl, 0.0 < mix.alpha_d < 1.0))
     else:
-        coverage = [_uplink_coverage(v, net, prop, mix, ctrl) for v in (1.0 / gamma).tolist()]
+        # u(x) = c x^{2b(1-k)}: covered everywhere where u(x_edge) <= y,
+        # else out to inv_u(y), or nowhere when k = 1
+        c = _uplink_coefficient(net, prop, mix, ctrl)
+        x_edge = net.x_edge
+        power = 2.0 * prop.b * (1.0 - prop.k)
+        u_edge = c * x_edge ** power
+        coverage = [1.0 if u_edge <= y else 0.0 if prop.k == 1
+                    else (min((y / c) ** (1.0 / power), x_edge) / x_edge) ** 2 for y in (1.0 / gamma).tolist()]
     return float(coverage[0]) if scalar else np.asarray(coverage, dtype=float)

@@ -71,12 +71,11 @@ def _sample(scenario, direction, n_draws, seed, association="rayleigh", serving_
     if association not in ("rayleigh", "nearest"):
         raise ValueError(f"association must be 'rayleigh' or 'nearest', got {association!r}")
 
-    def job(c):
+    def job(c, streams):
         size = min(_CHUNK_DRAWS, n_draws - c * _CHUNK_DRAWS)
-        return _sample_chunk(scenario, direction, association == "nearest", serving_r,
-                             rng.Streams(seed), c, size)
+        return _sample_chunk(scenario, direction, association == "nearest", serving_r, streams, c, size)
 
-    chunks = list(rng.chunk_map(job, range(-(-n_draws // _CHUNK_DRAWS))))
+    chunks = list(rng.chunk_map(job, range(-(-n_draws // _CHUNK_DRAWS)), lambda: rng.Streams(seed)))
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
@@ -184,6 +183,6 @@ def mc_laplace_ppp(v, r, scenario, direction, n_draws, seed):
     _check_real("r", r, 0.0, math.inf, "[)")
     _, from_dl, from_ul, _ = _sample(scenario, direction, n_draws, seed, serving_r=r)
     val = np.exp(-v * (from_dl + from_ul))
-    mean = float(val.sum()) / n_draws
-    var = max(float((val * val).sum()) / n_draws - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_draws)
+    # the two-pass deviation: E[val^2] - mean^2 cancels to 0 where val
+    # is near 1
+    return float(val.sum()) / n_draws, float(val.std()) / math.sqrt(n_draws)

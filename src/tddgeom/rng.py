@@ -12,31 +12,23 @@ read of a stream can start at any block of it, which is how one stream
 is split between workers, or split into regions for different kinds of
 number.
 
-A sampler holds one :class:`Streams` per seed: one Philox and one
-Generator, re-positioned at the start of each stream by writing the
-counter and emptying the output buffer.  That reads exactly the numbers
-of a fresh Philox advanced to the stream's block, at about a tenth of
-the cost of building one.  A Streams is not shared between threads:
-each job of :func:`chunk_map` builds its own, or takes the one in its
-worker's workspace.
+A :class:`Streams` holds one Philox and one Generator of a seed,
+re-positioned at the start of each stream by writing the counter and
+emptying the output buffer.  That reads exactly the numbers of a fresh
+Philox advanced to the stream's block, at about a tenth of the cost of
+building one.  A Streams is not shared between threads: each worker of
+:func:`chunk_map` keeps its own in its workspace.
 
 :func:`chunk_map` runs jobs on :func:`workers` threads and yields
 their results in job order.  numpy releases the GIL in its bulk
 generation and array arithmetic, so chunks that spend their time there
 run in parallel; the consumer reduces the results in order, so every
 float sum is added in the same order for any worker count.
-
-Every hexgrid sampler, the macro sampler and the brute-force ISR, gives
-each worker thread a workspace of its own, built on the thread's first
-job and reused by its later jobs of the same call, so that a chunk
-allocates no large array (see ``hexgrid._macro_chunks``).  A job then
-returns arrays of its own, never views of its workspace: the worker
-overwrites the workspace with its next job while the consumer still
-holds the result.
 """
 
 import collections
 import os
+import threading
 
 import numpy as np
 
@@ -115,12 +107,20 @@ def workers():
         return os.cpu_count() or 1
 
 
-def chunk_map(job, items):
-    """Yield ``job(item)`` for each item, in order, computed on
+def chunk_map(job, items, workspace):
+    """Yield ``job(item, ws)`` for each item, in order, computed on
     :func:`workers` threads.
 
-    At most that many results are in flight: the one the consumer holds
-    and the jobs queued or running behind it.  A job that raises
+    ``workspace`` is a zero-argument factory of the state a worker keeps
+    across its jobs, its streams and buffers.  Each worker thread calls
+    it once, on its first job of this call, and passes the result as
+    ``ws`` to every job it runs.  A workspace lives for one call, and no
+    two threads share one.  A job returns arrays of its own, never views
+    of its workspace: the worker overwrites the workspace with its next
+    job while the consumer still holds the result.
+
+    At most :func:`workers` results are in flight: the one the consumer
+    holds and the jobs queued or running behind it.  A job that raises
     re-raises here, at its place in the order; the jobs not yet started
     are cancelled and the threads are joined before the exception
     leaves, as they are when the consumer stops early.
@@ -128,12 +128,21 @@ def chunk_map(job, items):
     # imported here so that the analytic paths do not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
+    local = threading.local()
+
+    def run(item):
+        try:
+            ws = local.ws
+        except AttributeError:
+            ws = local.ws = workspace()
+        return job(item, ws)
+
     n = workers()
     pool = ThreadPoolExecutor(max_workers=n)
     pending = collections.deque()
     try:
         for item in items:
-            pending.append(pool.submit(job, item))
+            pending.append(pool.submit(run, item))
             if len(pending) == n:
                 yield pending.popleft().result()
         while pending:

@@ -43,8 +43,11 @@ def _version_string():
 
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     # the ceiling stops git at the source root, so a tree with no .git of
-    # its own is not stamped with the commit of a repository around it
-    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(root))
+    # its own is not stamped with the commit of a repository around it.
+    # An inherited GIT_DIR, as inside a git hook, overrides both the
+    # ceiling and -C, so every GIT_ variable is dropped.
+    env = {key: value for key, value in os.environ.items() if not key.startswith("GIT_")}
+    env["GIT_CEILING_DIRECTORIES"] = os.path.dirname(root)
     try:
         described = subprocess.run(
             ["git", "-C", root, "describe", "--always", "--dirty"],

@@ -406,7 +406,9 @@ def test_run_writes_csv_and_metadata(tmp_path):
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not on PATH")
 def test_version_ignores_a_repository_around_the_source_tree(tmp_path):
     # a source tree with no .git of its own, inside a repository with a
-    # commit: the version names no commit rather than the outer one
+    # commit: the version names no commit rather than the outer one, also
+    # where the environment points git at that repository, as inside a
+    # git hook
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "-C", str(tmp_path)]
     for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "outer"]):
         subprocess.run(git + args, check=True, capture_output=True, timeout=30)
@@ -415,10 +417,12 @@ def test_version_ignores_a_repository_around_the_source_tree(tmp_path):
     script = ("from tddgeom import __version__; from tddgeom.runner import _version_string; "
               "print(_version_string(), __version__)")
     env = dict(os.environ, PYTHONPATH=str(tmp_path / "tree" / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    stamped, version = done.stdout.split()
-    assert stamped == version
+    for extra in ({}, {"GIT_DIR": str(tmp_path / ".git")}):
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(env, **extra), timeout=60)
+        assert done.returncode == 0, done.stderr
+        stamped, version = done.stdout.split()
+        assert stamped == version, extra
 
 
 @pytest.mark.parametrize("experiment, extra, draws", [

@@ -8,12 +8,17 @@ Nor may the import or the analytic paths load concurrent.futures, which
 costs about 7 to 10 ms of start-up: only the Monte Carlo samplers'
 worker map needs it.
 
+Nor may any module but rng import threading or concurrent.futures:
+rng.chunk_map owns the sampler workers and the state each keeps across
+its jobs, so no sampler keeps thread state of its own.
+
 Nor may a module reach 4,096 parser tokens.  A process that runs with
 PYTHONDONTWRITEBYTECODE=1 compiles every module from source, and from
 that count on the parser's token buffer doubles: compile() of the
 module then peaks 0.25 to 0.36 MB higher, which shows in the peak
 memory of every run."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -75,6 +80,26 @@ def test_benchmarked_paths_do_not_load_scipy(loaded):
 
 def test_import_and_analytic_paths_do_not_load_a_thread_pool(loaded):
     assert loaded[:2] == ["False", "False"]
+
+
+def _imported_modules(path):
+    """The absolute modules a source file imports, at any depth."""
+    with open(path, "rb") as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_the_chunk_map_imports_threads():
+    package = os.path.dirname(os.path.abspath(tddgeom.__file__))
+    found = [f"tddgeom/{name} imports {module}" for name in sorted(os.listdir(package))
+             if name.endswith(".py") and name != "rng.py"
+             for module in _imported_modules(os.path.join(package, name))
+             if module.split(".")[0] in ("threading", "concurrent")]
+    assert not found, f"{'; '.join(found)}: a worker's state belongs in its rng.chunk_map workspace"
 
 
 # tokens the parser reads past which it doubles its token buffer

@@ -1,6 +1,8 @@
 """Tests for the re-positioned Philox streams and the chunk map."""
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -85,15 +87,47 @@ def test_chunk_map_keeps_order_and_bounds_the_results_in_flight(monkeypatch):
     monkeypatch.setattr(rng, "workers", lambda: 3)
     started = []
 
-    def job(item):
+    def job(item, ws):
         started.append(item)
         return item * item
 
-    for i, value in enumerate(rng.chunk_map(job, range(10))):
+    for i, value in enumerate(rng.chunk_map(job, range(10), object)):
         assert value == i * i
         # the consumer holds result i; at most two more jobs were queued
         assert len(started) <= i + 3
     assert sorted(started) == list(range(10))
+
+
+def test_chunk_map_builds_one_workspace_per_thread_and_call(monkeypatch):
+    monkeypatch.setattr(rng, "workers", lambda: 3)
+    calls = []
+    for _ in range(2):
+        built, seen = [], []
+
+        def workspace():
+            built.append(threading.get_ident())
+            return object()
+
+        def job(item, ws):
+            seen.append((threading.get_ident(), ws))
+            # a short wait, so that the jobs spread over the threads
+            time.sleep(0.002)
+            return item
+
+        assert list(rng.chunk_map(job, range(10), workspace)) == list(range(10))
+        # the factory runs at most once per thread, and only in a thread
+        # that then runs a job
+        assert len(built) == len(set(built)) <= 3
+        assert set(built) == {thread for thread, _ in seen}
+        # each thread's jobs see one workspace, and no two threads share one
+        by_thread = {}
+        for thread, ws in seen:
+            assert by_thread.setdefault(thread, ws) is ws
+        assert len({id(ws) for ws in by_thread.values()}) == len(by_thread)
+        calls.append(by_thread.values())
+    # the second call builds its own: the first call's workspaces are
+    # still alive here, so a shared id would be a shared object
+    assert not {id(ws) for ws in calls[0]} & {id(ws) for ws in calls[1]}
 
 
 def test_workers_falls_back_to_the_cpu_count_without_affinity(monkeypatch):

@@ -210,6 +210,18 @@ def test_ppp_laplace_matches_reference(chunking):
     _assert_close([mean, se], [val.mean(), math.sqrt(max((val**2).mean() - val.mean() ** 2, 0.0) / 33)])
 
 
+def test_ppp_laplace_error_survives_a_transform_near_one():
+    # every exp(-v I) here lies within 3e-7 of 1, where the one-pass
+    # E[val^2] - mean^2 cancels to 0; the deviations are about 5e-9, so
+    # rounding of the values leaves the error about 1e-8 relative
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    _, from_dl, from_ul, _ = _ppp_reference(sc, "dl", 4000, 15, serving_r=0.1)
+    val = np.exp(-1e-3 * (from_dl + from_ul))
+    mean, se = mc_laplace_ppp(1e-3, 0.1, sc, "dl", 4000, 15)
+    _assert_close(mean, val.mean())
+    assert se == pytest.approx(val.std() / math.sqrt(4000), rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # macro sampler and brute-force ISR
 
@@ -320,7 +332,7 @@ _COUNT_CALLS = {
         "seed-minus-1-ValueError", "seed-2**64-ValueError", "seed-True-TypeError"])
 def test_bad_draw_counts_fail_fast(monkeypatch, call, count, seed, error):
     # a bad draw count or seed is refused before any worker pool starts
-    def no_pool(job, items):
+    def no_pool(job, items, workspace):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr(rng, "chunk_map", no_pool)
