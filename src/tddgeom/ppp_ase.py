@@ -9,8 +9,9 @@ and no threshold.  The transform is :func:`tddgeom.ppp_model._laplace`,
 with its own tolerance and refinement, and the serving distance takes
 its graded Rayleigh rule, :func:`tddgeom.ppp_model._rayleigh_rule`.
 The Monte Carlo counterpart, the mean of log2(1 + SINR) over the draws
-of :func:`tddgeom.ppp_sampler.mc_sinr_ppp`, is taken by
-:mod:`tddgeom.runner`.
+of :func:`tddgeom.ppp_sampler.mc_sinr_ppp` with its standard error, is
+:func:`tddgeom.ppp_sampler._spectral_efficiency`, which both the runner
+and the acceptance criteria take.
 """
 
 import math

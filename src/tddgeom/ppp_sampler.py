@@ -166,6 +166,14 @@ def mc_sinr_ppp(scenario, direction, n_draws, seed, association="rayleigh"):
     return _sinr(useful, from_dl + from_ul + scenario.p_noise_mw)
 
 
+def _spectral_efficiency(scenario, direction, n_draws, seed):
+    """The Monte Carlo spectral efficiency, the mean of log2(1 + SINR)
+    over the draws of :func:`mc_sinr_ppp`; returns (mean, standard
+    error)."""
+    eff = np.log2(1.0 + mc_sinr_ppp(scenario, direction, n_draws, seed))
+    return float(eff.mean()), float(eff.std(ddof=1)) / math.sqrt(eff.size)
+
+
 def mc_coverage_ppp(scenario, direction, gamma_grid_db, n_draws, seed, association="rayleigh"):
     """Empirical SINR CCDF over the threshold grid with 95% binomial
     half-widths, in O(draws + thresholds) memory.  A SINR tie or NaN is

@@ -10,7 +10,6 @@ trees, each resolved by :func:`tddgeom.config.config_from_dict`.
 import dataclasses
 import functools
 import json
-import math
 import os
 import subprocess
 import time
@@ -29,12 +28,21 @@ def _format_value(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, text):
+    """Write one output file; a failed write raises ConfigError naming
+    the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 @functools.cache
@@ -114,11 +122,10 @@ def _ase_rows(cfg):
         values = np.array([ppp_ase.ase(scenario, cfg.direction, cfg.quadrature) for scenario in scenarios])
         columns["analytic"] = (values, np.zeros_like(values))
     if cfg.mode != "analytic":
-        means, halves = np.empty(len(lams)), np.empty(len(lams))
+        means, ses = np.empty(len(lams)), np.empty(len(lams))
         for i, scenario in enumerate(scenarios):
-            eff = np.log2(1.0 + ppp_sampler.mc_sinr_ppp(scenario, cfg.direction, cfg.n_draws, cfg.seed))
-            means[i], halves[i] = eff.mean(), 1.96 * eff.std(ddof=1) / math.sqrt(eff.size)
-        columns["mc"] = (means, halves)
+            means[i], ses[i] = ppp_sampler._spectral_efficiency(scenario, cfg.direction, cfg.n_draws, cfg.seed)
+        columns["mc"] = (means, 1.96 * ses)
     return _curve_table("lambda", lams, "ase", columns)
 
 
@@ -148,7 +155,8 @@ def run(cfg, out_dir=None, label=None):
     draws, the draws per second and the worker threads that drew them
     (both samplers run on :func:`rng.workers` threads).  A label that
     is no file name, or an output directory that cannot be made, raises
-    ConfigError before anything is computed.
+    ConfigError before anything is computed; an output file that cannot
+    be written raises ConfigError after.
     """
     out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
     name = label or cfg.label or f"{cfg.geometry}-{cfg.experiment}-{cfg.direction}"
@@ -168,7 +176,7 @@ def run(cfg, out_dir=None, label=None):
     wall = time.perf_counter() - start
 
     csv_path = os.path.join(out, f"{name}.csv")
-    _write_csv(csv_path, header, rows)
+    _write(csv_path, _csv_text(header, rows))
     meta = {
         "config": dump_config(cfg),
         "seed": cfg.seed,
@@ -181,12 +189,9 @@ def run(cfg, out_dir=None, label=None):
         meta["mc_draws"] = draws
         meta["mc_draws_per_s"] = round(draws / wall, 1)
         meta["mc_workers"] = rng.workers()
-    with open(os.path.join(out, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    _write(os.path.join(out, f"{name}.meta.json"), json.dumps(meta, indent=2) + "\n")
     if cfg.plot_script:
-        with open(os.path.join(out, f"{name}.gp"), "w", encoding="utf-8") as fh:
-            fh.write(_plot_script_text(os.path.basename(csv_path), header))
+        _write(os.path.join(out, f"{name}.gp"), _plot_script_text(os.path.basename(csv_path), header))
     return csv_path
 
 

@@ -213,6 +213,16 @@ def test_cli_rejects_a_malformed_config_with_exit_2(tmp_path, capsys, monkeypatc
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("taken", ["x.csv", "x.meta.json"])
+def test_cli_reports_an_output_file_it_cannot_write_with_exit_2(tmp_path, capsys, taken):
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    path = _write(tmp_path / "x.json", dict(_ISR, label="x"))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write output file {str(tmp_path / 'out' / taken)!r}" in err
+    assert "Traceback" not in err
+
+
 def test_run_refuses_a_label_that_is_no_file_name_before_computing(tmp_path, monkeypatch):
     def computed(cfg):
         raise AssertionError("computed before the label was checked")
@@ -664,35 +674,40 @@ def test_cli_validate_quick(capsys):
     assert "PASS" in report and "FAIL" not in report
 
 
+def _truth(label, holds):
+    return lambda: [(label, holds, True)]
+
+
 @pytest.fixture
 def fake_criteria(monkeypatch):
     monkeypatch.setattr(acceptance, "CRITERIA", (
-        acceptance.Criterion(1, "fake-pass", True, lambda: ("ok", True)),
-        acceptance.Criterion(2, "fake-fail", False, lambda: ("bad", False)),
+        acceptance.Criterion(1, "fake-pass", True, _truth("ok", True)),
+        acceptance.Criterion(2, "fake-fail", False, _truth("bad", False)),
     ))
 
 
 def test_validate_reports_a_failing_criterion(fake_criteria, capsys):
     report, passed = validate()
     assert not passed
-    assert "criterion 02 fake-fail: bad -> FAIL" in report.split("\n")
+    assert "criterion 02 fake-fail: bad False (req True) <- FAIL -> FAIL" in report.split("\n")
     assert report.endswith("validation FAILED")
     assert main(["validate"]) == 4
     assert "validation FAILED" in capsys.readouterr().out
 
 
 def test_validate_quick_runs_only_quick_criteria(fake_criteria):
-    assert validate(quick=True) == ("criterion 01 fake-pass: ok -> PASS\nall checks passed", True)
+    assert validate(quick=True) == ("criterion 01 fake-pass: ok True (req True) -> PASS\nall checks passed", True)
 
 
 def test_cli_prints_each_verdict_as_it_finishes(monkeypatch, capsys):
     def second():
-        assert "criterion 01 fake-pass: ok -> PASS" in capsys.readouterr().out
-        return "ok", True
+        assert "criterion 01 fake-pass: ok True (req True) -> PASS" in capsys.readouterr().out
+        yield "ok", True, True
 
     monkeypatch.setattr(acceptance, "CRITERIA", (
-        acceptance.Criterion(1, "fake-pass", True, lambda: ("ok", True)),
+        acceptance.Criterion(1, "fake-pass", True, _truth("ok", True)),
         acceptance.Criterion(2, "fake-second", False, second),
     ))
     assert main(["validate"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["criterion 02 fake-second: ok -> PASS", "all checks passed"]
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 02 fake-second: ok True (req True) -> PASS", "all checks passed"]
