@@ -50,10 +50,10 @@ class ExperimentConfig:
     prop: PropagationParams = PropagationParams()
     mix: TddMix = TddMix()
     macro: MacroNetwork = MacroNetwork()
-    lam: float = 10.0
-    window_radius: float | None = None
-    p_small_dbm: float = 26.0
-    p_small_star_dbm: float = 20.0
+    lam: float = SmallCellScenario.lam
+    window_radius: float | None = SmallCellScenario.window_radius
+    p_small_dbm: float = SmallCellScenario.p_small_dbm
+    p_small_star_dbm: float = SmallCellScenario.p_small_star_dbm
     series: SeriesControl = SeriesControl()
     quadrature: QuadratureControl = QuadratureControl()
     gamma_grid_db: tuple = tuple(np.arange(-30.0, 30.5, 1.0).tolist())

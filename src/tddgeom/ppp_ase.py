@@ -44,7 +44,9 @@ def _ase_rows(r, s_mean, a_scale, scenario, quad):
     nested pair of coarse order _ASE_NODES, and each row is refined on
     its own to ase_rel_tol of its value (:func:`tddgeom.quadrules.refine`);
     each level sends the nodes of all its rows to :func:`_laplace` in one
-    call.  Returns what refine returns."""
+    call, which forms e^{-vN} L_I by its one rule: a node whose noise
+    factor is 0 gives 0, and v = +inf takes its limit.  Returns what
+    refine returns."""
     b = scenario.prop.b
 
     def estimate(level, todo):
@@ -59,10 +61,8 @@ def _ase_rows(r, s_mean, a_scale, scenario, quad):
             (np.broadcast_to(g_s, ay.shape), 2.0 / (1.0 - s) ** 2 * b * ay / (y * (1.0 + ay))),
             axis=1,
         )
-        val = np.exp(-scenario.p_noise_mw * v)
-        # nodes where the noise factor underflows add nothing
-        live = val > 0.0
-        val[live] *= _laplace(v[live], np.broadcast_to(r[todo, None], v.shape)[live], scenario, quad)
+        val = _laplace(v.ravel(), np.broadcast_to(r[todo, None], v.shape).ravel(), scenario, quad,
+                       scenario.p_noise_mw).reshape(v.shape)
         return ((val * jac) @ np.concatenate((w, w), axis=1).T).T
 
     return refine(estimate, r.size, lambda fine: quad.ase_rel_tol * fine, quad.max_refinements)

@@ -258,7 +258,9 @@ def _offset_tables(radii, rho, wo, unit, two_b, rules):
     np.clip(angle, -1.0, 1.0, out=angle)
     np.arccos(angle, out=angle)
     wt[:, mid] *= angle / math.pi
-    np.power(a, two_b, out=a)
+    # a tiny unit overflows a to +inf, where g = v / (v + a) takes its limit 0
+    with np.errstate(over="ignore"):
+        np.power(a, two_b, out=a)
     if radii.size > 1:
         rows = np.argsort(i, kind="stable")
         a, wt = a[rows], wt[:, rows]
@@ -356,8 +358,10 @@ def _pgfl_radial(v, r, scenario, n_x, n_rho):
     interfered fraction of the pairs beyond r against x dx, so that the
     Laplace transform is exp(-2 pi lam E).  The downlink term is the
     offset 0 of unit P^{1/2b}, the uplink one each offset node of order
-    n_rho, of unit P*^{1/2b} rho^k; a silent term is skipped.  Returns
-    (2, v.size): the Kronrod estimate (in y and offset), then Gauss."""
+    n_rho, of unit P*^{1/2b} rho^k; a silent term is skipped.  At
+    v = +inf every heard pair is fully interfered, so E is +inf, or 0
+    with no term.  Returns (2, v.size): the Kronrod estimate (in y and
+    offset), then Gauss."""
     mix, prop = scenario.mix, scenario.prop
     rho, w_rho = _rayleigh_rule(n_rho, scenario.lam)
     # each term's share, offsets and their weights, power and exponent k
@@ -366,20 +370,27 @@ def _pgfl_radial(v, r, scenario, n_x, n_rho):
              if term[0] > 0.0 and term[3] > 0.0]
     if not terms:
         return np.zeros((2, v.size))
+    finite = v < math.inf
+    if not finite.all():
+        out = np.full((2, v.size), math.inf)
+        out[:, finite] = _pgfl_radial(v[finite], r[finite], scenario, n_x, n_rho)
+        return out
     offsets, weights, units = (np.concatenate(parts, axis=-1) for parts in zip(
         *((rho_t, share * w, power ** (1.0 / prop.two_b) * rho_t**k) for share, rho_t, w, power, k in terms)))
     return _offset_sum(v, r, offsets, weights, units, prop.two_b, n_x)
 
 
-def _laplace(v, r, scenario, quad):
-    """Laplace transforms at the pairs of the 1-D arrays v and r.  Each
-    pair with v > 0 is refined on its own (:func:`tddgeom.quadrules.refine`)
-    to |K - G| <= inner_abs_tol, doubling the distance and offset orders;
-    v = 0 gives exactly 1."""
-    if not (np.all((v >= 0) & (v < math.inf)) and np.all((r >= 0) & (r < math.inf))):
-        raise ValueError("v and r must be finite and non-negative")
-    out = np.ones(v.size)
-    live = np.flatnonzero(v != 0)
+def _laplace(v, r, scenario, quad, noise=0.0):
+    """E[exp(-v (noise + I)) | r] = exp(-v noise) L_I(v, r) at the pairs
+    of the 1-D arrays v >= 0 (+inf allowed) and finite r >= 0, with the
+    noise power in mW.  The one rule: a pair whose noise factor
+    exp(-v noise) is 0 gives 0 and takes no transform, v = 0 gives
+    exactly 1, and v = +inf takes its limit, 0 or, over a noiseless and
+    silent interfering field, 1.  Each other pair is refined on its own
+    (:func:`tddgeom.quadrules.refine`) on L_I alone to |K - G| <=
+    inner_abs_tol, doubling the distance and offset orders."""
+    out = np.exp(-noise * v) if noise else np.ones(v.size)
+    live = np.flatnonzero((out > 0.0) & (v != 0))
     pref = 2.0 * math.pi * scenario.lam
 
     def estimate(level, todo):
@@ -387,13 +398,14 @@ def _laplace(v, r, scenario, quad):
         radial = _pgfl_radial(v[at], r[at], scenario, quad.n_x << level, quad.n_rho << level)
         return np.exp(-pref * radial)
 
-    out[live], failed, disc = refine(estimate, live.size, lambda fine: quad.inner_abs_tol,
-                                     quad.max_refinements)
+    laplace, failed, disc = refine(estimate, live.size, lambda fine: quad.inner_abs_tol,
+                                   quad.max_refinements)
+    out[live] *= laplace
     if failed.size:
         at = live[failed[0]]
         raise IntegrationError(
             f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[at]}, r={r[at]}",
-            achieved=float(out[at]),
+            achieved=float(laplace[failed[0]]),
             discrepancy=float(disc[0]),
         )
     return out
@@ -437,9 +449,10 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
             # int_0^1 e^{-vN} L_I(v, r) du over the serving CDF u, graded at
             # r -> 0, where the integrand falls steeply at high thresholds
             r, w = _rayleigh_rule(quad.n_serving << level, scenario.lam)
-            v = gamma[todo, None] * r**exp_serving / p_serv
-            laplace = _laplace(v.ravel(), np.broadcast_to(r, v.shape).ravel(), scenario, quad)
-            return np.einsum("tn,en->et", np.exp(-v * scenario.p_noise_mw) * laplace.reshape(v.shape), w)
+            with np.errstate(over="ignore"):  # _laplace takes the limit of a v of +inf
+                v = gamma[todo, None] * r**exp_serving / p_serv
+            success = _laplace(v.ravel(), np.broadcast_to(r, v.shape).ravel(), scenario, quad, scenario.p_noise_mw)
+            return np.einsum("tn,en->et", success.reshape(v.shape), w)
 
         values, failed, disc = refine(estimate, gamma.size, lambda fine: quad.outer_abs_tol,
                                       quad.max_refinements)
@@ -458,12 +471,15 @@ def coverage_ppp_dl(gamma_db, scenario, quad=None):
     ``gamma_db``, a float (giving a float) or a 1-D grid.  The serving
     fade is exponential, so coverage is the Rayleigh-weighted integral
     of the noise factor times the interference Laplace transform at
-    v = gamma r^{2b} / P_small.  Each threshold refines its serving rule
-    on its own to outer_abs_tol, and each level sends the nodes of all
-    open thresholds to one Laplace batch, where they share the work of
-    each serving distance.  A threshold gets the same value, to the bit,
-    in any grid; the first that fails raises the error it raises alone.
-    The thresholds it takes are those of params.thresholds."""
+    v = gamma r^{2b} / P_small, both formed by :func:`_laplace` under its
+    one rule: a zero noise factor gives 0, and a v that overflows to +inf
+    takes its limit.  A silent serving link covers nothing.  Each
+    threshold refines its serving rule on its own to outer_abs_tol, and
+    each level sends the nodes of all open thresholds to one Laplace
+    batch, where they share the work of each serving distance.  A
+    threshold gets the same value, to the bit, in any grid; the first
+    that fails raises the error it raises alone.  The thresholds it
+    takes are those of params.thresholds."""
     return _coverage_analytic(gamma_db, scenario, quad or _DEFAULT_QUAD, "dl")
 
 

@@ -35,14 +35,20 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _write(path, text):
-    """Write one output file; a failed write raises ConfigError naming
-    the path."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
+def _write(files):
+    """Write each (path, text) of files in turn.  A failed write removes
+    the files this call already wrote, so a run leaves all of its files
+    or none, and raises ConfigError naming the path."""
+    written = []
+    for path, text in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                written.append(path)
+                fh.write(text)
+        except OSError as exc:
+            for done in written:
+                os.remove(done)
+            raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 @functools.cache
@@ -156,7 +162,8 @@ def run(cfg, out_dir=None, label=None):
     (both samplers run on :func:`rng.workers` threads).  A label that
     is no file name, or an output directory that cannot be made, raises
     ConfigError before anything is computed; an output file that cannot
-    be written raises ConfigError after.
+    be written raises ConfigError after, and leaves none of the run's
+    files behind.
     """
     out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
     name = label or cfg.label or f"{cfg.geometry}-{cfg.experiment}-{cfg.direction}"
@@ -176,7 +183,6 @@ def run(cfg, out_dir=None, label=None):
     wall = time.perf_counter() - start
 
     csv_path = os.path.join(out, f"{name}.csv")
-    _write(csv_path, _csv_text(header, rows))
     meta = {
         "config": dump_config(cfg),
         "seed": cfg.seed,
@@ -189,9 +195,11 @@ def run(cfg, out_dir=None, label=None):
         meta["mc_draws"] = draws
         meta["mc_draws_per_s"] = round(draws / wall, 1)
         meta["mc_workers"] = rng.workers()
-    _write(os.path.join(out, f"{name}.meta.json"), json.dumps(meta, indent=2) + "\n")
+    files = [(csv_path, _csv_text(header, rows)),
+             (os.path.join(out, f"{name}.meta.json"), json.dumps(meta, indent=2) + "\n")]
     if cfg.plot_script:
-        _write(os.path.join(out, f"{name}.gp"), _plot_script_text(os.path.basename(csv_path), header))
+        files.append((os.path.join(out, f"{name}.gp"), _plot_script_text(os.path.basename(csv_path), header)))
+    _write(files)
     return csv_path
 
 

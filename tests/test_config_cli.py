@@ -60,6 +60,10 @@ def test_reference_defaults():
     assert len(cfg.gamma_grid_db) == 61
 
 
+def test_the_ppp_defaults_are_the_scenario_defaults():
+    assert config_from_dict({"geometry": "ppp"}).scenario() == SmallCellScenario()
+
+
 def test_invalid_field_value_rejected():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({"mix": {"alpha_d": 1.2}})
@@ -221,6 +225,9 @@ def test_cli_reports_an_output_file_it_cannot_write_with_exit_2(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"config error: cannot write output file {str(tmp_path / 'out' / taken)!r}" in err
     assert "Traceback" not in err
+    # a failed write leaves no partial run: the CSV written before the
+    # sidecar is removed
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [taken]
 
 
 def test_run_refuses_a_label_that_is_no_file_name_before_computing(tmp_path, monkeypatch):

@@ -261,6 +261,42 @@ def test_cli_runs_a_silent_serving_link_to_coverage_zero(tmp_path, capsys, direc
     assert [row.split(",")[1:] for row in lines[1:]] == [["0.0"] * 4] * 3
 
 
+# PPP configs at the edges of the float range: a threshold of 1000 dB
+# over a serving power near the smallest normal double drives v past it,
+# and a tiny interfering power drives the kernel's table power past it;
+# id -> (tree, direction, coverage at 0 and 1000 dB, or None where the
+# Monte Carlo checks the value at 0 dB and 1000 dB covers nothing)
+_FLOAT_EDGES = {
+    "a_db-2999-dl": ({"propagation": {"a_db": 2999}}, "dl", 0.0),
+    "a_db-2999-ul": ({"propagation": {"a_db": 2999}}, "ul", 0.0),
+    "tiny-serving-dl": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_dbm": -2900}}, "dl", 0.0),
+    "tiny-serving-ul": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_star_dbm": -2900}}, "ul", 0.0),
+    "no-field-no-noise": ({"mix": {"alpha_d": 0}, "ppp": {"p_small_dbm": -2900, "p_small_star_dbm": -math.inf},
+                           "propagation": {"p_noise_dbm": -math.inf}}, "dl", 1.0),
+    "no-noise-tiny-serving-ul": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_star_dbm": -2900},
+                                  "propagation": {"p_noise_dbm": -math.inf}}, "ul", 0.0),
+    "tiny-field-ul": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_dbm": -2900}}, "ul", None),
+    "tiny-field-dl": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_star_dbm": -2900}}, "dl", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLOAT_EDGES))
+def test_cli_runs_ppp_coverage_at_the_edges_of_the_float_range(tmp_path, case):
+    # a v that overflows takes its limit and a dead pair takes no
+    # transform, so each runs to exit 0 without a warning
+    tree, direction, expected = _FLOAT_EDGES[case]
+    tree = dict(tree, geometry="ppp", direction=direction, gamma_grid_db=[0.0, 1000.0])
+    code, out = _run(tmp_path, tree)
+    assert code == 0
+    lines = (out / f"ppp-coverage-{direction}.csv").read_text(encoding="utf-8").splitlines()
+    value = np.array([float(row.split(",")[1]) for row in lines[1:]])
+    if expected is None:
+        mc = mc_coverage_ppp(config_from_dict(tree).scenario(), direction, [0.0], 2000, 1)
+        assert abs(value[0] - mc.value[0]) <= mc.ci_halfwidth[0] and value[1] == 0.0
+    else:
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+
 _DIGITS_400 = 10**400
 
 

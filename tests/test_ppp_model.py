@@ -11,12 +11,14 @@ import pytest
 import scipy.integrate
 
 from tddgeom import (
+    RECIPES,
     IntegrationError,
     PropagationParams,
     QuadratureControl,
     SmallCellScenario,
     TddMix,
     ase,
+    config_from_dict,
     coverage_ppp_dl,
     coverage_ppp_ul,
     laplace_dl,
@@ -386,6 +388,50 @@ def test_batched_laplace_refines_each_pair_on_its_own(monkeypatch):
     assert batched.value.discrepancy == scalar.value.discrepancy > 2e-9
 
 
+def test_laplace_forms_the_noise_factor_by_one_rule():
+    # e^{-vN} L_I(v, r): a zero noise factor gives 0 with no transform, and
+    # v = +inf its limit, 1 only over a noiseless and silent field
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=0.5))
+    silent = SmallCellScenario(p_small_star_dbm=-math.inf, mix=TddMix(alpha_d=0.0))
+    quad = QuadratureControl(**FAST_QUAD)
+    v, r = np.array([0.0, 1e9, math.inf, 1e9]), np.array([0.1, 0.1, 0.1, 0.02])
+    noise = sc.p_noise_mw
+    ours = ppp_model._laplace(v, r, sc, quad, noise)
+    assert ours[0] == 1.0 and ours[2] == 0.0
+    for i in (1, 3):
+        assert ours[i] == np.exp(-noise * v[i]) * laplace_dl(v[i], r[i], sc, quad)
+    assert ppp_model._laplace(v, r, sc, quad)[2] == 0.0
+    assert ppp_model._laplace(v, r, silent, quad).tolist() == [1.0] * 4
+    assert ppp_model._laplace(v, r, silent, quad, noise)[2] == 0.0
+    # a dead pair takes no transform, even one that would not converge
+    strict = QuadratureControl(**{**FAST_QUAD, "inner_abs_tol": 1e-30, "max_refinements": 0})
+    assert ppp_model._laplace(np.array([math.inf, 1e300]), r[:2], sc, strict, noise).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("alpha_d", [1.0, 0.5])
+def test_coverage_sends_no_dead_pair_to_the_kernel(monkeypatch, alpha_d):
+    # the indoor fig8 curve is noise-limited: hundreds of its pairs have a
+    # noise factor of 0, and none of them reaches the PGFL kernel
+    sent, dead = [], []
+    real_laplace, real_pgfl = ppp_model._laplace, ppp_model._pgfl_radial
+
+    def laplace_spy(v, r, scenario, quad, *noise):
+        dead.append(int(np.count_nonzero(np.exp(-scenario.p_noise_mw * v) == 0.0)))
+        return real_laplace(v, r, scenario, quad, *noise)
+
+    def pgfl_spy(v, r, scenario, n_x, n_rho):
+        sent.append(np.exp(-scenario.p_noise_mw * v))
+        return real_pgfl(v, r, scenario, n_x, n_rho)
+
+    monkeypatch.setattr(ppp_model, "_laplace", laplace_spy)
+    monkeypatch.setattr(ppp_model, "_pgfl_radial", pgfl_spy)
+    cfg = next(config_from_dict(tree) for label, tree in RECIPES["fig8-cov-ul-ppp"]
+               if "indoor" in label and tree["mix"]["alpha_d"] == alpha_d)
+    coverage_ppp_ul(np.array(cfg.gamma_grid_db), cfg.scenario(), cfg.quadrature)
+    assert sum(dead) > 100
+    assert sent and all(np.all(factor > 0.0) for factor in sent)
+
+
 def test_laplace_meets_its_tolerance_against_a_fine_reference():
     # every pair in uplink with power control: the ungraded offset map
     # left a logarithmic singularity at rho -> infinity here, and the
@@ -704,9 +750,9 @@ def test_ase_sends_every_row_to_one_laplace_call_per_level(monkeypatch):
     calls = []
     real = ppp_ase._laplace
 
-    def spy(v, r, scenario, quad):
+    def spy(v, r, scenario, quad, noise):
         calls.append(np.unique(r).size)
-        return real(v, r, scenario, quad)
+        return real(v, r, scenario, quad, noise)
 
     monkeypatch.setattr(ppp_ase, "_laplace", spy)
     quad = QuadratureControl(**{**FAST_QUAD, "max_refinements": 0})
