@@ -43,7 +43,7 @@ def main(argv=None):
         if args.command == "run":
             cfg = config_mod.load_config(args.config)
             if args.seed is not None:
-                cfg = dataclasses.replace(cfg, seed=config_mod.config_from_dict({"seed": args.seed}).seed)
+                cfg = dataclasses.replace(cfg, seed=args.seed)
             path = runner.run(cfg, out_dir=args.out)
             print(path)
             return 0

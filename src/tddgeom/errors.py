@@ -25,15 +25,17 @@ class TruncationError(TddgeomError):
 class IntegrationError(TddgeomError):
     """A quadrature refinement check disagreed beyond tolerance.
 
+    Raised by :func:`tddgeom.quadrules.refine` for the first item that
+    still fails after its last level, and so for the integral that
+    failed, in its own units, however deeply it is nested.
+
     Attributes
     ----------
     achieved : float
-        Best available estimate of the integral.
+        The Kronrod value K of that integral at its last level.
     discrepancy : float
-        Absolute difference between the coarse and the fine estimate of
-        the last check: the Gauss and the Kronrod value of a nested pair.
-        A spectral-efficiency row that fails reports its |K - G| weighted
-        as the row enters the total, in bits/s/Hz like the achieved value.
+        |K - G| of that level: the Kronrod and the Gauss value of a
+        nested pair.
     """
 
     def __init__(self, message, achieved=None, discrepancy=None):

@@ -45,8 +45,9 @@ def _ase_rows(r, s_mean, a_scale, scenario, quad):
     its own to ase_rel_tol of its value (:func:`tddgeom.quadrules.refine`);
     each level sends the nodes of all its rows to :func:`_laplace` in one
     call, which forms e^{-vN} L_I by its one rule: a node whose noise
-    factor is 0 gives 0, and v = +inf takes its limit.  Returns what
-    refine returns."""
+    factor is 0 gives 0, and v = +inf takes its limit.  Returns each
+    row's K, in nats; the first row that still fails raises the
+    integration error of refine, with its own K and |K - G|."""
     b = scenario.prop.b
 
     def estimate(level, todo):
@@ -65,7 +66,8 @@ def _ase_rows(r, s_mean, a_scale, scenario, quad):
                        scenario.p_noise_mw).reshape(v.shape)
         return ((val * jac) @ np.concatenate((w, w), axis=1).T).T
 
-    return refine(estimate, r.size, lambda fine: quad.ase_rel_tol * fine, quad.max_refinements)
+    return refine(estimate, r.size, lambda fine: quad.ase_rel_tol * fine, quad.max_refinements,
+                  lambda i: f"spectral-efficiency row at r={r[i]} not converged to {quad.ase_rel_tol} of its value")
 
 
 def ase(scenario, direction, quad=None):
@@ -90,9 +92,10 @@ def ase(scenario, direction, quad=None):
 
     Each row and the r rule are refined by :func:`tddgeom.quadrules.refine`
     to ase_rel_tol: a row relative to its value, the r rule relative to
-    the total.  When either still fails, an integration error carries the
-    achieved value and the discrepancy, both in bits/s/Hz.  Each Laplace
-    value meets inner_abs_tol.
+    the total.  When either still fails, refine raises an integration
+    error with the K and |K - G| of the integral that failed: a row's in
+    nats, the r rule's in bits/s/Hz.  Each Laplace value meets
+    inner_abs_tol.
     """
     quad = quad or _DEFAULT_QUAD
     direction = check_direction(direction)
@@ -116,24 +119,9 @@ def ase(scenario, direction, quad=None):
         d = np.maximum(r, rho_s)
         i_scale = power * d ** (-2.0 * b) * (d / rho_s) ** 2 / (b - 1.0)
         s_mean = p_serv * r ** (-exp_serving)
-        rows, failed, row_disc = _ase_rows(r, s_mean, s_mean / (scenario.p_noise_mw + i_scale),
-                                           scenario, quad)
-        total = w @ rows / math.log(2.0)
-        if failed.size:
-            raise IntegrationError(
-                f"spectral-efficiency row at r={r[failed[0]]} not converged to "
-                f"{quad.ase_rel_tol} of its value",
-                achieved=float(total[0]),
-                discrepancy=float(w[0, failed] @ row_disc) / math.log(2.0),
-            )
-        return total[:, None]
+        rows = _ase_rows(r, s_mean, s_mean / (scenario.p_noise_mw + i_scale), scenario, quad)
+        return (w @ rows / math.log(2.0))[:, None]
 
-    (value,), failed, disc = refine(estimate, 1, lambda fine: quad.ase_rel_tol * fine,
-                                    quad.max_refinements)
-    if failed.size:
-        raise IntegrationError(
-            f"spectral-efficiency integral not converged to {quad.ase_rel_tol} of its value",
-            achieved=float(value),
-            discrepancy=float(disc[0]),
-        )
+    (value,) = refine(estimate, 1, lambda fine: quad.ase_rel_tol * fine, quad.max_refinements,
+                      lambda i: f"spectral-efficiency integral not converged to {quad.ase_rel_tol} of its value")
     return float(value)

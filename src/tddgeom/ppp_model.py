@@ -82,7 +82,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationError
 from .params import PropagationParams, TddMix, _check_count, _check_linear, _check_real, dbm_to_mw, thresholds
 from .quadrules import gauss_kronrod_unit, refine
 
@@ -217,11 +216,15 @@ def _piece_rule(n, two_b):
     """Nodes and (2, 2n + 1) Kronrod and Gauss weights of the finite
     pieces of the kernel, at u = t^2 (3 - 2t), and of the tail beyond
     e, at y = e s^{-1/z} with z = 2b - 2 (see the module notes), on the
-    nested pair of coarse order n."""
+    nested pair of coarse order n.  A tail so flat (2b near 2) that its
+    nodes overflow is NaN, which refine never accepts."""
     t, w = gauss_kronrod_unit(n)
     z = two_b - 2.0
-    return ((t * t * (3.0 - 2.0 * t), w * (6.0 * t * (1.0 - t))),
-            (t ** (-1.0 / z), w * t ** (-1.0 / z - 1.0) / z))
+    with np.errstate(over="ignore"):
+        y, dy = t ** (-1.0 / z), t ** (-1.0 / z - 1.0)
+        if not np.isfinite(dy / z).all():  # y = t dy, finite where dy / z is
+            y = dy = np.full(t.size, math.nan)
+    return ((t * t * (3.0 - 2.0 * t), w * (6.0 * t * (1.0 - t))), (y, w * dy / z))
 
 
 def _offset_tables(radii, rho, wo, unit, two_b, rules):
@@ -249,7 +252,9 @@ def _offset_tables(radii, rho, wo, unit, two_b, rules):
     rm, om, um = radii[i[mid]], rho[j[mid]], unit[j[mid]]
     a[mid] += (near[i[mid], j[mid]] / um)[:, None]
     wt = np.take(wo, (p == 2) * rho.size + j, axis=1)
-    wt *= (s * unit[j])[:, None] * a
+    with np.errstate(over="ignore"):  # a tail too flat for floats: its weights are NaN
+        wt *= (s * unit[j])[:, None] * a
+    wt[np.isinf(wt)] = math.nan
     # pi W = arccos(-q) on piece 1, with q = (y^2 + rho^2 - r^2) / (2 y rho)
     angle = a[mid] * a[mid]
     angle += ((om - rm) * (om + rm) / (um * um))[:, None]
@@ -279,7 +284,9 @@ def _beyond_turnover(far, turn, two_b, rules, work):
         h = scale / turn
         np.multiply(h[:, None], tau, out=y)
         y += (start / turn)[:, None]
-        np.power(y, two_b, out=den)
+        with np.errstate(over="ignore"):  # a tail too flat for floats: NaN
+            np.power(y, two_b, out=den)
+        den[np.isinf(den)] = math.nan
         den += 1.0
         y /= den
         total += np.einsum("rk,ek->er", y, omega) * (h * turn * turn)
@@ -398,16 +405,9 @@ def _laplace(v, r, scenario, quad, noise=0.0):
         radial = _pgfl_radial(v[at], r[at], scenario, quad.n_x << level, quad.n_rho << level)
         return np.exp(-pref * radial)
 
-    laplace, failed, disc = refine(estimate, live.size, lambda fine: quad.inner_abs_tol,
-                                   quad.max_refinements)
-    out[live] *= laplace
-    if failed.size:
-        at = live[failed[0]]
-        raise IntegrationError(
-            f"Laplace transform not converged to {quad.inner_abs_tol} at v={v[at]}, r={r[at]}",
-            achieved=float(laplace[failed[0]]),
-            discrepancy=float(disc[0]),
-        )
+    out[live] *= refine(estimate, live.size, lambda fine: quad.inner_abs_tol, quad.max_refinements,
+                        lambda i: f"Laplace transform not converged to {quad.inner_abs_tol} "
+                                  f"at v={v[live[i]]}, r={r[live[i]]}")
     return out
 
 
@@ -454,14 +454,9 @@ def _coverage_analytic(gamma_db, scenario, quad, direction):
             success = _laplace(v.ravel(), np.broadcast_to(r, v.shape).ravel(), scenario, quad, scenario.p_noise_mw)
             return np.einsum("tn,en->et", success.reshape(v.shape), w)
 
-        values, failed, disc = refine(estimate, gamma.size, lambda fine: quad.outer_abs_tol,
-                                      quad.max_refinements)
-        if failed.size:
-            raise IntegrationError(
-                f"coverage integral not converged to {quad.outer_abs_tol} at gamma_db={np.ravel(gamma_db)[failed[0]]}",
-                achieved=float(values[failed[0]]),
-                discrepancy=float(disc[0]),
-            )
+        values = refine(estimate, gamma.size, lambda fine: quad.outer_abs_tol, quad.max_refinements,
+                        lambda i: f"coverage integral not converged to {quad.outer_abs_tol} "
+                                  f"at gamma_db={np.ravel(gamma_db)[i]}")
         np.minimum(values, 1.0, out=values)
     return float(values[0]) if scalar else values
 

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import IntegrationError
+
 
 def _advance(x, beta, state, lo, hi):
     """Step the orthonormal Legendre recurrence
@@ -150,13 +152,15 @@ def gauss_kronrod_unit(n):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def refine(estimate, size, bound, max_refinements):
+def refine(estimate, size, bound, max_refinements, failure):
     """Refine each of size items on its own: estimate(level, todo) gives
     the Kronrod and Gauss values K and G of the items at the indices
     todo, each coarse order n taken as n << level.  Items whose |K - G|
     exceeds bound(K), or is NaN, go on to the next level, at most
-    max_refinements times.  Returns every item's K from its last level,
-    and the indices and |K - G| of the items still failing."""
+    max_refinements times.  Returns every item's K from its last level.
+    If an item still fails after the last level, the first one, i,
+    raises IntegrationError(failure(i)) carrying its K and |K - G|, in
+    the units of its own integral."""
     values = np.empty(size)
     todo = np.arange(size)
     for level in range(max_refinements + 1):
@@ -166,5 +170,5 @@ def refine(estimate, size, bound, max_refinements):
         keep = ~(disc <= bound(fine))
         todo, disc = todo[keep], disc[keep]
         if todo.size == 0:
-            break
-    return values, todo, disc
+            return values
+    raise IntegrationError(failure(todo[0]), achieved=float(values[todo[0]]), discrepancy=float(disc[0]))

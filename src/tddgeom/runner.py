@@ -159,12 +159,14 @@ def run(cfg, out_dir=None, label=None):
     The sidecar records the wall time of the computation (a monotonic
     clock), and for a Monte Carlo coverage or ASE run the number of
     draws, the draws per second and the worker threads that drew them
-    (both samplers run on :func:`rng.workers` threads).  A label that
-    is no file name, or an output directory that cannot be made, raises
-    ConfigError before anything is computed; an output file that cannot
-    be written raises ConfigError after, and leaves none of the run's
-    files behind.
+    (both samplers run on :func:`rng.workers` threads).  A config that
+    config_from_dict refuses, a label that is no file name, or an output
+    directory that cannot be made, raises ConfigError before anything is
+    computed; an output file that cannot be written raises ConfigError
+    after, and leaves none of the run's files behind.
     """
+    tree = dump_config(cfg)
+    cfg = config_from_dict(tree)
     out = out_dir or cfg.out or os.environ.get("TDDGEOM_OUT") or "."
     name = label or cfg.label or f"{cfg.geometry}-{cfg.experiment}-{cfg.direction}"
     _check_label(name)
@@ -184,7 +186,7 @@ def run(cfg, out_dir=None, label=None):
 
     csv_path = os.path.join(out, f"{name}.csv")
     meta = {
-        "config": dump_config(cfg),
+        "config": tree,
         "seed": cfg.seed,
         "version": _version_string(),
         "wall_time_s": round(wall, 3),

@@ -242,6 +242,17 @@ def test_run_refuses_a_label_that_is_no_file_name_before_computing(tmp_path, mon
     assert not list(tmp_path.iterdir())
 
 
+def test_run_refuses_a_config_that_the_loader_refuses(tmp_path):
+    # a config built in code is checked by the rules of a config file
+    # before any directory is made, so it cannot compute what no file
+    # could ask for
+    for cfg, message in ((ExperimentConfig(geometry="hex"), "geometry: must be one of"),
+                         (ExperimentConfig(experiment="ase"), "ase experiments require geometry=ppp")):
+        with pytest.raises(ConfigError, match=message):
+            run(cfg, out_dir=str(tmp_path / "out"))
+    assert not list(tmp_path.iterdir())
+
+
 def test_a_seed_must_name_the_stream_it_uses(tmp_path, capsys):
     # the streams take a seed as one 64-bit key word, so a seed of 2**64
     # would silently reuse the streams of seed 0

@@ -45,6 +45,7 @@ from tddgeom import (
 )
 from tddgeom import rng
 from tddgeom.cli import main
+from tddgeom.config import FAST_QUAD
 
 _XR = 1.0 / math.sqrt(3.0)
 _MODEL = (MacroNetwork(), PropagationParams(), TddMix(alpha_d=0.5))
@@ -295,6 +296,34 @@ def test_cli_runs_ppp_coverage_at_the_edges_of_the_float_range(tmp_path, case):
         assert abs(value[0] - mc.value[0]) <= mc.ci_halfwidth[0] and value[1] == 0.0
     else:
         np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_cli_refuses_an_ase_over_a_serving_power_near_the_smallest_normal_double(tmp_path, capsys, direction):
+    # at a_db 2999 the serving power is about 1e-298 mW and the noise
+    # 5e-10 mW: the ASE is about 1e-163 bit/s/Hz, nearly all of it from
+    # serving distances near 1e-82 km, beyond every node of the graded
+    # Rayleigh rule, so the serving rule reads 1.1e-278 (downlink) with a
+    # |K - G| as large, and the refusal is right
+    tree = {"geometry": "ppp", "experiment": "ase", "direction": direction, "propagation": {"a_db": 2999},
+            "lambda_grid": [10.0], "quadrature": FAST_QUAD}
+    code, _ = _run(tmp_path, tree)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical error: spectral-efficiency integral not converged")
+
+
+@pytest.mark.parametrize("two_b", [2.0001, 2.01, 2.02])
+@pytest.mark.parametrize("experiment, direction", [("coverage", "dl"), ("coverage", "ul"), ("ase", "dl"),
+                                                   ("ase", "ul")])
+def test_cli_refuses_a_path_loss_exponent_just_above_2_with_exit_3(tmp_path, capsys, two_b, experiment, direction):
+    # the kernel maps the tail beyond each turnover by s = (e/y)^{2b-2},
+    # whose nodes, weights or powers pass the double range as 2b nears 2:
+    # such a rule or table is NaN, which refine never accepts
+    tree = {"geometry": "ppp", "experiment": experiment, "direction": direction, "propagation": {"two_b": two_b},
+            "gamma_grid_db": [0.0], "lambda_grid": [10.0]}
+    code, _ = _run(tmp_path, tree)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical error: Laplace transform not converged")
 
 
 _DIGITS_400 = 10**400

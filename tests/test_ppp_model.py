@@ -4,6 +4,7 @@ coverage, and spectral efficiency."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -717,13 +718,23 @@ def test_ase_nonconvergence_is_loud():
     # n_x 96 holds every Laplace value to inner_abs_tol without a
     # refinement, so the error comes from the ASE rules
     strict = QuadratureControl(**dict(FAST_QUAD, n_x=96, ase_rel_tol=1e-12, max_refinements=0))
-    with pytest.raises(IntegrationError, match="spectral-efficiency") as excinfo:
+    with pytest.raises(IntegrationError, match="spectral-efficiency row") as excinfo:
         ase(sc, "dl", strict)
     err = excinfo.value
-    # the achieved value is the ASE with the unconverged rows in it, and
-    # the discrepancy is in bit/s/Hz, far above the 1e-12 asked for
-    assert err.achieved == pytest.approx(ase(sc, "dl", fast), rel=fast.ase_rel_tol)
-    assert err.discrepancy is not None and 1e-12 * err.achieved < err.discrepancy < 1e-3
+    # the row's own K and |K - G|, in nats, far above the 1e-12 asked
+    # for: K is E[ln(1 + SINR) | r] = int e^{-vN} L_I(v, r) dg, which
+    # scipy integrates over g = ln(1 + v S) up to where vN = 50
+    r = float(re.search(r"r=(\S+) not", str(err)).group(1))
+    s_mean = sc.p_small_mw * r**-sc.prop.two_b
+
+    def row(g):
+        v = math.expm1(g) / s_mean
+        return math.exp(-v * sc.p_noise_mw) * laplace_dl(v, r, sc, fast)
+
+    top = math.log1p(s_mean * 50.0 / sc.p_noise_mw)
+    reference = scipy.integrate.quad(row, 0.0, top, epsabs=0.0, epsrel=1e-8, limit=200)[0]
+    assert abs(err.achieved - reference) < err.discrepancy
+    assert 1e-12 * err.achieved < err.discrepancy < 1e-3 * err.achieved
     # at n_serving 2 without a refinement every row converges, and only
     # the serving rule misses its tolerance: its |K - G| bounds the error
     coarse = QuadratureControl(**dict(FAST_QUAD, n_serving=2, max_refinements=0))
@@ -741,6 +752,27 @@ def test_ase_nonconvergence_is_loud():
                                prop=PropagationParams(p_noise_dbm=-math.inf))
     with pytest.raises(IntegrationError, match="infinite"):
         ase(silent, "ul", fast)
+
+
+@pytest.mark.parametrize("alpha_d, call, message, quad, tol, relative", [
+    (0.5, lambda sc, q: laplace_dl(1e8, 0.02, sc, q), "Laplace transform", {"inner_abs_tol": 2e-9},
+     "inner_abs_tol", False),
+    (0.5, lambda sc, q: coverage_ppp_dl(-10.0, sc, q), "coverage integral", {"outer_abs_tol": 1e-7},
+     "outer_abs_tol", False),
+    (1.0, lambda sc, q: ase(sc, "dl", q), "spectral-efficiency row", {"n_x": 96, "ase_rel_tol": 1e-12},
+     "ase_rel_tol", True),
+    (1.0, lambda sc, q: ase(sc, "dl", q), "spectral-efficiency integral", {"n_serving": 2}, "ase_rel_tol", True),
+], ids=["laplace", "coverage", "ase-row", "ase-serving"])
+def test_each_route_raises_the_pair_that_failed_its_own_bound(alpha_d, call, message, quad, tol, relative):
+    # the error carries the K and |K - G| of the integral that failed,
+    # so the pair fails the bound that integral was held to
+    sc = SmallCellScenario(lam=10.0, mix=TddMix(alpha_d=alpha_d))
+    quad = QuadratureControl(**{**FAST_QUAD, **quad, "max_refinements": 0})
+    with pytest.raises(IntegrationError, match=f"^{message} ") as excinfo:
+        call(sc, quad)
+    err = excinfo.value
+    bound = getattr(quad, tol) * (err.achieved if relative else 1.0)
+    assert math.isfinite(err.achieved) and not err.discrepancy <= bound
 
 
 def test_ase_sends_every_row_to_one_laplace_call_per_level(monkeypatch):

@@ -1,8 +1,14 @@
-"""Tests for the Gauss-Legendre and nested Gauss-Kronrod rules."""
+"""Tests for the Gauss-Legendre and nested Gauss-Kronrod rules and
+their refinement."""
+
+import ast
+import os
 
 import numpy as np
 import pytest
 
+import tddgeom
+from tddgeom.errors import IntegrationError
 from tddgeom.quadrules import _newton, gauss_kronrod, gauss_kronrod_unit, gauss_legendre, refine
 
 
@@ -60,32 +66,87 @@ def test_gauss_kronrod_interlaces_and_stays_positive_at_every_order_reached():
         assert abs(weights[0] @ nodes ** 2 - 2.0 / 3.0) < 1e-13, n
 
 
-def test_refine_doubles_only_the_failing_items_and_reports_the_last_failures():
-    # item i has |K - G| = err[i] / 4^level; a NaN discrepancy never passes
-    err = np.array([2.0**-10, 2.0**-30, 1.0, np.nan, 2.0**-17])
-    calls = []
-
+def _items(err, calls):
+    """An estimate whose item i has K = 10 (i + 1) + level and
+    |K - G| = err[i] / 4^level, recording each call in calls."""
     def estimate(level, todo):
         calls.append((level, todo.tolist()))
         fine = 10.0 * (todo + 1) + level
         return fine, fine + err[todo] / 4.0**level
 
-    values, failed, disc = refine(estimate, err.size, lambda fine: 2.0**-20, 2)
+    return estimate
+
+
+def _failure(i):
+    return f"item {i} not converged"
+
+
+def test_refine_doubles_only_the_failing_items_and_reports_the_last_failures():
+    # a NaN discrepancy never passes
+    calls = []
+    estimate = _items(np.array([2.0**-10, 2.0**-30, 1.0, np.nan, 2.0**-17]), calls)
+    with pytest.raises(IntegrationError, match="^item 0 not converged$") as excinfo:
+        refine(estimate, 5, lambda fine: 2.0**-20, 2, _failure)
     assert calls == [(0, [0, 1, 2, 3, 4]), (1, [0, 2, 3, 4]), (2, [0, 2, 3, 4])]
-    # each item keeps the Kronrod value of its last level
-    np.testing.assert_array_equal(values, [12.0, 20.0, 32.0, 42.0, 52.0])
-    np.testing.assert_array_equal(failed, [0, 2, 3])
-    np.testing.assert_array_equal(disc, [2.0**-14, 2.0**-4, np.nan])
+    # the first item still open raises, with the Kronrod value and the
+    # |K - G| of its last level
+    assert excinfo.value.achieved == 12.0 and excinfo.value.discrepancy == 2.0**-14
+    calls.clear()
+    with pytest.raises(IntegrationError, match="^item 1 not converged$") as excinfo:
+        refine(_items(np.array([2.0**-30, np.nan]), calls), 2, lambda fine: 1e300, 1, _failure)
+    assert calls == [(0, [0, 1]), (1, [1])]
+    assert excinfo.value.achieved == 21.0 and np.isnan(excinfo.value.discrepancy)
+    # each item keeps the Kronrod value of the level at which it passed
+    calls.clear()
+    values = refine(_items(np.array([2.0**-21, 2.0**-19, 2.0**-17]), calls), 3, lambda fine: 2.0**-20, 2, _failure)
+    assert calls == [(0, [0, 1, 2]), (1, [1, 2]), (2, [2])]
+    np.testing.assert_array_equal(values, [10.0, 21.0, 32.0])
     # a bound relative to the Kronrod value: both items pass at once
     calls.clear()
-    _, failed, disc = refine(estimate, 2, lambda fine: 1e-3 * fine, 5)
-    assert calls == [(0, [0, 1])] and failed.size == 0 and disc.size == 0
-    # no refinement: one level, and the failures of that level
+    values = refine(estimate, 2, lambda fine: 1e-3 * fine, 5, _failure)
+    assert calls == [(0, [0, 1])]
+    np.testing.assert_array_equal(values, [10.0, 20.0])
+    # no refinement: one level, and the first failure of that level
     calls.clear()
-    _, failed, disc = refine(estimate, 3, lambda fine: 2.0**-20, 0)
+    with pytest.raises(IntegrationError, match="^item 0 not converged$") as excinfo:
+        refine(estimate, 3, lambda fine: 2.0**-20, 0, _failure)
     assert calls == [(0, [0, 1, 2])]
-    np.testing.assert_array_equal(failed, [0, 2])
-    np.testing.assert_array_equal(disc, [2.0**-10, 1.0])
+    assert excinfo.value.achieved == 10.0 and excinfo.value.discrepancy == 2.0**-10
+
+
+def _owners_of_calls(path, name):
+    """The innermost function (or "<module>") around each call of the
+    name in a source file."""
+    with open(path, "rb") as fh:
+        tree = ast.parse(fh.read(), path)
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    owners.append(owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Lambda):
+                visit(child, "<lambda>")
+            else:
+                visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_only_refine_forms_an_integration_error():
+    # refine raises the error of every integral it leaves unconverged,
+    # so no caller unpacks a failure to write its own; the one other
+    # error is the refusal of an infinite spectral efficiency, which no
+    # quadrature could meet
+    package = os.path.dirname(os.path.abspath(tddgeom.__file__))
+    found = [f"{name}:{owner}" for name in sorted(os.listdir(package)) if name.endswith(".py")
+             for owner in _owners_of_calls(os.path.join(package, name), "IntegrationError")]
+    assert found == ["ppp_ase.py:ase", "quadrules.py:refine"]
 
 
 @pytest.mark.parametrize("step", [np.ones_like, lambda x: np.full_like(x, np.nan)], ids=["constant-step", "nan-step"])
