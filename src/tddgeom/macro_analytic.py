@@ -263,6 +263,7 @@ def _downlink_map(net, prop, mix, ctrl, ring1):
     return _DownlinkMap(net, prop, mix, ctrl, ring1)
 
 
+@np.errstate(divide="ignore")  # a slope of 0 gives no Newton step: the bracket bisects
 def _crossing_radii(y, maps, rows, tol):
     """Radii where increasing map rows cross values, one unknown per
     entry of ``y``: unknown i is where row ``rows[i]`` of ``maps``

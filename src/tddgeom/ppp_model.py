@@ -61,10 +61,11 @@ u = P^{1/2b} for a cell and P*^{1/2b} rho^k for a user.  So the kernel
 sorts its (v, r) pairs by r and builds, per r and block of offsets, one
 table of the nodes of pieces 0 and 1 and of the tail from r + rho: a,
 and the weights times scale y W.  A pair then costs one v / (v + a) per
-node and one einsum; where its turnover passes r + rho, it drops that
-tail and takes pieces 2 and 3.  A build holds at most _CHUNK / 4 nodes,
-several small tables at once, and the pairs run in chunks of one _CHUNK
-buffer, so a batch adds no memory.
+node and one einsum; where its turnover t passes r + rho, it drops that
+tail and takes piece 2 plus t^2 C: in units of t, the tail beyond t is
+the same for every pair, one constant C per rule.  A build holds at
+most _CHUNK / 4 nodes, several small tables at once, and the pairs run
+in chunks of one _CHUNK buffer, so a batch adds no memory.
 
 The kernel forms the interfered fraction itself, never one minus the
 retention, so the far tail keeps its relative accuracy.  Empty pieces
@@ -216,15 +217,21 @@ def _piece_rule(n, two_b):
     """Nodes and (2, 2n + 1) Kronrod and Gauss weights of the finite
     pieces of the kernel, at u = t^2 (3 - 2t), and of the tail beyond
     e, at y = e s^{-1/z} with z = 2b - 2 (see the module notes), on the
-    nested pair of coarse order n.  A tail so flat (2b near 2) that its
-    nodes overflow is NaN, which refine never accepts."""
+    nested pair of coarse order n; and C, the (2,) estimates on that tail
+    of int_1^inf y / (1 + y^{2b}) dy.  A tail so flat (2b near 2) that
+    its nodes or their powers overflow is NaN, which refine never accepts."""
     t, w = gauss_kronrod_unit(n)
     z = two_b - 2.0
     with np.errstate(over="ignore"):
         y, dy = t ** (-1.0 / z), t ** (-1.0 / z - 1.0)
         if not np.isfinite(dy / z).all():  # y = t dy, finite where dy / z is
             y = dy = np.full(t.size, math.nan)
-    return ((t * t * (3.0 - 2.0 * t), w * (6.0 * t * (1.0 - t))), (y, w * dy / z))
+        den = y**two_b
+    den[np.isinf(den)] = math.nan
+    den += 1.0
+    np.divide(y, den, out=den)
+    tail = (y, w * dy / z)
+    return (t * t * (3.0 - 2.0 * t), w * (6.0 * t * (1.0 - t))), tail, np.einsum("k,ek->e", den, tail[1])
 
 
 def _offset_tables(radii, rho, wo, unit, two_b, rules):
@@ -236,7 +243,7 @@ def _offset_tables(radii, rho, wo, unit, two_b, rules):
     the finite rule, then of the tail rule.  Returns a = (y / unit)^{2b}
     and the weights wo scale y W, (2, nodes), each r's rows piece by
     piece with its J tails last; each r's node bounds; and r + rho."""
-    (tau, _), (tau_t, _) = rules
+    (tau, _), (tau_t, _), _ = rules
     near, far = np.abs(rho - radii[:, None]), rho + radii[:, None]
     scale = np.stack((np.maximum(rho - radii[:, None], 0.0), far - near, far))
     live = scale > 0.0
@@ -275,22 +282,19 @@ def _offset_tables(radii, rho, wo, unit, two_b, rules):
 
 def _beyond_turnover(far, turn, two_b, rules, work):
     """Kronrod and Gauss estimates, (2, R), of int y g(y) dy from
-    far < turn on, g = 1 / (1 + (y / turn)^{2b}): [far, turn] and the
-    tail beyond, in units of turn.  work is a buffer of at least
-    2R (2n + 1) elements."""
-    total = np.zeros((2, far.size))
-    for (tau, omega), start, scale in zip(rules, (far, 0.0), (turn - far, turn)):
-        y, den = work[: 2 * far.size * tau.size].reshape(2, far.size, tau.size)
-        h = scale / turn
-        np.multiply(h[:, None], tau, out=y)
-        y += (start / turn)[:, None]
-        with np.errstate(over="ignore"):  # a tail too flat for floats: NaN
-            np.power(y, two_b, out=den)
-        den[np.isinf(den)] = math.nan
-        den += 1.0
-        y /= den
-        total += np.einsum("rk,ek->er", y, omega) * (h * turn * turn)
-    return total
+    far < turn on, g = 1 / (1 + (y / turn)^{2b}): [far, turn] in units
+    of turn, then turn^2 C (see _piece_rule), +inf past the double range.
+    work is a buffer of at least 2R (2n + 1) elements."""
+    (tau, omega), _, tail = rules
+    y, den = work[: 2 * far.size * tau.size].reshape(2, far.size, tau.size)
+    h = (turn - far) / turn
+    np.multiply(h[:, None], tau, out=y)
+    y += (far / turn)[:, None]
+    np.power(y, two_b, out=den)
+    den += 1.0
+    y /= den
+    with np.errstate(over="ignore"):
+        return np.einsum("rk,ek->er", y, omega) * (h * turn * turn) + tail[:, None] * (turn * turn)
 
 
 def _offset_sum(v, r, rho, weight, unit, two_b, n):
@@ -303,7 +307,7 @@ def _offset_sum(v, r, rho, weight, unit, two_b, n):
     # offsets per block, and serving distances per build of tables
     block = max(1, _CHUNK // (12 * size))
     per_build = max(1, _CHUNK // (12 * size * min(block, rho.size)))
-    omegas = np.stack([omega for _, omega in rules], axis=1)
+    omegas = np.stack([omega for _, omega in rules[:2]], axis=1)
     order = np.argsort(r, kind="stable")
     v, r = v[order], r[order]
     radii, first = np.unique(r, return_index=True)
@@ -316,7 +320,10 @@ def _offset_sum(v, r, rho, weight, unit, two_b, n):
     def settle():
         at, j, far, turn = map(np.concatenate, zip(*pending))
         pending.clear()
-        terms = _beyond_turnover(far, turn, two_b, rules, work) * weight[:, j]
+        w = weight[:, j]
+        with np.errstate(invalid="ignore"):
+            terms = _beyond_turnover(far, turn, two_b, rules, work) * w
+        terms[w <= 0.0] = 0.0  # a weight of 0 takes none of an area of +inf
         for e in range(2):  # row by row, wherever other pairs' rows fall
             np.add.at(beyond[e], at, terms[e])
 

@@ -143,7 +143,8 @@ def _taylor_table(coefficient, x_max, ctrl, scale):
     so the cut holds at every smaller x too, and two tables add entry
     by entry.  One Horner pass in a real variable gives the series and
     its derivative as the real and imaginary parts: multiplying by a
-    real number keeps them apart exactly."""
+    real number keeps them apart exactly.  An entry past the double range
+    raises TruncationError."""
     coeffs = []
 
     def terms():
@@ -152,8 +153,12 @@ def _taylor_table(coefficient, x_max, ctrl, scale):
             yield coeffs[-1] * x_max ** (2 * h)
 
     sum_series(terms(), ctrl)
-    c = scale * np.array(coeffs)
-    return c + 1j * np.append(np.polynomial.polynomial.polyder(c), 0.0)
+    with np.errstate(over="ignore"):
+        c = scale * np.array(coeffs)
+        dc = np.append(np.polynomial.polynomial.polyder(c), 0.0)
+        if np.isfinite(c + dc).all():  # no entry is negative: finite where both are
+            return c + 1j * dc
+    raise TruncationError("Taylor coefficient exceeds the double-precision range")
 
 
 def _taylor_values(x, table, b):

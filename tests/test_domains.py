@@ -278,6 +278,11 @@ _FLOAT_EDGES = {
                                   "propagation": {"p_noise_dbm": -math.inf}}, "ul", 0.0),
     "tiny-field-ul": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_dbm": -2900}}, "ul", None),
     "tiny-field-dl": ({"mix": {"alpha_d": 0.5}, "ppp": {"p_small_star_dbm": -2900}}, "dl", None),
+    # a turnover area past the float range is fully interfered
+    "huge-area-dl": ({"mix": {"alpha_d": 0.5}, "propagation": {"a_db": 0, "p_noise_dbm": -math.inf},
+                      "ppp": {"p_small_dbm": -2000, "p_small_star_dbm": 2900}}, "dl", 0.0),
+    "huge-area-ul": ({"mix": {"alpha_d": 0.5}, "propagation": {"a_db": 0, "p_noise_dbm": -math.inf},
+                      "ppp": {"p_small_dbm": 2900, "p_small_star_dbm": -2000}}, "ul", 0.0),
 }
 
 
@@ -296,6 +301,41 @@ def test_cli_runs_ppp_coverage_at_the_edges_of_the_float_range(tmp_path, case):
         assert abs(value[0] - mc.value[0]) <= mc.ci_halfwidth[0] and value[1] == 0.0
     else:
         np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+
+def _underflowing_slope_coverage():
+    """Downlink coverage with every cell in uplink and no noise at
+    gamma = 1e100, where the map is its leading mobile term
+    P*/P a1 x^{2b}, a1 = 6 eta R^{2bk} beta_0."""
+    net, prop = MacroNetwork(), PropagationParams(p_noise_dbm=-math.inf)
+    a1 = 6.0 * net.load_eta * net.cell_radius ** (prop.two_b * prop.k) * beta_h(0, prop.b, prop.k, net.x_edge)
+    return (1e-100 / (prop.p_star_over_p * a1)) ** (2.0 / prop.two_b) / net.x_edge**2
+
+
+# macro configs at the edges of the float range: id -> (tree, coverage,
+# or None where the run is refused with exit 3)
+_MACRO_FLOAT_EDGES = {
+    # the map's slope underflows to 0 and the Newton solve bisects
+    "underflowing-slope": ({"mix": {"alpha_d": 0.0}, "propagation": {"p_noise_dbm": -math.inf},
+                            "gamma_grid_db": [1000.0]}, _underflowing_slope_coverage()),
+    # P*/P of 2,560 dB scales the mobile Taylor table past the double range
+    "taylor-table-overflow": ({"mix": {"alpha_d": 0.5}, "propagation": {"p_star_dbm": 2560}, "gamma_grid_db": [0.0],
+                               "mode": "both", "n_draws": 2000, "macro": {"rings": 2}}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MACRO_FLOAT_EDGES))
+def test_cli_runs_or_refuses_macro_coverage_at_the_edges_of_the_float_range(tmp_path, capsys, case):
+    tree, expected = _MACRO_FLOAT_EDGES[case]
+    code, out = _run(tmp_path, tree)
+    if expected is None:
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "Traceback" not in err
+    else:
+        assert code == 0
+        lines = (out / "macro-coverage-dl.csv").read_text(encoding="utf-8").splitlines()
+        np.testing.assert_allclose(float(lines[1].split(",")[1]), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])

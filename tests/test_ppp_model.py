@@ -243,6 +243,37 @@ def test_kernel_gives_a_pair_the_same_bits_in_any_batch(n_x, n_rho):
         assert [x.hex() for x in alone] == [x.hex() for x in beside] == [x.hex() for x in among], (v, r)
 
 
+def _two_piece_beyond_turnover(far, turn, two_b, n):
+    """int y g(y) dy from far < turn on, g = 1 / (1 + (y / turn)^{2b}),
+    as two pieces of 2n + 1 nodes per row in units of turn: [far, turn]
+    on the finite rule and the tail beyond on the tail rule, with a
+    power that overflows taken as NaN."""
+    finite, tail, _ = ppp_model._piece_rule(n, two_b)
+    total = np.zeros((2, far.size))
+    for (tau, omega), start, scale in zip((finite, tail), (far, 0.0), (turn - far, turn)):
+        h = scale / turn
+        y = h[:, None] * tau + (start / turn)[:, None]
+        with np.errstate(over="ignore"):
+            den = y**two_b
+        den[np.isinf(den)] = math.nan
+        total += np.einsum("rk,ek->er", y / (den + 1.0), omega) * (h * turn * turn)
+    return total
+
+
+@pytest.mark.parametrize("n", [8, 24, 96, 192])
+@pytest.mark.parametrize("two_b", [2.0001, 2.01, 2.02, 2.03, 2.5, 3.5, 4.0, 6.0])
+def test_the_tail_beyond_a_turnover_is_the_two_piece_integral_to_the_bit(n, two_b):
+    # the tail piece's nodes are the tail rule's own in units of the
+    # turnover, so its share is one constant per rule times turn^2
+    gen = np.random.default_rng(n)
+    for rows in (1, 2, 777):
+        turn = 10.0 ** gen.uniform(-3.0, 3.0, rows)
+        far = turn * np.where(gen.random(rows) < 0.1, 0.0, gen.random(rows))
+        work = np.empty(2 * rows * (2 * n + 1))
+        ours = ppp_model._beyond_turnover(far, turn, two_b, ppp_model._piece_rule(n, two_b), work)
+        assert np.array_equal(ours, _two_piece_beyond_turnover(far, turn, two_b, n), equal_nan=True), rows
+
+
 def test_kernel_memory_does_not_grow_with_the_batch():
     # 2,000 pairs over the 49 serving distances of a coverage level run
     # through the same buffers and tables as 49 pairs do
